@@ -24,7 +24,8 @@ from . import __version__
 from .criteria import Budget, agresti_bounds, classify
 from .embedded import embedded_moments, partial_verdict
 from .fixedpoints import curve_from_anchor
-from .generating import default_schedule, extinction_ladder, iterate_to_limit
+from .generating import (ComputationError, default_schedule, extinction_ladder,
+                         iterate_to_limit)
 from .model import Example2Model, LHBPModel, ModelError, load_model, validate
 from .montecarlo import estimate_extinction
 
@@ -198,13 +199,11 @@ def cmd_simulate(args) -> int:
 def _sweep_row(payload):
     gamma, k, tol = payload
     model = Example2Model(gamma=gamma)
-    rq = iterate_to_limit(model, k, 0.0, tol=tol)
-    start = rq.vector.copy()
-    start[k + 1] = 1.0
-    rt = iterate_to_limit(model, k, 1.0, tol=tol, start=start)
+    ladder = extinction_ladder(model, (k,), window=1, tol=tol)
+    rq, rt = ladder.q_results[0], ladder.qtilde_results[0]
     cls = classify(model, Budget(partial_horizon=2000, global_horizon=2000,
                                  sls_tail_horizon=1000))
-    return (gamma, float(rq.vector[0]), max(float(rt.vector[0]), float(rq.vector[0])),
+    return (gamma, float(rq.vector[0]), float(rt.vector[0]),
             cls.regime, rq.converged, rt.converged)
 
 
@@ -312,7 +311,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "bounds", help="two-sided truncation bounds on q_i",
         description="CSV columns: i, k, lower, oracle, upper; rows for each "
-                    "scheduled level up to --k.")
+                    "scheduled level k up to --k.  lower and upper bracket "
+                    "q_i of the level k-1 truncation (they use the embedded "
+                    "means up to k-1); oracle is q_i at level k.")
     common(sp)
     sp.add_argument("--i", type=int, required=True, help="type index (>= 1)")
     sp.add_argument("--k", type=int, required=True, help="largest level")
@@ -377,10 +378,10 @@ def main(argv=None) -> int:
     except (ModelError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except argparse.ArgumentTypeError as e:
+    except ComputationError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
+        return EXIT_NONCONVERGED
+    except (argparse.ArgumentTypeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -201,8 +201,12 @@ def _g2_at_zero(model: LHBPModel, j: int, h: float = 1e-3) -> float:
 
 def agresti_bounds(model: LHBPModel, i: int, k: int,
                    moments: EmbeddedMoments | None = None) -> AgrestiBounds:
-    """Two-sided bounds on coordinate i of the level-k global extinction
-    vector, valid on the partial-extinction side for 1 <= i < k."""
+    """Two-sided bounds on coordinate i of the level-(k-1) global extinction
+    vector, valid on the partial-extinction side for 1 <= i < k.
+
+    The brackets are built from the embedded means mu_i .. mu_{k-1}, which
+    describe the level-(k-1) truncation.
+    """
     if not 1 <= i < k:
         raise ValueError(f"need 1 <= i < k, got i={i}, k={k}")
     if moments is None or (moments.kind == "ok" and moments.ok_through < k - 1):
@@ -286,25 +290,10 @@ def head_matrix(model: LHBPModel, k: int) -> np.ndarray:
     return M
 
 
-def spectral_radius(M: np.ndarray, iters: int = 10_000,
-                    tol: float = 1e-12) -> float:
-    """Power iteration for a non-negative matrix; the identity shift removes
-    periodicity so the norm ratios converge."""
-    n = M.shape[0]
-    A = M + np.eye(n)
-    v = np.ones(n) / math.sqrt(n)
-    lam = 0.0
-    for _ in range(iters):
-        w = A @ v
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-        if abs(nrm - lam) <= tol * max(1.0, abs(nrm)):
-            lam = nrm
-            break
-        lam = nrm
-    return max(lam - 1.0, 0.0)
+def spectral_radius(M: np.ndarray) -> float:
+    """Largest eigenvalue modulus of a square matrix (dense LAPACK solve;
+    the strong-local-survival scan only passes heads of a few dozen types)."""
+    return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
 # ---------------------------------------------------------------------------

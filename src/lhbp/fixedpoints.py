@@ -18,35 +18,44 @@ from .embedded import embedded_moments, eval_g
 from .model import G_value, LHBPModel
 
 ENDPOINT_SLACK = 1e-6
+RANGE_SLACK = 1e-12
 
 
 class RangeError(ValueError):
-    """Target lies outside the reachable interval [g_k(0), g_k(1)]."""
+    """Target lies outside the reachable interval of a monotone map."""
 
 
-def invert_g(model: LHBPModel, k: int, target: float, tol: float = 1e-12,
-             max_steps: int = 60) -> float:
-    """Unique preimage of ``target`` under the monotone map g_k."""
-    g0 = eval_g(model, k, 0.0)
-    g1 = eval_g(model, k, 1.0)
-    if not (g0 - tol <= target <= g1 + tol):
-        raise RangeError(
-            f"target {target!r} outside [g_{k}(0), g_{k}(1)] = [{g0}, {g1}]")
-    if abs(g0 - target) <= tol:
-        return 0.0
-    if abs(g1 - target) <= tol:
-        return 1.0
+def _bisect(f, target: float, tol: float) -> float:
+    """Solve f(x) = target on [0, 1] for a nondecreasing f by bisection.
+
+    Stops once |f(x) - target| <= tol or the bracket is below 1e-16 wide.
+    Raises ``RangeError`` when target lies outside [f(0), f(1)] by more
+    than RANGE_SLACK.
+    """
     lo, hi = 0.0, 1.0
-    for _ in range(max_steps):
+    flo, fhi = f(lo), f(hi)
+    if not (flo - RANGE_SLACK <= target <= fhi + RANGE_SLACK):
+        raise RangeError(f"target {target!r} outside [{flo}, {fhi}]")
+    if abs(flo - target) <= tol:
+        return lo
+    if abs(fhi - target) <= tol:
+        return hi
+    for _ in range(100):
         mid = 0.5 * (lo + hi)
-        gm = eval_g(model, k, mid)
-        if abs(gm - target) <= tol:
+        fm = f(mid)
+        if abs(fm - target) <= tol or hi - lo <= 1e-16:
             return mid
-        if gm < target:
+        if fm < target:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def invert_g(model: LHBPModel, k: int, target: float,
+             tol: float = 1e-12) -> float:
+    """Unique preimage of ``target`` under the monotone map g_k."""
+    return _bisect(lambda s: eval_g(model, k, s), target, tol)
 
 
 @dataclass
@@ -61,30 +70,6 @@ class FixedPointCurve:
     @property
     def ok(self) -> bool:
         return self.failure_index is None
-
-
-def _solve_coordinate(model: LHBPModel, j: int, buf: np.ndarray,
-                      target: float, tol: float) -> float | None:
-    """Solve G_j(s_0..s_j, x) = target for x in [0, 1]; None if out of range."""
-
-    def f(x: float) -> float:
-        buf[j + 1] = x
-        return G_value(model, j, buf)
-
-    lo, hi = 0.0, 1.0
-    flo, fhi = f(0.0), f(1.0)
-    if not (flo - 1e-12 <= target <= fhi + 1e-12):
-        return None
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm - target) <= tol or hi - lo <= 1e-16:
-            return mid
-        if fm < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def curve_from_anchor(model: LHBPModel, s0: float, J: int, tol: float = 1e-12,
@@ -107,11 +92,16 @@ def curve_from_anchor(model: LHBPModel, s0: float, J: int, tol: float = 1e-12,
     failure = None
     n_vals = 1
     for j in range(J):
-        x = _solve_coordinate(model, j, buf, buf[j], solve_tol)
-        if x is None:
+        # G_j(s_0..s_j, x) = s_j, solved for x in the next slot of buf
+        def coordinate(x: float) -> float:
+            buf[j + 1] = x
+            return G_value(model, j, buf)
+
+        try:
+            buf[j + 1] = _bisect(coordinate, buf[j], solve_tol)
+        except RangeError:
             failure = j
             break
-        buf[j + 1] = x
         n_vals += 1
     values = buf[:n_vals].copy()
     residual = 0.0

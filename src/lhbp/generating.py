@@ -16,8 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import (Example2Model, ExplicitModel, LHBPModel, ProductLaw,
-                    TableLaw, TridiagonalModel)
+from .model import Example2Model, ExplicitModel, LHBPModel, TridiagonalModel
 
 EPS_FLOOR = 10 * np.finfo(float).eps
 
@@ -40,53 +39,30 @@ class TruncationResult:
 # compiled sweeps
 
 class _GenericSweep:
-    """Vectorised simultaneous update built from per-type law entries.
+    """Vectorised simultaneous update built from per-type law outcomes.
 
-    Types are grouped into blocks sharing an entry pattern; each entry
+    Types are grouped into blocks sharing an outcome pattern; each outcome
     contributes prob * prod_offsets u[idx + off] ** count elementwise.
     """
 
     def __init__(self, model: LHBPModel, k: int):
         self.k = k
-        self.blocks = []
-        if isinstance(model, ExplicitModel) and k > model.tail_from + 1:
-            head_end = model.tail_from
-            for i in range(head_end + 1):
-                self.blocks.append(self._single_block(model, i))
-            idx = np.arange(head_end + 1, k + 1)
-            self.blocks.append(self._pattern_block(model.law(head_end + 1),
-                                                   head_end + 1, idx))
-        else:
-            for i in range(k + 1):
-                self.blocks.append(self._single_block(model, i))
+        # the shift-repeated tail of an explicit model is one block
+        tail = k + 1
+        if isinstance(model, ExplicitModel):
+            tail = min(model.tail_from + 1, k + 1)
+        self.blocks = [self._block(model.law(i), i, np.array([i]))
+                       for i in range(tail)]
+        if tail <= k:
+            self.blocks.append(self._block(model.law(tail), tail,
+                                           np.arange(tail, k + 1)))
 
     @staticmethod
-    def _law_pattern(law, owner: int):
-        """Entries as (prob, ((offset, count), ...)) relative to the owner."""
-        out = []
-        if isinstance(law, TableLaw):
-            for counts, p in law.entries:
-                out.append((p, tuple((t - owner, float(c)) for t, c in counts)))
-        else:
-            assert isinstance(law, ProductLaw)
-            expanded = [((), 1.0)]
-            for t, pmf in law.coords:
-                expanded = [(fac + (((t - owner), c),) if c else fac, w * p)
-                            for fac, w in expanded for c, p in pmf]
-            for fac, w in expanded:
-                out.append((w, fac))
-        return out
-
-    def _single_block(self, model, i):
-        idx = np.array([i])
-        entries = [(np.array([p]), fac)
-                   for p, fac in self._law_pattern(model.law(i), i)]
-        return idx, entries
-
-    def _pattern_block(self, law, owner, idx):
-        entries = [(np.full(len(idx), p), fac)
-                   for p, fac in self._law_pattern(law, owner)]
-        return idx, entries
+    def _block(law, owner: int, idx: np.ndarray):
+        """Outcomes as (probs, ((offset, count), ...)) relative to the owner."""
+        return idx, [(np.full(len(idx), p),
+                      tuple((t - owner, float(c)) for t, c in counts))
+                     for counts, p in law.outcomes()]
 
     def __call__(self, u, out):
         out[self.k + 1] = u[self.k + 1]
@@ -100,6 +76,8 @@ class _GenericSweep:
             out[idx] = acc
 
 
+# The two family kernels stay: a generic law-table sweep measured 3.3-4.6x
+# slower on example2 and 1.4-4.1x slower on thinned tridiagonal ladders.
 class _Example2Sweep:
     def __init__(self, model: Example2Model, k: int):
         self.k = k
@@ -156,11 +134,6 @@ def _compiled(model: LHBPModel, k: int):
         return _Example2Sweep(model, k)
     if isinstance(model, TridiagonalModel):
         return _TridiagonalSweep(model, k)
-    return _GenericSweep(model, k)
-
-
-def generic_sweep(model: LHBPModel, k: int):
-    """Uncached generic sweep; cross-checks the family fast paths in tests."""
     return _GenericSweep(model, k)
 
 
@@ -242,13 +215,18 @@ class ExtinctionLadder:
 
 
 def default_schedule(cap: int) -> tuple[int, ...]:
-    """Powers of two up to the cap (geometric levels suit stall detection)."""
+    """Powers of two up to the cap (geometric levels suit stall detection).
+
+    Cap 0 gives the single level 0; a negative cap raises ``ValueError``.
+    """
+    if cap < 0:
+        raise ValueError(f"truncation level must be >= 0, got {cap}")
     levels = []
     k = 1
     while k <= cap:
         levels.append(k)
         k *= 2
-    if levels[-1] != cap:
+    if not levels or levels[-1] != cap:
         levels.append(cap)
     return tuple(levels)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 PROB_TOL = 1e-12
 
@@ -36,6 +35,10 @@ class TableLaw:
     entries: tuple[tuple[tuple[tuple[int, int], ...], float], ...]
 
     kind = "table"
+
+    def outcomes(self) -> tuple[tuple[tuple[tuple[int, int], ...], float], ...]:
+        """``(counts, prob)`` pairs with positive probability."""
+        return tuple((counts, p) for counts, p in self.entries if p > 0)
 
     def prob_sum(self) -> float:
         return sum(p for _, p in self.entries)
@@ -83,6 +86,15 @@ class ProductLaw:
     coords: tuple[tuple[int, tuple[tuple[float, float], ...]], ...]
 
     kind = "product"
+
+    def outcomes(self) -> tuple[tuple[tuple[tuple[int, float], ...], float], ...]:
+        """Joint ``(counts, prob)`` pairs with positive probability; zero
+        counts are left out of ``counts``.  Coordinates expand in order."""
+        out = [((), 1.0)]
+        for t, pmf in self.coords:
+            out = [(counts + ((t, c),) if c else counts, w * p)
+                   for counts, w in out for c, p in pmf]
+        return tuple((counts, p) for counts, p in out if p > 0)
 
     def prob_sum(self) -> float:
         # each coordinate must normalise on its own
@@ -132,10 +144,6 @@ class ProductLaw:
 
 
 OffspringLaw = TableLaw | ProductLaw
-
-
-def law_mean_total(law: OffspringLaw) -> float:
-    return sum(law.means().values())
 
 
 def shift_law(law: OffspringLaw, delta: int) -> OffspringLaw:
@@ -345,10 +353,11 @@ class TridiagonalModel(LHBPModel):
         s = self._scale(i)
         if s == 1.0:
             return tuple((float(c), p) for c, p in base)
-        w = 1.0 / s  # 0.0 once s saturates; the scaled branch then vanishes
+        w = 1.0 / s
         pmf = {0.0: 1.0 - w}
-        for c, p in base:
-            pmf[c * s] = pmf.get(c * s, 0.0) + w * p
+        if w:  # once s saturates to inf the scaled branch has probability 0
+            for c, p in base:
+                pmf[c * s] = pmf.get(c * s, 0.0) + w * p
         return tuple(sorted(pmf.items()))
 
     def law(self, i: int) -> ProductLaw:
@@ -587,44 +596,17 @@ def validate(model: LHBPModel, K: int = 64) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# moment tables
-
-
-class MomentTables:
-    """Memoised access to mean rows, second-moment blocks and p1 values."""
-
-    def __init__(self, model: LHBPModel, K: int):
-        if K < 0:
-            raise ValueError("K must be >= 0")
-        self.model = model
-        self.K = K
-
-    @lru_cache(maxsize=None)
-    def M_row(self, i: int) -> dict[int, float]:
-        return dict(self.model.mean_row(i))
-
-    def A_block(self, k: int):
-        import numpy as np
-        out = np.zeros((k + 2, k + 2))
-        for (i, j), v in self.model.a_entries(k).items():
-            out[i, j] = v
-            out[j, i] = v
-        return out
-
-    @lru_cache(maxsize=None)
-    def p1(self, i: int) -> float:
-        return self.model.p_single(i)
-
-
-def moment_tables(model: LHBPModel, K: int) -> MomentTables:
-    return MomentTables(model, K)
+# scalar generating vector
 
 
 def G_value(model: LHBPModel, i: int, u) -> float:
     """Evaluate coordinate i of the progeny generating vector at ``u``.
 
     ``u`` must cover indices 0..i+1.  Generic scalar path, used by curve
-    construction, residual checks, and as a brute-force oracle.
+    construction, residual checks, and as a brute-force oracle.  Product
+    laws are evaluated as a product of per-coordinate sums rather than
+    through ``outcomes()``: that takes fewer powers per call and keeps this
+    path independent of the expansion the generic sweep uses.
     """
     law = model.law(i)
     if isinstance(law, TableLaw):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedded import embedded_moments
-from .model import LHBPModel, ProductLaw, TableLaw
+from .model import LHBPModel
 
 OUTCOME_EXTINCT = 0
 OUTCOME_SURVIVED = 1
@@ -74,21 +74,10 @@ def _sim_tables(model: LHBPModel, k: int):
     """Per-type categorical tables: (pvals, [(entry, overflow), ...])."""
     tables = []
     for i in range(k + 1):
-        law = model.law(i)
-        if isinstance(law, TableLaw):
-            raw = [(counts, p) for counts, p in law.entries]
-        else:
-            assert isinstance(law, ProductLaw)
-            raw = [((), 1.0)]
-            for t, pmf in law.coords:
-                raw = [(counts + ((t, c),) if c else counts, w * p)
-                       for counts, w in raw for c, p in pmf]
         pvals, entries = [], []
-        for counts, p in raw:
-            if p <= 0.0:
-                continue
+        for counts, p in model.law(i).outcomes():
             overflow = any(not (0 <= c <= _COUNT_LIMIT) for _, c in counts)
-            entry = tuple((t, int(c)) for t, c in counts if c) if not overflow else ()
+            entry = tuple((t, int(c)) for t, c in counts) if not overflow else ()
             pvals.append(p)
             entries.append((entry, overflow))
         pv = np.array(pvals)

@@ -1,7 +1,7 @@
 import pytest
 
-from lhbp import (Example2Model, ExplicitModel, TableLaw, TridiagonalModel,
-                  extinction_ladder)
+from lhbp import (Example2Model, ExplicitModel, ProductLaw, TableLaw,
+                  TridiagonalModel, extinction_ladder)
 
 LADDER_SCHEDULE = tuple(4 * 2 ** i for i in range(11))  # 4 .. 4096
 
@@ -12,6 +12,14 @@ def ex2(gamma):
 
 def tridiag(a, b, c, u=1.0):
     return TridiagonalModel(a=a, b=b, c=c, u=u)
+
+
+def product_tail_model():
+    """Explicit model whose shift-repeated tail law is a product law."""
+    head0 = TableLaw(((((1, 2),), 0.5), ((), 0.5)))
+    tail = ProductLaw(((0, ((0.0, 0.25), (1.0, 0.75))),
+                       (2, ((0.0, 0.5), (2.0, 0.5)))))
+    return ExplicitModel(head=(head0, tail))
 
 
 def all_die_model():

@@ -142,6 +142,29 @@ def test_gammastar_small(capsys):
     assert abs(doc["gamma_star"] - 0.1625) < 0.003
 
 
+def test_extinction_level_zero_and_negative(capsys, model_file):
+    path = model_file(EX2 % "0.0")
+    code, rows = run_csv(capsys, ["extinction", "--model", path, "--k", "0"])
+    assert code == 0
+    assert {r["level"] for r in rows if r["kind"] == "level"} == {"0"}
+    assert main(["extinction", "--model", path, "--k", "-1"]) == 4
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_nonconvergence_exit_code(capsys, model_file, monkeypatch):
+    import lhbp.criteria
+    from lhbp import ComputationError
+
+    def fail(*args, **kwargs):
+        raise ComputationError("eval_g did not converge")
+
+    monkeypatch.setattr(lhbp.criteria, "eval_g", fail)
+    code = main(["bounds", "--model", model_file(EX2 % "0.0"),
+                 "--i", "1", "--k", "8"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as e:
         main(["extinction", "--k", "8"])  # missing --model

@@ -147,11 +147,17 @@ def test_xi_single_step_exact():
 
 
 def test_spectral_radius_power_iteration():
-    M = np.array([[0.0, 1.0], [1.6, 0.0]])  # period-2: needs the +I shift
+    M = np.array([[0.0, 1.0], [1.6, 0.0]])  # period 2
     assert spectral_radius(M) == pytest.approx(math.sqrt(1.6), abs=1e-9)
     assert spectral_radius(np.zeros((3, 3))) == 0.0
     h = head_matrix(ex2(0.8), 1)
     assert h[1, 0] == pytest.approx(1.6)
+    # a tridiagonal Toeplitz head of n = k+1 types has spectral radius
+    # b + 2 sqrt(ac) cos(pi / (n + 1))
+    model = tridiag(0.5, 0.2, 0.5)
+    for k in range(1, 65):
+        want = 0.2 + math.cos(math.pi / (k + 2))
+        assert abs(spectral_radius(head_matrix(model, k)) - want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from lhbp import (G_value, default_schedule, extinction_ladder,
                   iterate_to_limit)
 
-from conftest import all_die_model, ex2, tridiag
+from conftest import all_die_model, ex2, product_tail_model, tridiag
 
 
 def naive_iteration(model, k, s, sweeps):
@@ -115,6 +115,9 @@ def test_ladder_rejects_bad_schedule():
 def test_default_schedule():
     assert default_schedule(8) == (1, 2, 4, 8)
     assert default_schedule(10) == (1, 2, 4, 8, 10)
+    assert default_schedule(0) == (0,)
+    with pytest.raises(ValueError, match=">= 0"):
+        default_schedule(-1)
 
 
 def test_nonconvergence_flagged():
@@ -134,15 +137,17 @@ def test_converged_vector_satisfies_scalar_G():
 
 
 def test_family_sweeps_match_generic_sweep():
-    from lhbp.generating import _compiled, generic_sweep
+    from lhbp.generating import _compiled, _GenericSweep
     rng = np.random.default_rng(11)
     for model in (ex2(0.0), ex2(0.45), tridiag(0.25, 0.25, 0.5),
-                  tridiag(0.1, 0.2, 0.8, u=2.0)):
+                  tridiag(0.1, 0.2, 0.8, u=2.0), product_tail_model()):
         k = 11
-        fast, generic = _compiled(model, k), generic_sweep(model, k)
+        fast, generic = _compiled(model, k), _GenericSweep(model, k)
         for _ in range(3):
             u = rng.uniform(0.0, 1.0, k + 2)
             a, b = np.empty_like(u), np.empty_like(u)
             fast(u, a)
             generic(u, b)
             assert np.allclose(a, b, atol=1e-13)
+            for i in range(k + 1):
+                assert b[i] == pytest.approx(G_value(model, i, u), abs=1e-13)

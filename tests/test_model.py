@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lhbp import (ExplicitModel, G_value, ModelError, ProductLaw,
-                  TableLaw, load_model, moment_tables, validate)
+                  TableLaw, load_model, validate)
 from lhbp.model import TailModel, marginalize_law, shift_law
 
 from conftest import all_die_model, ex2, tridiag
@@ -128,25 +128,17 @@ def test_moment_tables_match_brute_force():
             for t in set(bm) | set(row):
                 assert row.get(t, 0.0) == pytest.approx(bm.get(t, 0.0), abs=1e-12)
             for (t1, t2), v in model.a_entries(i).items():
+                assert v >= 0.0
                 assert v == pytest.approx(brute_second(law, t1, t2), rel=1e-12, abs=1e-12)
 
 
 def test_mean_total_offspring_identity():
     # row sums of the mean matrix equal the brute-force mean total offspring
     for model in (ex2(0.2), tridiag(0.3, 0.1, 0.7)):
-        tables = moment_tables(model, 6)
         for i in range(7):
             total = sum(p * sum(vec.values())
                         for vec, p in enumerate_support(model.law(i)))
-            assert sum(tables.M_row(i).values()) == pytest.approx(total, abs=1e-12)
-
-
-def test_a_block_symmetric_nonnegative():
-    tables = moment_tables(ex2(0.4), 5)
-    for k in range(6):
-        A = tables.A_block(k)
-        assert np.array_equal(A, A.T)
-        assert np.all(A >= 0)
+            assert sum(model.mean_row(i).values()) == pytest.approx(total, abs=1e-12)
 
 
 def test_tridiagonal_u_preserves_means():
@@ -158,6 +150,15 @@ def test_tridiagonal_u_preserves_means():
     s = 2.0 ** 5
     f2_base = base.a_entries(5).get((6, 6), 0.0)  # zero: mean <= 1 two-point
     assert mod.a_entries(5)[(6, 6)] == pytest.approx(s * (f2_base + 0.8) - 0.8)
+
+
+def test_tridiagonal_saturated_scale_has_no_nan_count():
+    # ceil(2^i) overflows to inf at i = 1024; the scaled branch then has
+    # probability 0 and must not leave a 0 * inf count behind
+    model = tridiag(0.1, 0.2, 0.8, u=2.0)
+    assert all(not np.isnan(c) for _, pmf in model.law(1100).coords
+               for c, _ in pmf)
+    assert np.isfinite(G_value(model, 1100, np.full(1102, 0.5)))
 
 
 def test_tail_rule_consistency():
