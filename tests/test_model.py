@@ -141,6 +141,21 @@ def test_mean_total_offspring_identity():
             assert sum(model.mean_row(i).values()) == pytest.approx(total, abs=1e-12)
 
 
+def test_a_block_symmetric_nonnegative():
+    # a_entries holds each unordered pair once, as (t1 <= t2); the dense
+    # second-moment block it stands for is symmetric and non-negative
+    for model in (ex2(0.4), tridiag(0.1, 0.2, 0.8, u=2.0)):
+        for k in range(6):
+            entries = model.a_entries(k)
+            assert all(t1 <= t2 for t1, t2 in entries)
+            n = max((t2 for _, t2 in entries), default=0) + 1
+            A = np.zeros((n, n))
+            for (t1, t2), v in entries.items():
+                A[t1, t2] = A[t2, t1] = v
+            assert np.array_equal(A, A.T)
+            assert np.all(A >= 0)
+
+
 def test_tridiagonal_u_preserves_means():
     base = tridiag(0.1, 0.2, 0.8)
     mod = tridiag(0.1, 0.2, 0.8, u=2.0)
