@@ -224,36 +224,21 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if all(r[4] and r[5] for r in rows) else EXIT_NONCONVERGED
 
 
-def _gammastar_probe(payload):
-    gamma, K = payload
-    return partial_verdict(Example2Model(gamma=gamma), K).survival_side
-
-
 def cmd_gammastar(args) -> int:
-    """Bisect the partial-extinction threshold of the example2 family."""
+    """Bisect the partial-extinction threshold of the example2 family.
+
+    Serial on purpose: each probe halves the bracket, so the result does
+    not depend on ``--workers``.
+    """
     lo, hi = 0.0, 1.0
-    K = args.K
-    workers = max(1, args.workers)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while hi - lo > args.tol_gamma:
-            probes = list(np.linspace(lo, hi, workers + 2)[1:-1])
-            if pool is not None:
-                flags = list(pool.map(_gammastar_probe, [(g, K) for g in probes]))
-            else:
-                flags = [_gammastar_probe((g, K)) for g in probes]
-            new_lo, new_hi = lo, hi
-            for g, survival in zip(probes, flags):
-                if survival:
-                    new_hi = min(new_hi, g)
-                else:
-                    new_lo = max(new_lo, g)
-            lo, hi = new_lo, new_hi
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    while hi - lo > args.tol_gamma:
+        g = lo + (hi - lo) / 2
+        if partial_verdict(Example2Model(gamma=g), args.K).survival_side:
+            hi = g
+        else:
+            lo = g
     _write_json({"gamma_star": 0.5 * (lo + hi), "bracket": [lo, hi],
-                 "K": K, "tolerance": args.tol_gamma}, args.out)
+                 "K": args.K, "tolerance": args.tol_gamma}, args.out)
     return EXIT_OK
 
 
@@ -269,14 +254,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, model=True):
+    def common(sp, model=True, tol=False):
         if model:
             sp.add_argument("--model", required=True, help="model JSON path")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--tol", type=float, default=1e-12,
-                        help="iteration tolerance")
+        if tol:
+            sp.add_argument("--tol", type=float, default=1e-12,
+                            help="iteration tolerance")
         sp.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                        help="parallel workers for independent tasks")
+                        help="parallel workers (only sweep runs in parallel)")
 
     sp = sub.add_parser("validate", help="check model invariants",
                         description="JSON report of model invariant checks.")
@@ -288,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "extinction", help="extinction ladder over a truncation schedule",
         description="CSV columns: kind (level|estimate), level, index, q, "
                     "qtilde, q_converged, qtilde_converged.")
-    common(sp)
+    common(sp, tol=True)
     sp.add_argument("--k", type=int, required=True, help="largest truncation level")
     sp.add_argument("--window", type=int, default=8, help="report window size")
     sp.set_defaults(fn=cmd_extinction)
@@ -314,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "scheduled level k up to --k.  lower and upper bracket "
                     "q_i of the level k-1 truncation (they use the embedded "
                     "means up to k-1); oracle is q_i at level k.")
-    common(sp)
+    common(sp, tol=True)
     sp.add_argument("--i", type=int, required=True, help="type index (>= 1)")
     sp.add_argument("--k", type=int, required=True, help="largest level")
     sp.set_defaults(fn=cmd_bounds)
@@ -323,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "fixedpoints", help="fixed-point curve through an anchor",
         description="CSV columns: index, s, one_minus_s_times_m0, q_window, "
                     "qtilde_window.")
-    common(sp)
+    common(sp, tol=True)
     sp.add_argument("--k", type=int, required=True,
                     help="truncation level for the q/qtilde windows")
     sp.add_argument("--J", type=int, default=100, help="curve window length")
@@ -347,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep", help="parameter sweep for the example2 family",
         description="CSV columns: gamma, q0, qtilde0, regime, q_converged, "
                     "qtilde_converged; one row per grid point.")
-    common(sp)
+    common(sp, tol=True)
     sp.add_argument("--grid", type=_parse_grid, required=True,
                     help="parameter grid START:STEP:END")
     sp.add_argument("--k", type=int, required=True, help="truncation level")

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedded import (EmbeddedMoments, PartialVerdict, embedded_moments,
+from .embedded import (VERDICT_CERTAIN, EmbeddedMoments, embedded_moments,
                        eval_g, partial_verdict)
 from .model import LHBPModel, TailModel, TridiagonalModel
 
@@ -71,7 +71,6 @@ class GlobalVerdict:
     series_partial_sum: float
     raabe_stats: np.ndarray
     flags: HypothesisFlags | None
-    downgraded: bool = False
 
 
 def _hypothesis_flags(model: LHBPModel, mom: EmbeddedMoments) -> HypothesisFlags:
@@ -93,20 +92,21 @@ def global_verdict(model: LHBPModel, K: int = 4000,
                    margin: float = 0.05) -> GlobalVerdict:
     """Decide q = 1 vs q < 1 on the partial-extinction side.
 
-    Order of rules: (0) a certified qt < 1 makes survival possible outright;
+    Order of rules: (0) a certified qt < 1 (the x-criterion fails within the
+    horizon of the same moment table) makes survival possible outright;
     (1) cumulative means collapsing to zero force extinction by the Markov
     inequality, with no extra hypotheses; (family) the tridiagonal closed
     form with the upward-thinning comparison u vs mu; (2) the ratio test on
     k (mu_{k+1} - 1) over the tail window, with the harmonic boundary handled
     by direct comparison of m_{0->k} against linear growth; (3) Inconclusive.
     Rules (2) carry second-moment hypotheses: their verdicts are downgraded
-    to Inconclusive when the reported flags fail.
+    to Inconclusive, with a ``+flags-failed`` rule suffix, when the reported
+    flags fail.
     """
-    pv = partial_verdict(model, K)
-    if pv.survival_side:
+    mom = embedded_moments(model, K, with_a=True)
+    if mom.kind != "ok":
         return GlobalVerdict(GLOBAL_SURVIVAL_POSSIBLE, "partial-survival", K,
                              math.nan, np.array([]), None)
-    mom = embedded_moments(model, K, with_a=True)
     with np.errstate(over="ignore"):
         series = float(np.sum(np.exp(-mom.log_m0)))
     n = len(mom.mu)
@@ -123,12 +123,12 @@ def global_verdict(model: LHBPModel, K: int = 4000,
 
     # family closed form (no second-moment hypotheses needed)
     if isinstance(model, TridiagonalModel) and model.a > 0 and model.c > 0:
-        disc = (1.0 - model.b) ** 2 - 4.0 * model.a * model.c
-        if model.b >= 1.0 or disc < 0.0:
+        try:
+            mu_lim = tridiagonal_mu_limit(model.a, model.b, model.c)
+        except PartialSurvivalRegimeError:
             return GlobalVerdict(GLOBAL_SURVIVAL_POSSIBLE,
                                  "closed-form-partial-survival", K,
                                  series, raabe, flags)
-        mu_lim = tridiagonal_mu_limit(model.a, model.b, model.c)
         if mu_lim < 1.0 - 1e-12:
             return GlobalVerdict(GLOBAL_EXTINCTION, "closed-form-subcritical",
                                  K, series, raabe, flags)
@@ -169,7 +169,6 @@ def global_verdict(model: LHBPModel, K: int = 4000,
 def _downgrade(v: GlobalVerdict) -> GlobalVerdict:
     v.verdict = INCONCLUSIVE
     v.rule += "+flags-failed"
-    v.downgraded = True
     return v
 
 
@@ -199,8 +198,7 @@ def _g2_at_zero(model: LHBPModel, j: int, h: float = 1e-3) -> float:
     return max(d, 0.0)
 
 
-def agresti_bounds(model: LHBPModel, i: int, k: int,
-                   moments: EmbeddedMoments | None = None) -> AgrestiBounds:
+def agresti_bounds(model: LHBPModel, i: int, k: int) -> AgrestiBounds:
     """Two-sided bounds on coordinate i of the level-(k-1) global extinction
     vector, valid on the partial-extinction side for 1 <= i < k.
 
@@ -209,8 +207,7 @@ def agresti_bounds(model: LHBPModel, i: int, k: int,
     """
     if not 1 <= i < k:
         raise ValueError(f"need 1 <= i < k, got i={i}, k={k}")
-    if moments is None or (moments.kind == "ok" and moments.ok_through < k - 1):
-        moments = embedded_moments(model, k - 1, with_a=True)
+    moments = embedded_moments(model, k - 1, with_a=True)
     if moments.ok_through < k - 1:
         raise ValueError("bounds need the partial-extinction regime "
                          f"(x hits 1 at k={moments.k_star})")
@@ -305,9 +302,7 @@ class SLSVerdict:
     result: str
     k_used: int | None
     head_spectral_radius: float | None
-    tail_partial: PartialVerdict | None
     tail_global: GlobalVerdict | None
-    finite_coupling: bool
     scanned: int = 0
 
 
@@ -317,31 +312,37 @@ def sls_verdict(model: LHBPModel, k_budget: int = 64,
 
     Finds the first cut level whose head has spectral radius > 1 while the
     relabelled tail passes the partial-extinction x-criterion; strong local
-    survival then holds iff the tail goes globally extinct.  The lower-left
+    survival then holds iff the tail goes globally extinct.  Both tail
+    questions come from one ``global_verdict`` per cut: its
+    ``partial-survival`` rule is the failed x-criterion.  The lower-left
     coupling block has finitely many positive entries whenever the model
     bandwidth is finite, which the finite description guarantees.
+
+    Raises ``ValueError`` only when the x-criterion certifies qt = 1 within
+    horizon K (``PartialExtinctionCertain``).  A horizon-limited
+    ``PartialExtinctionLikely`` lets the scan run: a head with spectral
+    radius > 1 certifies qt < 1 by itself, and a scan that finds none ends
+    Inconclusive.  Every tail of a tridiagonal model with u = 1 is the model
+    itself, so no cut passes there and the scan ends Inconclusive after
+    ``k_budget + 1`` levels.
     """
-    pv = partial_verdict(model, K)
-    if not pv.survival_side:
+    if partial_verdict(model, K).verdict == VERDICT_CERTAIN:
         raise ValueError("strong local survival test needs the qt < 1 regime")
     for k in range(k_budget + 1):
         sp = spectral_radius(head_matrix(model, k))
         if sp <= 1.0 + 1e-9:
             continue
-        tail = TailModel(model, k)
-        tp = partial_verdict(tail, K)
-        if tp.survival_side:
+        gv = global_verdict(TailModel(model, k), K)
+        if gv.rule == "partial-survival":
             continue
-        gv = global_verdict(tail, K)
         if gv.verdict == GLOBAL_EXTINCTION:
             result = SLS
         elif gv.verdict == GLOBAL_SURVIVAL_POSSIBLE:
             result = NON_SLS
         else:
             result = INCONCLUSIVE
-        return SLSVerdict(result, k, sp, tp, gv, True, scanned=k + 1)
-    return SLSVerdict(INCONCLUSIVE, None, None, None, None, True,
-                      scanned=k_budget + 1)
+        return SLSVerdict(result, k, sp, gv, scanned=k + 1)
+    return SLSVerdict(INCONCLUSIVE, None, None, None, scanned=k_budget + 1)
 
 
 # ---------------------------------------------------------------------------

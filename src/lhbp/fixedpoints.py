@@ -157,13 +157,11 @@ class DecayReport:
     ratio_qtilde_trend: TrendClass | None
 
 
-def decay_diagnostics(curve: FixedPointCurve, moments,
+def decay_diagnostics(curve: FixedPointCurve,
                       q_window: np.ndarray | None = None,
                       qtilde_window: np.ndarray | None = None) -> DecayReport:
-    """Report (1 - s_k) m_{0->k-1} and the gap ratios against the extinction
-    vectors, each with a finite-window trend class."""
-    usable = min(len(curve.values) - 1, moments.ok_through + 1)
-    decay = (1.0 - curve.values[1:usable + 1]) * moments.m0[:usable]
+    """Report the curve's decay (1 - s_k) m_{0->k-1} and the gap ratios
+    against the extinction vectors, each with a finite-window trend class."""
 
     def ratios(window):
         if window is None:
@@ -176,4 +174,5 @@ def decay_diagnostics(curve: FixedPointCurve, moments,
 
     rq, tq = ratios(q_window)
     rt, tt = ratios(qtilde_window)
-    return DecayReport(decay, classify_trend(decay), rq, tq, rt, tt)
+    return DecayReport(curve.decay, classify_trend(curve.decay),
+                       rq, tq, rt, tt)

@@ -458,6 +458,9 @@ class TailModel(LHBPModel):
                 for (i, j), v in self.base.a_entries(d + k).items()
                 if i >= d and j >= d}
 
+    def p_double_up(self, j: int) -> float:
+        return self.base.p_double_up(self.cut + 1 + j)
+
 
 # ---------------------------------------------------------------------------
 # parsing and validation

@@ -60,6 +60,14 @@ def test_classify_json(capsys, model_file):
     assert code == 0
     assert doc["regime"] == "QeqQtildeLt1"
     assert doc["certificates"][0]["test"] == "partial_verdict"
+    # x blows up at k* = 3140: past the 2000-step tail horizon of the strong
+    # local survival scan, inside the 5000-step partial horizon
+    code, doc = run_json(capsys, ["classify", "--model",
+                                  model_file(TRI % ("0.5", "5e-7", "0.5", "1"))])
+    assert code == 0
+    assert doc["regime"] == "Unresolved"
+    assert doc["certificates"][0]["k_decided"] == 3140
+    assert doc["certificates"][1]["outcome"] == "Inconclusive"
 
 
 def test_extinction_csv_and_roundtrip(capsys, model_file):
@@ -142,6 +150,14 @@ def test_gammastar_small(capsys):
     assert abs(doc["gamma_star"] - 0.1625) < 0.003
 
 
+def test_gammastar_ignores_workers(capsys):
+    argv = ["gammastar", "--K", "500", "--tol-gamma", "0.002"]
+    assert main(argv + ["--workers", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert main(argv + ["--workers", "2"]) == 0
+    assert capsys.readouterr().out == serial
+
+
 def test_extinction_level_zero_and_negative(capsys, model_file):
     path = model_file(EX2 % "0.0")
     code, rows = run_csv(capsys, ["extinction", "--model", path, "--k", "0"])
@@ -168,6 +184,9 @@ def test_nonconvergence_exit_code(capsys, model_file, monkeypatch):
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as e:
         main(["extinction", "--k", "8"])  # missing --model
+    assert e.value.code == 4
+    with pytest.raises(SystemExit) as e:
+        main(["classify", "--model", "m.json", "--tol", "1e-6"])  # no --tol
     assert e.value.code == 4
 
 

@@ -47,6 +47,11 @@ def test_global_partial_survival_inherited():
     gv = global_verdict(ex2(0.5), K=500)
     assert gv.verdict == "GlobalSurvivalPossible"
     assert gv.rule == "partial-survival"
+    # (1-b)^2 < 4ac certifies qt < 1 although x first exceeds 1 only at
+    # k = 3140, beyond this horizon
+    gv = global_verdict(tridiag(0.5, 5e-7, 0.5), K=2000)
+    assert gv.verdict == "GlobalSurvivalPossible"
+    assert gv.rule == "closed-form-partial-survival"
 
 
 def test_proposition_one_split():

@@ -107,8 +107,7 @@ def test_decay_diagnostics_gamma0():
     from lhbp import iterate_to_limit
     q = iterate_to_limit(model, 600, 0.0).vector
     curve = curve_from_anchor(model, float(q[0]), 400)
-    mom = embedded_moments(model, 400, with_a=False)
-    rep = decay_diagnostics(curve, mom, q_window=q, qtilde_window=np.ones(401))
+    rep = decay_diagnostics(curve, q_window=q, qtilde_window=np.ones(401))
     assert rep.decay_trend.label == "diverging"
     # the curve is the q-curve itself: gap ratio stays near one
     assert rep.ratio_q_trend.label == "stabilizing"
@@ -123,7 +122,7 @@ def test_decay_diagnostics_intermediate_03(top_level_03):
     anchor = 0.5 * (q[0] + qt[0])
     curve = curve_from_anchor(model, anchor, 200, bounds=(q[0], qt[0]))
     mom = embedded_moments(model, 200, with_a=False)
-    rep = decay_diagnostics(curve, mom, q_window=q[:201], qtilde_window=qt[:201])
+    rep = decay_diagnostics(curve, q_window=q[:201], qtilde_window=qt[:201])
     # the mu table blows up at k* = 2, so the decay prefix stops there and is
     # far too short to assess the limit; it must still be positive and finite
     assert len(rep.decay) == mom.ok_through + 1

@@ -242,12 +242,15 @@ def test_shift_and_marginalize():
 
 
 def test_tail_model_moments_match_marginal_laws():
-    base = ex2(0.3)
-    tail = TailModel(base, 3)
-    for j in range(4):
-        assert tail.mean_row(j) == pytest.approx(brute_means(tail.law(j)), abs=1e-12)
-        for (t1, t2), v in tail.a_entries(j).items():
-            assert v == pytest.approx(brute_second(tail.law(j), t1, t2), abs=1e-12)
+    for base in (ex2(0.3), tridiag(0.1, 0.2, 0.8, u=2.0)):
+        tail = TailModel(base, 3)
+        for j in range(4):
+            law = tail.law(j)
+            assert tail.mean_row(j) == pytest.approx(brute_means(law), abs=1e-12)
+            for (t1, t2), v in tail.a_entries(j).items():
+                assert v == pytest.approx(brute_second(law, t1, t2), abs=1e-12)
+            assert tail.p_double_up(j) == pytest.approx(
+                law.p_count_at_least(j + 1, 2), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
