@@ -319,21 +319,26 @@ def sls_verdict(model: LHBPModel, k_budget: int = 64,
     bandwidth is finite, which the finite description guarantees.
 
     Raises ``ValueError`` only when the x-criterion certifies qt = 1 within
-    horizon K (``PartialExtinctionCertain``).  A horizon-limited
-    ``PartialExtinctionLikely`` lets the scan run: a head with spectral
-    radius > 1 certifies qt < 1 by itself, and a scan that finds none ends
-    Inconclusive.  Every tail of a tridiagonal model with u = 1 is the model
-    itself, so no cut passes there and the scan ends Inconclusive after
-    ``k_budget + 1`` levels.
+    horizon K (``PartialExtinctionCertain``).  A head with spectral radius
+    > 1 certifies qt < 1 by itself, so this x-recursion runs only when no
+    head up to ``k_budget`` has one; a horizon-limited
+    ``PartialExtinctionLikely`` then ends the scan Inconclusive.  Every tail of a tridiagonal model with
+    u = 1 is the model itself, so there the first tail that fails the
+    x-criterion ends the scan Inconclusive: no later cut can pass.
     """
-    if partial_verdict(model, K).verdict == VERDICT_CERTAIN:
-        raise ValueError("strong local survival test needs the qt < 1 regime")
+    # without upward thinning every tail of a tridiagonal model is the model
+    # itself (its type 0 loses only the down-children type 0 never has)
+    tails_repeat = isinstance(model, TridiagonalModel) and model.u == 1.0
+    examined = False
     for k in range(k_budget + 1):
         sp = spectral_radius(head_matrix(model, k))
         if sp <= 1.0 + 1e-9:
             continue
+        examined = True
         gv = global_verdict(TailModel(model, k), K)
         if gv.rule == "partial-survival":
+            if tails_repeat:
+                return SLSVerdict(INCONCLUSIVE, None, None, None, scanned=k + 1)
             continue
         if gv.verdict == GLOBAL_EXTINCTION:
             result = SLS
@@ -342,6 +347,8 @@ def sls_verdict(model: LHBPModel, k_budget: int = 64,
         else:
             result = INCONCLUSIVE
         return SLSVerdict(result, k, sp, gv, scanned=k + 1)
+    if not examined and partial_verdict(model, K).verdict == VERDICT_CERTAIN:
+        raise ValueError("strong local survival test needs the qt < 1 regime")
     return SLSVerdict(INCONCLUSIVE, None, None, None, scanned=k_budget + 1)
 
 

@@ -22,6 +22,30 @@ def product_tail_model():
     return ExplicitModel(head=(head0, tail))
 
 
+def e1_model():
+    """perfbench's explicit model E1: a table head law, then a product tail
+    law with a Bernoulli(0.2) child one type down and a Bernoulli(0.7)
+    child one type up (q = qtilde = 1)."""
+    head0 = TableLaw(((((1, 1),), 0.6), ((), 0.4)))
+    tail = ProductLaw(((0, ((0.0, 0.8), (1.0, 0.2))),
+                       (2, ((0.0, 0.3), (1.0, 0.7)))))
+    return ExplicitModel(head=(head0, tail))
+
+
+def wide_band_model():
+    """Explicit model whose tail law reaches two types down (bandwidth 2)."""
+    head = (TableLaw(((((1, 1),), 0.7), ((), 0.3))),
+            TableLaw(((((0, 1), (2, 1)), 0.6), ((), 0.4))),
+            TableLaw(((((0, 1), (3, 2)), 0.5), (((1, 1),), 0.2), ((), 0.3))))
+    return ExplicitModel(head=head)
+
+
+def up_only_model():
+    """Explicit model whose every child is one type up (bandwidth 0, no
+    child of its parent's own type)."""
+    return ExplicitModel(head=(TableLaw(((((1, 2),), 0.5), ((), 0.5))),))
+
+
 def all_die_model():
     """Every individual dies childless; bypasses strict loading on purpose."""
     return ExplicitModel(head=(TableLaw((((), 1.0),)),))

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +185,18 @@ def test_nonconvergence_exit_code(capsys, model_file, monkeypatch):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_newton_breakdown_exit_code(capsys, model_file):
+    # level 700 of tridiagonal(0.1, 0.3, 1.2) does not converge (see
+    # test_newton_breakdown_flagged); its row says so and the exit code is 3
+    code, rows = run_csv(capsys, ["extinction", "--model",
+                                  model_file(TRI % ("0.1", "0.3", "1.2", "1")),
+                                  "--k", "700"])
+    assert code == 3
+    last = [r for r in rows if r["kind"] == "level"][-1]
+    assert last["level"] == "700"
+    assert last["qtilde_converged"] == "False"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as e:
         main(["extinction", "--k", "8"])  # missing --model
@@ -204,3 +220,19 @@ def test_grid_parser_full_range():
     g = _parse_grid("0:0.01:1")
     assert len(g) == 101
     assert g[0] == 0.0 and g[-1] == 1.0
+
+
+def test_extinction_does_not_import_scipy(tmp_path, model_file):
+    # numpy is the only declared dependency; scipy would also add about
+    # 0.2 s of import time and 26 MiB of memory to every CLI run
+    out = tmp_path / "out.csv"
+    code = ("import sys, lhbp; from lhbp.cli import main; "
+            f"rc = main(['extinction', '--model', {model_file(EX2 % '0.3')!r}, "
+            f"'--k', '64', '--out', {str(out)!r}]); "
+            "print(rc, 'scipy' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr

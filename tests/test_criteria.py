@@ -180,6 +180,32 @@ def test_sls_requires_partial_survival():
         sls_verdict(ex2(0.0))
 
 
+def test_sls_homogeneous_tridiagonal_stops_early():
+    # every tail of tridiagonal(0.5, b, 0.5) is the model itself, whose
+    # x-criterion fails: the first examined cut (spectral radius > 1)
+    # decides the whole scan
+    for b, first in ((0.2, 3), (0.3, 2)):
+        model = tridiag(0.5, b, 0.5)
+        r = sls_verdict(model)
+        assert r.result == "Inconclusive"
+        assert r.scanned == first + 1
+        assert classify(model).regime == "Unresolved"
+
+
+def test_classify_runs_partial_verdict_once(monkeypatch):
+    import lhbp.criteria as criteria
+    calls = []
+    real = criteria.partial_verdict
+
+    def counting(model, K=5000):
+        calls.append(K)
+        return real(model, K)
+
+    monkeypatch.setattr(criteria, "partial_verdict", counting)
+    assert classify(ex2(0.3)).regime == "QltQtildeLt1"
+    assert calls == [5000]
+
+
 def test_sls_budget_doubling_stable():
     r1 = sls_verdict(ex2(0.8), k_budget=16)
     r2 = sls_verdict(ex2(0.8), k_budget=32)

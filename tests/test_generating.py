@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from lhbp import (G_value, default_schedule, extinction_ladder,
                   iterate_to_limit)
 
-from conftest import all_die_model, ex2, product_tail_model, tridiag
+from conftest import (all_die_model, e1_model, ex2, product_tail_model,
+                      tridiag, up_only_model, wide_band_model)
 
 
 def naive_iteration(model, k, s, sweeps):
@@ -126,28 +127,107 @@ def test_nonconvergence_flagged():
     assert r.residual > 1e-13
 
 
+def test_newton_breakdown_flagged():
+    # the truncated qtilde of tridiagonal(0.1, 0.3, 1.2) is 1, but from
+    # k of about 670 the survival values behind the front underflow and
+    # Newton oscillates until the k + 100 step cap: reported unconverged
+    r = iterate_to_limit(tridiag(0.1, 0.3, 1.2), 700, 1.0)
+    assert not r.converged
+    assert r.iterations == 800
+    r = iterate_to_limit(tridiag(0.1, 0.3, 1.2), 500, 1.0)
+    assert r.converged
+    assert r.vector[0] >= 1 - 1e-12
+
+
 def test_converged_vector_satisfies_scalar_G():
     # dual route: the compiled-sweep fixed point checks out against the
     # generic scalar evaluation of each coordinate
-    for model in (ex2(0.3), tridiag(0.1, 0.2, 0.8, u=2.0)):
+    for model in (ex2(0.3), tridiag(0.1, 0.2, 0.8, u=2.0), wide_band_model(),
+                  up_only_model()):
         r = iterate_to_limit(model, 9, 0.3, tol=1e-13)
         for i in range(10):
             assert G_value(model, i, r.vector) == pytest.approx(r.vector[i],
                                                                 abs=1e-10)
 
 
+def _dense(jac):
+    """(k+1) x (k+2) matrix of dV_i/dv_j from a kernel's Jacobian band."""
+    rows, n = jac.shape
+    out = np.zeros((n, n + 1))
+    for d in range(rows):
+        for i in range(max(0, d - 1), n):
+            out[i, i + 1 - d] = jac[d, i]
+    return out
+
+
 def test_family_sweeps_match_generic_sweep():
+    # the family survival kernels against the outcome-table kernel, against
+    # 1 - G(1 - v) coordinate by coordinate, and their Jacobian bands
+    # against a central difference of V
     from lhbp.generating import _compiled, _GenericSweep
     rng = np.random.default_rng(11)
+    h = 1e-6
     for model in (ex2(0.0), ex2(0.45), tridiag(0.25, 0.25, 0.5),
-                  tridiag(0.1, 0.2, 0.8, u=2.0), product_tail_model()):
+                  tridiag(0.1, 0.2, 0.8, u=2.0), product_tail_model(),
+                  up_only_model()):
         k = 11
         fast, generic = _compiled(model, k), _GenericSweep(model, k)
         for _ in range(3):
-            u = rng.uniform(0.0, 1.0, k + 2)
-            a, b = np.empty_like(u), np.empty_like(u)
-            fast(u, a)
-            generic(u, b)
+            v = rng.uniform(0.01, 0.99, k + 2)
+            a, jac_a = fast(v)
+            b, jac_b = generic(v)
             assert np.allclose(a, b, atol=1e-13)
+            dense = _dense(jac_a)
+            assert np.allclose(dense, _dense(jac_b), atol=1e-12)
             for i in range(k + 1):
-                assert b[i] == pytest.approx(G_value(model, i, u), abs=1e-13)
+                assert a[i] == pytest.approx(1.0 - G_value(model, i, 1.0 - v),
+                                             abs=1e-13)
+            for j in range(k + 2):
+                e = np.zeros(k + 2)
+                e[j] = h
+                central = (fast(v + e)[0] - fast(v - e)[0]) / (2 * h)
+                assert np.allclose(dense[:, j], central, atol=1e-7)
+
+
+def test_band_solve_matches_scipy():
+    linalg = pytest.importorskip("scipy.linalg")
+    from lhbp.generating import _solve_band
+    rng = np.random.default_rng(5)
+    n = 40
+    for width in (0, 1, 2, 3):
+        # a Jacobian band with row sums below 1, so I - J is an M-matrix
+        jac = rng.uniform(0.0, 0.9 / (width + 2), (width + 2, n))
+        for t in range(1, width + 1):
+            jac[1 + t, :t] = 0.0
+        rhs = rng.normal(size=n)
+        # scipy's (l, u) = (width, 1) storage: ab[1 + i - j, j] = A[i, j]
+        A = np.eye(n) - _dense(jac)[:, :n]
+        ab = np.zeros((width + 2, n))
+        for i in range(n):
+            for j in range(max(0, i - width), min(n, i + 2)):
+                ab[1 + i - j, j] = A[i, j]
+        want = linalg.solve_banded((width, 1), ab, rhs)
+        assert np.allclose(_solve_band(jac, rhs), want, rtol=1e-12, atol=1e-12)
+
+
+def test_qtilde_trap_reaches_one():
+    # float64 u-space iteration froze at a spurious fixed point (0.7249)
+    # while the truncated tridiagonal(0.15, 0.25, 0.7) has qtilde = 1
+    r = iterate_to_limit(tridiag(0.15, 0.25, 0.7), 256, 1.0)
+    assert r.converged
+    assert r.vector[0] >= 1 - 1e-12
+
+
+def test_deep_qtilde_is_flat():
+    # the long-double survival-space value of qtilde_0 for example2(0.3),
+    # the same for every k from 1000 to 8000
+    for k in (1000, 4096):
+        r = iterate_to_limit(ex2(0.3), k, 1.0)
+        assert abs(r.vector[0] - 0.8092389974177) <= 1e-12
+
+
+def test_explicit_e1_ladder_monotone():
+    ladder = extinction_ladder(e1_model(), default_schedule(512), window=3)
+    assert ladder.converged
+    assert np.all(np.diff(ladder.q_window, axis=0) >= -1e-12)
+    assert np.all(np.diff(ladder.qtilde_window, axis=0) <= 1e-12)
