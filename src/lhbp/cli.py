@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -73,6 +74,17 @@ def _json_default(o):
 def _load(path: str, strict: bool = True) -> LHBPModel:
     with open(path) as fh:
         return load_model(fh.read(), strict=strict)
+
+
+def _positive_float(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}")
+    return x
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -233,6 +245,8 @@ def cmd_gammastar(args) -> int:
     lo, hi = 0.0, 1.0
     while hi - lo > args.tol_gamma:
         g = lo + (hi - lo) / 2
+        if not lo < g < hi:  # the bracket is one ulp wide
+            break
         if partial_verdict(Example2Model(gamma=g), args.K).survival_side:
             hi = g
         else:
@@ -344,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="JSON: gamma_star, bracket, K, tolerance.")
     common(sp, model=False)
     sp.add_argument("--K", type=int, default=5000, help="criterion horizon")
-    sp.add_argument("--tol-gamma", type=float, default=5e-4,
+    sp.add_argument("--tol-gamma", type=_positive_float, default=5e-4,
                     help="bisection tolerance on gamma")
     sp.set_defaults(fn=cmd_gammastar)
     return p

@@ -11,7 +11,9 @@ V(v) = 1 - F(1 - v), whose complements are formed without subtracting
 numbers close to 1, so coordinates near 1 keep their digits.  A type-i
 parent only bears children of types <= i+1, so the Jacobian of V is banded
 (lower width the model bandwidth, upper width 1) and each Newton step is one
-banded elimination.  V is monotone and concave; Newton started above the
+banded elimination: for the common tridiagonal band, odd-even cyclic
+reduction in whole-array steps down to a small system, which a Thomas loop
+solves.  V is monotone and concave; Newton started above the
 target (v = 1 - start for a start below the minimal u-solution and below its
 own image) decreases monotonically to it.
 """
@@ -214,37 +216,96 @@ def _compiled(model: LHBPModel, k: int):
 def _solve_band(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (I - J) x = rhs for J given as a kernel's band ``jac``.
 
-    Gaussian elimination without pivoting, row by row: on the solver's path
-    I - J is a nonsingular M-matrix, so every pivot is positive, and the
-    upper factor keeps the single superdiagonal of I - J.  The cost is
-    O(n * width); width 1, the common case, runs the Thomas algorithm's
-    loop, about 3x faster than the general one.  A zero pivot raises
-    ``ZeroDivisionError``.
+    Gaussian elimination without pivoting: on the solver's path I - J is a
+    nonsingular M-matrix, so every pivot is positive, and the upper factor
+    keeps the single superdiagonal of I - J.  Width 1, the common case, goes
+    to ``_solve_tridiagonal``; wider bands run a row-by-row loop in
+    O(n * width).  A zero pivot raises ``ZeroDivisionError``.
     """
-    n = len(rhs)
     width = jac.shape[0] - 2
+    if width == 1:
+        low, up = -jac[2], -jac[0]
+        low[0] = up[-1] = 0.0  # couplings outside the system
+        # an overflow gives inf, as the loop's Python floats do, for the
+        # caller to detect
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _solve_tridiagonal(low, 1.0 - jac[1], up, rhs)
+    n = len(rhs)
     up = (-jac[0]).tolist()
     # band[t][i] = (I - J)[i, i - t]; band[0] is the diagonal
     band = [(1.0 - jac[1]).tolist()] + [(-jac[1 + t]).tolist()
                                         for t in range(1, width + 1)]
-    diag = band[0]
     x = rhs.tolist()
-    if width == 1:
-        low = band[1]
-        for i in range(1, n):
-            m = low[i] / diag[i - 1]
-            diag[i] -= m * up[i - 1]
-            x[i] -= m * x[i - 1]
-    else:
-        for i in range(1, n):
-            for t in range(min(width, i), 0, -1):
-                m = band[t][i] / diag[i - t]
-                band[t - 1][i] -= m * up[i - t]
-                x[i] -= m * x[i - t]
+    for i in range(1, n):
+        for t in range(min(width, i), 0, -1):
+            m = band[t][i] / band[0][i - t]
+            band[t - 1][i] -= m * up[i - t]
+            x[i] -= m * x[i - t]
+    return _back_substitute(band[0], up, x)
+
+
+def _back_substitute(diag: list, up: list, x: list) -> np.ndarray:
+    """Solve the upper bidiagonal system left by the elimination."""
+    n = len(x)
     x[n - 1] /= diag[n - 1]
     for i in range(n - 2, -1, -1):
         x[i] = (x[i] - up[i] * x[i + 1]) / diag[i]
     return np.array(x)
+
+
+# Below this size the Thomas loop beats a cyclic-reduction level, whose
+# thirty-odd numpy calls cost a fixed time.  Ladder times were flat for
+# crossovers from 128 to 512 and 6-15 % slower at 64 and 32.
+CYCLIC_CROSSOVER = 128
+
+
+def _solve_tridiagonal(low: np.ndarray, diag: np.ndarray, up: np.ndarray,
+                       rhs: np.ndarray) -> np.ndarray:
+    """Solve low[i] x[i-1] + diag[i] x[i] + up[i] x[i+1] = rhs[i].
+
+    ``low[0]`` and ``up[-1]`` must be 0.  Above ``CYCLIC_CROSSOVER`` rows,
+    one level of odd-even cyclic reduction eliminates the odd unknowns with
+    whole-array operations, which leaves a tridiagonal system in the even
+    unknowns; that system is solved by recursion and the odd unknowns are
+    recovered from it.  This is Gaussian elimination on a symmetric
+    permutation of the matrix, so an M-matrix keeps positive pivots.  The
+    Thomas loop solves the last, small system.  A zero pivot raises
+    ``ZeroDivisionError``.
+    """
+    n = len(rhs)
+    if n <= CYCLIC_CROSSOVER:
+        diag_l, up_l, x = diag.tolist(), up.tolist(), rhs.tolist()
+        low_l = low.tolist()
+        for i in range(1, n):
+            m = low_l[i] / diag_l[i - 1]
+            diag_l[i] -= m * up_l[i - 1]
+            x[i] -= m * x[i - 1]
+        return _back_substitute(diag_l, up_l, x)
+    # odd rows are the pivots of this level
+    lo, do, uo, ro = low[1::2], diag[1::2], up[1::2], rhs[1::2]
+    if not do.all():
+        raise ZeroDivisionError("zero pivot in cyclic reduction")
+    ne, no = (n + 1) // 2, n // 2
+    # even row 2m takes alpha times odd row 2m-1 and gamma times row 2m+1
+    alpha = low[2::2] / do[:ne - 1]
+    gamma = up[0:2 * no:2] / do
+    diag_e = diag[0::2].copy()
+    diag_e[1:] -= alpha * uo[:ne - 1]
+    diag_e[:no] -= gamma * lo
+    rhs_e = rhs[0::2].copy()
+    rhs_e[1:] -= alpha * ro[:ne - 1]
+    rhs_e[:no] -= gamma * ro
+    low_e = np.zeros(ne)
+    low_e[1:] = -alpha * lo[:ne - 1]
+    up_e = np.zeros(ne)
+    up_e[:no] = -gamma * uo
+    x_e = _solve_tridiagonal(low_e, diag_e, up_e, rhs_e)
+    x = np.empty(n)
+    x[0::2] = x_e
+    # odd row 2m+1 couples x[2m] and x[2m+2]; uo[-1] is 0 when n is even
+    right = np.append(x_e[1:], 0.0)[:no]
+    x[1::2] = (ro - lo * x_e[:no] - uo * right) / do
+    return x
 
 
 def iterate_to_limit(model: LHBPModel, k: int, s: float, tol: float = 1e-12,
@@ -353,6 +414,8 @@ def extinction_ladder(model: LHBPModel, schedule, window: int = 8,
     schedule = tuple(schedule)
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     if window > schedule[0] + 2:
         raise ValueError("window exceeds the smallest truncation size")
     q_results, qt_results = [], []

@@ -568,7 +568,13 @@ class ValidationReport:
 
 
 def validate(model: LHBPModel, K: int = 64) -> ValidationReport:
-    """Check model invariants over types 0..K and report, never raise."""
+    """Check model invariants over types 0..K and report them.
+
+    A model fault is reported, never raised; a negative horizon raises
+    ``ValueError``.
+    """
+    if K < 0:
+        raise ValueError(f"validation horizon K must be >= 0, got {K}")
     residuals = []
     hess_bad: list[int] = []
     upward_bad = None

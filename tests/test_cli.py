@@ -43,6 +43,10 @@ def test_validate_ok_and_failing(capsys, model_file):
                                   model_file(EX2 % "1.0")])
     assert code == 2
     assert doc["upward_ok"] is False
+    assert main(["validate", "--model", model_file(EX2 % "0.3"),
+                 "--K", "-1"]) == 4
+    assert capsys.readouterr().err == (
+        "error: validation horizon K must be >= 0, got -1\n")
 
 
 def test_validate_missing_file(capsys):
@@ -152,6 +156,12 @@ def test_gammastar_small(capsys):
                                   "--tol-gamma", "0.002", "--workers", "1"])
     assert code == 0
     assert abs(doc["gamma_star"] - 0.1625) < 0.003
+    # a tolerance below one ulp stops once the bracket cannot shrink
+    code, doc = run_json(capsys, ["gammastar", "--K", "10",
+                                  "--tol-gamma", "1e-300"])
+    assert code == 0
+    lo, hi = doc["bracket"]
+    assert 0 < hi - lo <= np.spacing(hi)
 
 
 def test_gammastar_ignores_workers(capsys):
@@ -169,6 +179,11 @@ def test_extinction_level_zero_and_negative(capsys, model_file):
     assert {r["level"] for r in rows if r["kind"] == "level"} == {"0"}
     assert main(["extinction", "--model", path, "--k", "-1"]) == 4
     assert capsys.readouterr().err.startswith("error:")
+    for window in ("0", "-1"):
+        assert main(["extinction", "--model", path, "--k", "8",
+                     "--window", window]) == 4
+        assert capsys.readouterr().err == (
+            f"error: window must be >= 1, got {window}\n")
 
 
 def test_nonconvergence_exit_code(capsys, model_file, monkeypatch):
@@ -186,14 +201,14 @@ def test_nonconvergence_exit_code(capsys, model_file, monkeypatch):
 
 
 def test_newton_breakdown_exit_code(capsys, model_file):
-    # level 700 of tridiagonal(0.1, 0.3, 1.2) does not converge (see
+    # level 1024 of tridiagonal(0.1, 0.3, 1.2) does not converge (see
     # test_newton_breakdown_flagged); its row says so and the exit code is 3
     code, rows = run_csv(capsys, ["extinction", "--model",
                                   model_file(TRI % ("0.1", "0.3", "1.2", "1")),
-                                  "--k", "700"])
+                                  "--k", "1024"])
     assert code == 3
     last = [r for r in rows if r["kind"] == "level"][-1]
-    assert last["level"] == "700"
+    assert last["level"] == "1024"
     assert last["qtilde_converged"] == "False"
 
 
@@ -204,6 +219,13 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as e:
         main(["classify", "--model", "m.json", "--tol", "1e-6"])  # no --tol
     assert e.value.code == 4
+    # the bisection would never reach a tolerance of 0 or below, or nan
+    for tol in ("0", "-1", "nan", "abc"):
+        with pytest.raises(SystemExit) as e:
+            main(["gammastar", "--K", "10", "--tol-gamma", tol])
+        assert e.value.code == 4
+        assert "--tol-gamma: must be a positive finite number" in (
+            capsys.readouterr().err)
 
 
 def test_out_file(tmp_path, model_file):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lhbp import (G_value, default_schedule, extinction_ladder,
-                  iterate_to_limit)
+from lhbp import (ExplicitModel, G_value, TableLaw, default_schedule,
+                  extinction_ladder, iterate_to_limit)
 
 from conftest import (all_die_model, e1_model, ex2, product_tail_model,
                       tridiag, up_only_model, wide_band_model)
@@ -128,12 +128,14 @@ def test_nonconvergence_flagged():
 
 
 def test_newton_breakdown_flagged():
-    # the truncated qtilde of tridiagonal(0.1, 0.3, 1.2) is 1, but from
-    # k of about 670 the survival values behind the front underflow and
-    # Newton oscillates until the k + 100 step cap: reported unconverged
-    r = iterate_to_limit(tridiag(0.1, 0.3, 1.2), 700, 1.0)
+    # the truncated qtilde of tridiagonal(0.1, 0.3, 1.2) is 1, but beyond
+    # k of about 650 the survival values behind the front underflow and
+    # Newton can oscillate until the k + 100 step cap: reported unconverged.
+    # Which k in 650..1000 fail depends on the rounding of the band solve;
+    # every k tried from 1000 on fails.
+    r = iterate_to_limit(tridiag(0.1, 0.3, 1.2), 1024, 1.0)
     assert not r.converged
-    assert r.iterations == 800
+    assert r.iterations == 1124
     r = iterate_to_limit(tridiag(0.1, 0.3, 1.2), 500, 1.0)
     assert r.converged
     assert r.vector[0] >= 1 - 1e-12
@@ -189,25 +191,91 @@ def test_family_sweeps_match_generic_sweep():
                 assert np.allclose(dense[:, j], central, atol=1e-7)
 
 
+def _random_band(rng, width, n):
+    """A Jacobian band with row sums below 1, so I - J is an M-matrix."""
+    jac = rng.uniform(0.0, 0.9 / (width + 2), (width + 2, n))
+    for t in range(1, width + 1):
+        jac[1 + t, :t] = 0.0
+    return jac
+
+
 def test_band_solve_matches_scipy():
     linalg = pytest.importorskip("scipy.linalg")
+    from lhbp.generating import CYCLIC_CROSSOVER as C
     from lhbp.generating import _solve_band
     rng = np.random.default_rng(5)
-    n = 40
-    for width in (0, 1, 2, 3):
-        # a Jacobian band with row sums below 1, so I - J is an M-matrix
-        jac = rng.uniform(0.0, 0.9 / (width + 2), (width + 2, n))
-        for t in range(1, width + 1):
-            jac[1 + t, :t] = 0.0
+    # width 1 on both sides of the cyclic-reduction crossover, odd and even
+    sizes = [(w, 40) for w in (0, 1, 2, 3)] + [
+        (1, n) for n in (1, 2, 3, C - 1, C, C + 1, C + 2, 2 * C + 1,
+                         2 * C + 2, 1025, 4097)]
+    for width, n in sizes:
+        jac = _random_band(rng, width, n)
         rhs = rng.normal(size=n)
         # scipy's (l, u) = (width, 1) storage: ab[1 + i - j, j] = A[i, j]
-        A = np.eye(n) - _dense(jac)[:, :n]
+        # for A = I - J
         ab = np.zeros((width + 2, n))
-        for i in range(n):
-            for j in range(max(0, i - width), min(n, i + 2)):
-                ab[1 + i - j, j] = A[i, j]
+        ab[0, 1:] = -jac[0, :-1]
+        ab[1] = 1.0 - jac[1]
+        for t in range(1, width + 1):
+            ab[1 + t, :n - t] = -jac[1 + t, t:]
         want = linalg.solve_banded((width, 1), ab, rhs)
-        assert np.allclose(_solve_band(jac, rhs), want, rtol=1e-12, atol=1e-12)
+        assert np.allclose(_solve_band(jac, rhs), want, rtol=1e-12,
+                           atol=1e-12), (width, n)
+
+
+def test_band_solve_matches_thomas_on_kernel_bands(monkeypatch):
+    # cyclic reduction against the Thomas loop alone, on the bands of the
+    # first Newton step and of the converged q vector
+    from lhbp import generating
+    rng = np.random.default_rng(8)
+    for model, k in ((ex2(0.3), 8000), (tridiag(0.15, 0.25, 0.7), 2048)):
+        kernel = generating._compiled(model, k)
+        v = np.ones(k + 2)
+        val, jac = kernel(v)
+        cases = [(jac, val - v[:k + 1])]
+        v = 1.0 - iterate_to_limit(model, k, 0.0).vector
+        cases.append((kernel(v)[1], rng.normal(size=k + 1)))
+        for jac, rhs in cases:
+            fast = generating._solve_band(jac, rhs)
+            with monkeypatch.context() as m:
+                m.setattr(generating, "CYCLIC_CROSSOVER", k + 1)
+                loop = generating._solve_band(jac, rhs)
+            assert np.max(np.abs(fast - loop)) <= 1e-12 * np.max(np.abs(loop))
+
+
+def test_band_solve_zero_pivot_raises():
+    # row j of I - J vanishes; below the crossover the Thomas loop meets the
+    # zero pivot, above it cyclic reduction at an odd row (j = 201) or, for
+    # an even row, a later level or the loop
+    from lhbp.generating import _solve_band
+    rng = np.random.default_rng(3)
+    for n, j in ((40, 21), (301, 201), (301, 200), (301, 300)):
+        jac = _random_band(rng, 1, n)
+        jac[:, j] = (0.0, 1.0, 0.0)
+        with pytest.raises(ZeroDivisionError):
+            _solve_band(jac, rng.normal(size=n))
+
+
+def stuck_model(j):
+    """Explicit model whose type j bears exactly one type-j child, so row j
+    of I - J is zero at every v.  Every other type i >= 1 bears one child
+    of type i + 1 (probability 0.4) or i - 1 (0.1), or none: bandwidth 1."""
+    return ExplicitModel(head=tuple(
+        TableLaw(((((j, 1),), 1.0),)) if i == j
+        else TableLaw(((((1, 1),), 0.5), ((), 0.5))) if i == 0
+        else TableLaw(((((i + 1, 1),), 0.4), (((i - 1, 1),), 0.1),
+                       ((), 0.5)))
+        for i in range(j + 2)))
+
+
+def test_singular_newton_step_not_converged():
+    for k, j in ((40, 21), (300, 201)):
+        model = stuck_model(j)
+        assert model.bandwidth == 1
+        r = iterate_to_limit(model, k, 0.0)
+        assert not r.converged
+        assert r.iterations == 1
+        assert np.all(np.isfinite(r.vector))
 
 
 def test_qtilde_trap_reaches_one():
