@@ -148,7 +148,7 @@ def cmd_moments(args) -> int:
         rows.append((k, mom.mu[k], mom.a[k], mom.x[k], mom.m0[k], "ok"))
     if mom.kind != "ok":
         rows.append((mom.k_star, "", "", mom.x[mom.k_star], "",
-                     f"{mom.kind}({mom.k_star})"))
+                     mom.status_at(mom.k_star)))
     _write_csv(rows, ("k", "mu", "a", "x", "m0", "status"), args.out)
     return EXIT_OK
 
@@ -167,8 +167,8 @@ def cmd_bounds(args) -> int:
     i = args.i
     levels = [k for k in default_schedule(args.k) if k > i]
     rows = []
-    for k in levels:
-        b = agresti_bounds(model, i, k)
+    for b in agresti_bounds(model, i, levels):
+        k = b.level
         oracle = float(iterate_to_limit(model, k, 0.0, tol=args.tol).vector[i])
         rows.append((i, k, b.lower, oracle, b.upper))
     _write_csv(rows, ("i", "k", "lower", "oracle", "upper"), args.out)
@@ -311,9 +311,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "bounds", help="two-sided truncation bounds on q_i",
         description="CSV columns: i, k, lower, oracle, upper; rows for each "
-                    "scheduled level k up to --k.  lower and upper bracket "
-                    "q_i of the level k-1 truncation (they use the embedded "
-                    "means up to k-1); oracle is q_i at level k.")
+                    "scheduled level k > i up to --k.  lower and upper "
+                    "bracket q_i of the level k-1 truncation (they use the "
+                    "embedded means and curvatures g_j''(0) up to k-1); "
+                    "oracle is q_i at level k.")
     common(sp, tol=True)
     sp.add_argument("--i", type=int, required=True, help="type index (>= 1)")
     sp.add_argument("--k", type=int, required=True, help="largest level")

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedded import (VERDICT_CERTAIN, EmbeddedMoments, embedded_moments,
-                       eval_g, partial_verdict)
+                       partial_verdict)
+from .generating import ComputationError, g_second_derivative, iterate_to_limit
 from .model import LHBPModel, TailModel, TridiagonalModel
 
 GLOBAL_EXTINCTION = "GlobalExtinction"
@@ -178,53 +179,54 @@ def _downgrade(v: GlobalVerdict) -> GlobalVerdict:
 
 @dataclass
 class AgrestiBounds:
+    level: int
     lower: float
     upper: float
     degenerate: bool
 
-    def __iter__(self):
-        return iter((self.lower, self.upper))
 
-
-def _g2_at_zero(model: LHBPModel, j: int, h: float = 1e-3) -> float:
-    """Second derivative of g_j at 0 by a Richardson-extrapolated forward
-    difference (the domain ends at 0, so central stencils are unavailable)."""
-
-    def diff(step):
-        return (eval_g(model, j, 0.0) - 2.0 * eval_g(model, j, step)
-                + eval_g(model, j, 2.0 * step)) / step ** 2
-
-    d = (4.0 * diff(h / 2) - diff(h)) / 3.0
-    return max(d, 0.0)
-
-
-def agresti_bounds(model: LHBPModel, i: int, k: int) -> AgrestiBounds:
+def agresti_bounds(model: LHBPModel, i: int, levels) -> list[AgrestiBounds]:
     """Two-sided bounds on coordinate i of the level-(k-1) global extinction
-    vector, valid on the partial-extinction side for 1 <= i < k.
+    vector for each k in ``levels``, valid on the partial-extinction side
+    for 1 <= i < k.
 
-    The brackets are built from the embedded means mu_i .. mu_{k-1}, which
-    describe the level-(k-1) truncation.
+    The brackets of level k are built from mu_j and g_j''(0), j = i .. k-1,
+    which describe the level-(k-1) truncation.  One pass solves each level
+    j at s = 0 once, warm-started from level j - 1, and reads g_j''(0) off
+    that solve; ``ComputationError`` if one does not converge.
     """
-    if not 1 <= i < k:
-        raise ValueError(f"need 1 <= i < k, got i={i}, k={k}")
-    moments = embedded_moments(model, k - 1, with_a=True)
-    if moments.ok_through < k - 1:
+    levels = list(levels)
+    if not levels or not all(1 <= i < k for k in levels):
+        raise ValueError("need at least one level k, and 1 <= i < k for "
+                         f"each, got i={i}, levels {levels}")
+    top = max(levels)
+    moments = embedded_moments(model, top - 1, with_a=True)
+    if moments.ok_through < top - 1:
         raise ValueError("bounds need the partial-extinction regime "
                          f"(x hits 1 at k={moments.k_star})")
     mu, a = moments.mu, moments.a
     m_ij = 1.0
     sum_upper = 0.0
     sum_lower = 0.0
-    for j in range(i, k):
+    found = {}
+    prev = None
+    for j in range(i, top):
+        res = iterate_to_limit(model, j, 0.0, start=prev)
+        if not res.converged:
+            raise ComputationError(
+                f"bounds: level {j} did not converge at boundary 0")
+        prev = res.vector
         m_ij *= mu[j]
         sum_upper += a[j] / (mu[j] * m_ij)
-        sum_lower += _g2_at_zero(model, j) / (mu[j] * m_ij)
-    upper_bracket = 1.0 / m_ij + sum_upper
-    lower_bracket = 1.0 / m_ij + 0.5 * sum_lower
-    degenerate = upper_bracket <= 0.0 or lower_bracket <= 0.0
-    upper = 1.0 if degenerate else 1.0 - 1.0 / upper_bracket
-    lower = 0.0 if degenerate else max(0.0, 1.0 - 1.0 / lower_bracket)
-    return AgrestiBounds(lower, upper, degenerate)
+        # g_j is a generating function, so g_j''(0) >= 0
+        sum_lower += max(g_second_derivative(model, res), 0.0) / (mu[j] * m_ij)
+        upper_bracket = 1.0 / m_ij + sum_upper
+        lower_bracket = 1.0 / m_ij + 0.5 * sum_lower
+        degenerate = upper_bracket <= 0.0 or lower_bracket <= 0.0
+        upper = 1.0 if degenerate else 1.0 - 1.0 / upper_bracket
+        lower = 0.0 if degenerate else max(0.0, 1.0 - 1.0 / lower_bracket)
+        found[j + 1] = AgrestiBounds(j + 1, lower, upper, degenerate)
+    return [found[k] for k in levels]
 
 
 # ---------------------------------------------------------------------------

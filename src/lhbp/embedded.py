@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -118,24 +117,20 @@ def embedded_moments(model: LHBPModel, K: int, with_a: bool = True) -> EmbeddedM
 # ---------------------------------------------------------------------------
 # embedded generating function values
 
-@lru_cache(maxsize=200_000)
-def _eval_g_cached(model: LHBPModel, k: int, s: float, tol: float) -> float:
+def eval_g(model: LHBPModel, k: int, s: float, tol: float = 1e-13) -> float:
+    """g_k(s): coordinate k of the level-k truncation limit with boundary s.
+
+    Monotone nondecreasing in s; g_k(1) is the partial extinction probability
+    of type k in its own truncation.  Raises ``ComputationError`` when the
+    level-k solve does not converge.
+    """
+    if not (0.0 <= s <= 1.0):
+        raise ValueError(f"s must lie in [0, 1], got {s}")
     res = iterate_to_limit(model, k, s, tol=tol)
     if not res.converged:
         raise ComputationError(
             f"eval_g did not converge at level {k}, boundary {s}")
     return float(res.vector[k])
-
-
-def eval_g(model: LHBPModel, k: int, s: float, tol: float = 1e-13) -> float:
-    """g_k(s): coordinate k of the level-k truncation limit with boundary s.
-
-    Monotone nondecreasing in s; g_k(1) is the partial extinction probability
-    of type k in its own truncation.  Values are cached per (model, k, s).
-    """
-    if not (0.0 <= s <= 1.0):
-        raise ValueError(f"s must lie in [0, 1], got {s}")
-    return _eval_g_cached(model, k, float(s), tol)
 
 
 # ---------------------------------------------------------------------------

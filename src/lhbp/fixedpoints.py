@@ -81,6 +81,8 @@ def curve_from_anchor(model: LHBPModel, s0: float, J: int, tol: float = 1e-12,
     failure at some index truncates the curve there: the anchor is then
     numerically indistinguishable from an extinction vector coordinate.
     """
+    if J < 0:
+        raise ValueError(f"curve window J must be >= 0, got {J}")
     if bounds is not None:
         lo, hi = bounds
         if not (lo - ENDPOINT_SLACK <= s0 <= hi + ENDPOINT_SLACK):

@@ -316,21 +316,23 @@ def iterate_to_limit(model: LHBPModel, k: int, s: float, tol: float = 1e-12,
     Newton steps on v = V(v) in survival space, from v = 1 - start (the
     start defaults to (0, ..., 0, s); any supplied start must lie below the
     target fixed point and below its own image, which warm starts from a
-    lower truncation level satisfy).  The iteration stops once a step moves
-    no coordinate by more than ``tol``.  ``max_iter`` defaults to k + 100
-    steps: from a start far below the target a step carries the boundary's
-    influence only a few types inward (about 5 for qtilde of
-    tridiagonal(0.15, 0.25, 0.7) started from its q vector).
+    lower truncation level satisfy).  A start of a lower level is padded
+    with zeros; the last entry of any start, its boundary, is ignored.
+    The iteration stops once a step moves no coordinate by more than
+    ``tol``.  ``max_iter`` defaults to k + 100 steps: from a start far
+    below the target a step carries the boundary's influence only a few
+    types inward (about 5 for qtilde of tridiagonal(0.15, 0.25, 0.7)
+    started from its q vector).
     ``iterations`` counts Newton steps and ``residual`` is max |V(v) - v| at
     the returned vector, which is given in u = 1 - v.
     """
     if not (0.0 <= s <= 1.0):
         raise ValueError(f"boundary must lie in [0, 1], got {s}")
     kernel = _compiled(model, k)
-    if start is None:
-        v = np.ones(k + 2)
-    else:
-        v = 1.0 - np.asarray(start, dtype=float)
+    v = np.ones(k + 2)
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        v[:len(start) - 1] = 1.0 - start[:-1]
     v[k + 1] = 1.0 - s
     head = v[:k + 1]
     cap = k + 100 if max_iter is None else max_iter
@@ -359,6 +361,36 @@ def iterate_to_limit(model: LHBPModel, k: int, s: float, tol: float = 1e-12,
     u[k + 1] = s
     residual = float(np.max(np.abs(val - head)))
     return TruncationResult(k, s, u, n, residual, converged)
+
+
+def g_second_derivative(model: LHBPModel, result: TruncationResult) -> float:
+    """g_k''(s) of the embedded generating function, read off a converged
+    level-k result with boundary s < 1.
+
+    With t = v_{k+1} = 1 - s, the solution path v(t) has the tangent
+    w = (I - J)^-1 dV/dv_{k+1}, one band solve, and g_k(s) = 1 - v_k(t)
+    gives g_k''(s) = -dw_k/dt: the change of w_k along the tangent line
+    x - h (w, 1), x = (v, t).  The one-sided quotient D(h) has an O(h)
+    error, which 2 D(h/2) - D(h) removes.
+    """
+    k = result.level
+    kernel = _compiled(model, k)
+
+    def tangent(x):
+        _, jac = kernel(x)
+        rhs = np.zeros(k + 1)
+        rhs[k] = jac[0, k]  # only type k bears type-(k+1) children
+        return _solve_band(jac, rhs)
+
+    x = 1.0 - result.vector
+    w = tangent(x)
+    line = np.append(w, 1.0)
+
+    def quotient(h):
+        return (w[k] - tangent(x - h * line)[k]) / h
+
+    h = 1e-5  # O(h^2) truncation and eps / h rounding errors near 1e-10
+    return quotient(h) - 2.0 * quotient(h / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +446,9 @@ def extinction_ladder(model: LHBPModel, schedule, window: int = 8,
     schedule = tuple(schedule)
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
+    if min(schedule, default=-1) < 0:
+        raise ValueError(
+            f"truncation levels must be >= 0, got {list(schedule)}")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if window > schedule[0] + 2:
@@ -421,14 +456,8 @@ def extinction_ladder(model: LHBPModel, schedule, window: int = 8,
     q_results, qt_results = [], []
     prev = None
     for k in schedule:
-        start = None
-        if prev is not None:
-            start = np.zeros(k + 2)
-            start[:len(prev) - 1] = prev[:-1]
-        rq = iterate_to_limit(model, k, 0.0, tol=tol, start=start)
-        start_t = rq.vector.copy()
-        start_t[k + 1] = 1.0
-        rt = iterate_to_limit(model, k, 1.0, tol=tol, start=start_t)
+        rq = iterate_to_limit(model, k, 0.0, tol=tol, start=prev)
+        rt = iterate_to_limit(model, k, 1.0, tol=tol, start=rq.vector)
         # the sandwich holds mathematically; guard the last float ulp
         rt.vector = np.maximum(rt.vector, rq.vector)
         prev = rq.vector

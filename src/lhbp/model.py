@@ -34,8 +34,6 @@ class TableLaw:
 
     entries: tuple[tuple[tuple[tuple[int, int], ...], float], ...]
 
-    kind = "table"
-
     def outcomes(self) -> tuple[tuple[tuple[tuple[int, int], ...], float], ...]:
         """``(counts, prob)`` pairs with positive probability."""
         return tuple((counts, p) for counts, p in self.entries if p > 0)
@@ -84,8 +82,6 @@ class ProductLaw:
     """
 
     coords: tuple[tuple[int, tuple[tuple[float, float], ...]], ...]
-
-    kind = "product"
 
     def outcomes(self) -> tuple[tuple[tuple[tuple[int, float], ...], float], ...]:
         """Joint ``(counts, prob)`` pairs with positive probability; zero
@@ -203,9 +199,6 @@ class LHBPModel:
     the generic law-based route would lose exactness.
     """
 
-    family = "abstract"
-    bandwidth: int = 0
-
     def law(self, i: int) -> OffspringLaw:
         raise NotImplementedError
 
@@ -233,9 +226,6 @@ class Example2Model(LHBPModel):
     """
 
     gamma: float
-
-    family = "example2"
-    bandwidth = 1
 
     def __post_init__(self):
         if not (0.0 <= self.gamma <= 1.0):
@@ -327,9 +317,6 @@ class TridiagonalModel(LHBPModel):
     c: float
     u: float = 1.0
 
-    family = "tridiagonal"
-    bandwidth = 1
-
     def __post_init__(self):
         if min(self.a, self.b, self.c) < 0:
             raise ModelError("tridiagonal parameters must be non-negative")
@@ -402,23 +389,10 @@ class ExplicitModel(LHBPModel):
     with every child type shifted by i - T."""
 
     head: tuple[OffspringLaw, ...]
-    declared_bandwidth: int | None = None
-
-    family = "explicit"
 
     @property
     def tail_from(self) -> int:
         return len(self.head) - 1
-
-    @property
-    def bandwidth(self) -> int:  # type: ignore[override]
-        if self.declared_bandwidth is not None:
-            return self.declared_bandwidth
-        w = 0
-        for i, law in enumerate(self.head):
-            for t in law.support_types():
-                w = max(w, i - t)
-        return w
 
     def law(self, i: int) -> OffspringLaw:
         t = self.tail_from
@@ -438,12 +412,6 @@ class TailModel(LHBPModel):
 
     base: LHBPModel
     cut: int
-
-    family = "tail"
-
-    @property
-    def bandwidth(self) -> int:  # type: ignore[override]
-        return self.base.bandwidth
 
     def law(self, j: int) -> OffspringLaw:
         return marginalize_law(self.base.law(self.cut + 1 + j), self.cut)
@@ -526,8 +494,7 @@ def _parse_explicit(doc: dict) -> ExplicitModel:
     head = tuple(_parse_law(r["law"]) for r in rows)
     for i, law in enumerate(head):
         _check_law(law, i)
-    return ExplicitModel(head=head,
-                         declared_bandwidth=doc.get("bandwidth"))
+    return ExplicitModel(head=head)
 
 
 def _check_upward(model: LHBPModel, horizon: int = 8) -> None:

@@ -40,6 +40,9 @@ class SimConfig:
     def __post_init__(self):
         if self.variant not in ("sterile", "immortal"):
             raise ValueError(f"unknown variant {self.variant!r}")
+        if self.truncation < 0:
+            raise ValueError(
+                f"truncation level must be >= 0, got {self.truncation}")
         if self.max_generations <= 0 or self.population_cap <= 0:
             raise ValueError("caps must be positive")
         if not 0 <= self.initial_type <= self.truncation + 1:

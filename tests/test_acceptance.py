@@ -138,8 +138,8 @@ def test_08_agresti_sandwich():
     model = ex2(0.0)
     rows = []
     ok = True
-    for k in (10, 100, 1000):
-        b = agresti_bounds(model, 1, k)
+    levels = (10, 100, 1000)
+    for k, b in zip(levels, agresti_bounds(model, 1, levels)):
         oracle = float(iterate_to_limit(model, k, 0.0).vector[1])
         ok = ok and (b.lower - 1e-8 <= oracle <= b.upper + 1e-8)
         rows.append(f"k={k}: {b.lower:.4f} <= {oracle:.4f} <= {b.upper:.4f}")

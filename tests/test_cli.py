@@ -187,17 +187,40 @@ def test_extinction_level_zero_and_negative(capsys, model_file):
 
 
 def test_nonconvergence_exit_code(capsys, model_file, monkeypatch):
+    import dataclasses
+
     import lhbp.criteria
-    from lhbp import ComputationError
+    solve = lhbp.criteria.iterate_to_limit
 
-    def fail(*args, **kwargs):
-        raise ComputationError("eval_g did not converge")
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(solve(*args, **kwargs), converged=False)
 
-    monkeypatch.setattr(lhbp.criteria, "eval_g", fail)
+    monkeypatch.setattr(lhbp.criteria, "iterate_to_limit", unconverged)
     code = main(["bounds", "--model", model_file(EX2 % "0.0"),
                  "--i", "1", "--k", "8"])
     assert code == 3
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err == (
+        "error: bounds: level 1 did not converge at boundary 0\n")
+
+
+def test_bad_size_exit_code(capsys, model_file):
+    path = model_file(EX2 % "0.0")
+    cases = [
+        (["sweep", "--model", path, "--grid", "0:0.1:0.1", "--k", "-1"],
+         "truncation levels must be >= 0, got [-1]"),
+        (["fixedpoints", "--model", path, "--k", "8", "--J", "-1"],
+         "curve window J must be >= 0, got -1"),
+        (["simulate", "--model", path, "--k", "-1", "--reps", "100"],
+         "truncation level must be >= 0, got -1"),
+        (["bounds", "--model", path, "--i", "5", "--k", "3"],
+         "need at least one level k, and 1 <= i < k for each, got i=5, "
+         "levels []"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def test_newton_breakdown_exit_code(capsys, model_file):

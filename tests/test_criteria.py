@@ -99,8 +99,7 @@ def test_closed_form_agreement_random():
 
 def test_agresti_sandwich_gamma0():
     m = ex2(0.0)
-    for k in (10, 100):
-        b = agresti_bounds(m, 1, k)
+    for k, b in zip((10, 100), agresti_bounds(m, 1, (10, 100))):
         oracle = float(iterate_to_limit(m, k, 0.0).vector[1])
         assert b.lower <= oracle + 1e-8
         assert oracle <= b.upper + 1e-8
@@ -108,24 +107,33 @@ def test_agresti_sandwich_gamma0():
 
 def test_agresti_lower_degenerates_to_zero_for_quartic():
     # g_j''(0) = 0 for the quartic laws, so the lower bracket is 1/m alone
-    b = agresti_bounds(ex2(0.0), 1, 50)
+    [b] = agresti_bounds(ex2(0.0), 1, [50])
     assert b.lower == 0.0  # 1 - m_{1->49} < 0 clamps
     assert not b.degenerate
 
 
 def test_agresti_precondition_errors():
     with pytest.raises(ValueError, match="1 <= i < k"):
-        agresti_bounds(ex2(0.0), 5, 5)
+        agresti_bounds(ex2(0.0), 5, [5])
     with pytest.raises(ValueError, match="partial"):
-        agresti_bounds(ex2(0.3), 1, 50)
+        agresti_bounds(ex2(0.3), 1, [50])
 
 
 def test_agresti_sandwich_tridiagonal():
     m = tridiag(0.25, 0.25, 0.5)
     for i, k in ((1, 12), (2, 40)):
-        b = agresti_bounds(m, i, k)
+        [b] = agresti_bounds(m, i, [k])
         oracle = float(iterate_to_limit(m, k, 0.0).vector[i])
         assert b.lower - 1e-8 <= oracle <= b.upper + 1e-8
+
+
+def test_agresti_levels_from_one_pass():
+    # one bound per requested level, in the order asked; the pass is
+    # cumulative, so each equals the bound of a call for its level alone
+    m = tridiag(0.25, 0.25, 0.5)
+    both = agresti_bounds(m, 1, [40, 12])
+    assert [b.level for b in both] == [40, 12]
+    assert both == agresti_bounds(m, 1, [40]) + agresti_bounds(m, 1, [12])
 
 
 # ---------------------------------------------------------------------------

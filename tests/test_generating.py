@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lhbp import (ExplicitModel, G_value, TableLaw, default_schedule,
-                  extinction_ladder, iterate_to_limit)
+                  eval_g, extinction_ladder, iterate_to_limit)
+from lhbp.generating import g_second_derivative
 
 from conftest import (all_die_model, e1_model, ex2, product_tail_model,
                       tridiag, up_only_model, wide_band_model)
@@ -111,6 +112,9 @@ def test_ladder_rejects_bad_schedule():
         extinction_ladder(ex2(0.0), (4, 4, 8))
     with pytest.raises(ValueError, match="window"):
         extinction_ladder(ex2(0.0), (2, 4), window=10)
+    for schedule in ((-1,), (-1, 4), ()):
+        with pytest.raises(ValueError, match=">= 0"):
+            extinction_ladder(ex2(0.0), schedule)
 
 
 def test_default_schedule():
@@ -269,9 +273,10 @@ def stuck_model(j):
 
 
 def test_singular_newton_step_not_converged():
+    from lhbp.generating import _compiled
     for k, j in ((40, 21), (300, 201)):
         model = stuck_model(j)
-        assert model.bandwidth == 1
+        assert _compiled(model, k).width == 1
         r = iterate_to_limit(model, k, 0.0)
         assert not r.converged
         assert r.iterations == 1
@@ -299,3 +304,41 @@ def test_explicit_e1_ladder_monotone():
     assert ladder.converged
     assert np.all(np.diff(ladder.q_window, axis=0) >= -1e-12)
     assert np.all(np.diff(ladder.qtilde_window, axis=0) <= 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# second derivative of the embedded generating function
+
+
+def test_g_second_derivative_closed_forms():
+    # level 0 of tridiagonal(0.1, 0.3, 1.1): g_0 = 0.7 f / (1 - 0.3 f) with
+    # the up-count pgf f(s) = 0.9 s + 0.1 s^2, so g_0''(0) = 0.7 (0.2 + 0.6
+    # * 0.9^2); a Richardson-weighted one-sided stencil gave 0.480367
+    m = tridiag(0.1, 0.3, 1.1)
+    assert g_second_derivative(m, iterate_to_limit(m, 0, 0.0)) == \
+        pytest.approx(0.42 * 0.81 + 0.7 * 0.2, abs=1e-8)
+    # the quartic laws give g_j(s) = 1 - c_j (1 - s^4), flat at 0
+    for j in range(6):
+        r = iterate_to_limit(ex2(0.0), j, 0.0)
+        assert abs(g_second_derivative(ex2(0.0), r)) <= 1e-9
+
+
+def test_g_second_derivative_matches_eval_g_stencil():
+    # the one-sided second difference D(h) of eval_g has an O(h) error;
+    # 2 D(h/2) - D(h) leaves an O(h^2) error, 8e-5 (relative) on
+    # example2(0.1) at h = 1e-3, which one more Richardson step with the
+    # weights (4, -1) / 3 removes
+    def stencil(model, j, h):
+        return (eval_g(model, j, 0.0) - 2 * eval_g(model, j, h)
+                + eval_g(model, j, 2 * h)) / h ** 2
+
+    def second_order(model, j, h):
+        return 2 * stencil(model, j, h / 2) - stencil(model, j, h)
+
+    h = 1e-3
+    for model in (tridiag(0.1, 0.3, 1.1), ex2(0.1)):
+        for j in (1, 5):
+            want = (4 * second_order(model, j, h / 2)
+                    - second_order(model, j, h)) / 3
+            got = g_second_derivative(model, iterate_to_limit(model, j, 0.0))
+            assert got == pytest.approx(want, rel=1e-5)

@@ -199,7 +199,6 @@ def test_explicit_json_roundtrip_product():
     assert isinstance(m.law(1), ProductLaw)
     assert m.mean_row(1) == pytest.approx({0: 0.2, 2: 0.7})
     assert m.mean_row(4) == pytest.approx({3: 0.2, 5: 0.7})
-    assert m.bandwidth == 1
 
 
 # ---------------------------------------------------------------------------
