@@ -1,9 +1,11 @@
 """Simulation oracle for truncated processes.
 
 Populations are tracked as aggregated count vectors; individuals are never
-materialised.  Per-replication randomness comes from counter-based Philox
-substreams keyed by (seed, replication index), so tallies are reproducible
-bit for bit and replications can be merged in any order.
+materialised.  Replications run in blocks of ``BLOCK_SIZE``: a block is one
+(replications x (k + 2)) count matrix, advanced a generation at a time with
+one multinomial draw per type for all of its rows.  Each block's randomness
+comes from a counter-based Philox substream keyed by (seed, block index), so
+tallies are reproducible bit for bit and blocks can be merged in any order.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ OUTCOME_NAMES = {OUTCOME_EXTINCT: "extinct",
                  OUTCOME_CAP: "population-cap-hit"}
 
 _COUNT_LIMIT = 10 ** 9  # larger single-birth counts force a cap-hit
+BLOCK_SIZE = 4096      # replications per block (and per substream)
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,8 @@ class SimConfig:
             raise ValueError("initial type must lie in 0..k+1")
         if self.replications <= 0:
             raise ValueError("replications must be positive")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must lie in 0..2**64-1, got {self.seed}")
 
 
 @dataclass
@@ -66,7 +71,7 @@ class SimBatch:
     config: SimConfig
     outcomes: np.ndarray        # int8 outcome codes per replication
     upward_totals: np.ndarray   # total type-(k+1) births per replication
-    trajectories: list | None   # per-generation population vectors, if recorded
+    trajectories: list | None   # per replication: generations x (k+2) counts
 
     def tally(self) -> dict[str, int]:
         return {name: int(np.sum(self.outcomes == code))
@@ -74,60 +79,87 @@ class SimBatch:
 
 
 def _sim_tables(model: LHBPModel, k: int):
-    """Per-type categorical tables: (pvals, [(entry, overflow), ...])."""
+    """Per-type draw tables ``(pvals, cols, counts, overflow)``, types 0..k.
+
+    ``counts`` is the (outcomes x len(cols)) matrix of children that each
+    outcome adds to the population columns ``cols``.  An outcome with a
+    count outside 0.._COUNT_LIMIT (or not a number) adds nothing; drawing
+    it is a cap hit (``overflow``).
+    """
     tables = []
     for i in range(k + 1):
-        pvals, entries = [], []
-        for counts, p in model.law(i).outcomes():
-            overflow = any(not (0 <= c <= _COUNT_LIMIT) for _, c in counts)
-            entry = tuple((t, int(c)) for t, c in counts) if not overflow else ()
-            pvals.append(p)
-            entries.append((entry, overflow))
-        pv = np.array(pvals)
-        tables.append((pv / pv.sum(), entries))
+        outs = model.law(i).outcomes()
+        pvals = np.array([p for _, p in outs])
+        counts = np.zeros((len(outs), k + 2), dtype=np.int64)
+        overflow = np.zeros(len(outs), dtype=bool)
+        for j, (entry, _) in enumerate(outs):
+            if any(not (0 <= c <= _COUNT_LIMIT) for _, c in entry):
+                overflow[j] = True
+                continue
+            for t, c in entry:
+                counts[j, t] += int(c)
+        used = np.flatnonzero(counts.any(axis=0))
+        cols = slice(used[0], used[-1] + 1) if used.size else slice(0, 0)
+        tables.append((pvals / pvals.sum(), cols, counts[:, cols], overflow))
     return tables
 
 
-def _substream(seed: int, rep: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(seed << 64) + rep))
+def _simulate_block(rng, tables, config: SimConfig, rows: int,
+                    record: bool):
+    """Run ``rows`` replications as one count matrix, a generation at a time.
 
-
-def _run_replication(rng, tables, k, i0, variant, max_gen, pop_cap,
-                     record=False):
-    pop = np.zeros(k + 2, dtype=np.int64)
-    pop[i0] = 1
-    traj = [pop.copy()] if record else None
-    cum_up = 0
-    immortal = variant == "immortal"
-    for _ in range(max_gen):
-        if int(pop.sum()) == 0:
-            return OUTCOME_EXTINCT, cum_up, traj
-        if immortal and not record and (cum_up > 0 or pop[k + 1] > 0):
+    Returns (outcomes, upward_totals, trajectories or None).  Every row
+    follows the rules of one replication: extinct when its whole population
+    is 0; immortal and not recording, decided as survived once a type-(k+1)
+    individual exists; a cap hit when it draws an overflow outcome (that
+    generation's births are dropped) or its population exceeds the cap;
+    survived at the generation cap.  Finished rows leave the matrix.
+    """
+    k = config.truncation
+    immortal = config.variant == "immortal"
+    outcomes = np.full(rows, OUTCOME_SURVIVED, dtype=np.int8)
+    ups = np.zeros(rows, dtype=np.int64)
+    ids = np.arange(rows)               # replication of each active row
+    pop = np.zeros((rows, k + 2), dtype=np.int64)
+    pop[:, config.initial_type] = 1
+    seen = [(ids, pop)] if record else None
+    for _ in range(config.max_generations):
+        stop = ~pop.any(axis=1)
+        outcomes[ids[stop]] = OUTCOME_EXTINCT
+        if immortal and not record:
             # an immortal line persists forever: the outcome is decided
-            return OUTCOME_SURVIVED, cum_up, traj
-        new = np.zeros(k + 2, dtype=np.int64)
-        for i in range(k + 1):
-            n = int(pop[i])
-            if n == 0:
-                continue
-            pvals, entries = tables[i]
+            stop |= (ups[ids] > 0) | (pop[:, k + 1] > 0)
+        ids, pop = ids[~stop], pop[~stop]
+        if not ids.size:
+            break
+        new = np.zeros_like(pop)
+        capped = np.zeros(ids.size, dtype=bool)
+        for i, (pvals, cols, counts, overflow) in enumerate(tables):
+            n = pop[:, i]
+            if not n.any():
+                continue  # rows with n = 0 draw nothing from the stream
             picks = rng.multinomial(n, pvals)
-            for ne, (entry, overflow) in zip(picks, entries):
-                if ne == 0:
-                    continue
-                if overflow:
-                    return OUTCOME_CAP, cum_up, traj
-                for t, c in entry:
-                    new[t] += ne * c
-        cum_up += int(new[k + 1])
+            new[:, cols] += picks @ counts
+            if overflow.any():
+                capped |= picks[:, overflow].any(axis=1)
+        # a row that drew an overflow outcome ends before its births count
+        ups[ids] += np.where(capped, 0, new[:, k + 1])
         if immortal:
-            new[k + 1] += pop[k + 1]
-        pop = new
+            new[:, k + 1] += pop[:, k + 1]
         if record:
-            traj.append(pop.copy())
-        if int(pop.sum()) > pop_cap:
-            return OUTCOME_CAP, cum_up, traj
-    return OUTCOME_SURVIVED, cum_up, traj
+            seen.append((ids[~capped], new[~capped]))
+        capped |= new.sum(axis=1) > config.population_cap
+        outcomes[ids[capped]] = OUTCOME_CAP
+        ids, pop = ids[~capped], new[~capped]
+    if not record:
+        return outcomes, ups, None
+    # split the per-generation matrices into per-replication trajectories
+    owner = np.concatenate([rep for rep, _ in seen])
+    order = np.argsort(owner, kind="stable")
+    lengths = np.bincount(owner, minlength=rows)
+    trajs = np.split(np.concatenate([p for _, p in seen])[order],
+                     np.cumsum(lengths)[:-1])
+    return outcomes, ups, trajs
 
 
 def simulate_truncated(model: LHBPModel, config: SimConfig,
@@ -136,24 +168,27 @@ def simulate_truncated(model: LHBPModel, config: SimConfig,
 
     Sterile: types above k produce nothing (they still appear for the one
     generation they are born in).  Immortal: the type-(k+1) slot persists
-    from generation to generation.  Both variants draw offspring only for
-    types <= k, so runs sharing a seed are coupled on those coordinates.
+    from generation to generation.  Replications run in blocks of
+    ``BLOCK_SIZE``; block b draws from the Philox substream keyed by
+    (seed, b), so a run's full blocks repeat bit for bit in any run with
+    the same seed and more replications.  Both variants draw offspring
+    only for types <= k, so runs sharing a seed are coupled on those
+    coordinates as long as no row of a block stops in one variant while
+    its types <= k still have individuals in the other (a cap hit, or the
+    immortal early decision when not recording).
     """
-    k = config.truncation
-    tables = _sim_tables(model, k)
-    outcomes = np.empty(config.replications, dtype=np.int8)
-    ups = np.empty(config.replications, dtype=np.int64)
-    trajs = [] if record_population else None
-    for rep in range(config.replications):
-        rng = _substream(config.seed, rep)
-        out, cup, traj = _run_replication(
-            rng, tables, k, config.initial_type, config.variant,
-            config.max_generations, config.population_cap,
-            record=record_population)
-        outcomes[rep] = out
-        ups[rep] = cup
-        if record_population:
-            trajs.append(traj)
+    tables = _sim_tables(model, config.truncation)
+    n = config.replications
+    parts = []
+    for block, start in enumerate(range(0, n, BLOCK_SIZE)):
+        rng = np.random.Generator(
+            np.random.Philox(key=(config.seed << 64) + block))
+        parts.append(_simulate_block(rng, tables, config,
+                                     min(BLOCK_SIZE, n - start),
+                                     record_population))
+    outcomes = np.concatenate([p[0] for p in parts])
+    ups = np.concatenate([p[1] for p in parts])
+    trajs = ([t for p in parts for t in p[2]] if record_population else None)
     return SimBatch(config, outcomes, ups, trajs)
 
 

@@ -212,6 +212,12 @@ def test_bad_size_exit_code(capsys, model_file):
          "curve window J must be >= 0, got -1"),
         (["simulate", "--model", path, "--k", "-1", "--reps", "100"],
          "truncation level must be >= 0, got -1"),
+        (["simulate", "--model", path, "--k", "1", "--reps", "100",
+          "--seed", "-1"],
+         "seed must lie in 0..2**64-1, got -1"),
+        (["simulate", "--model", path, "--k", "1", "--reps", "100",
+          "--seed", "99999999999999999999999999"],
+         "seed must lie in 0..2**64-1, got 99999999999999999999999999"),
         (["bounds", "--model", path, "--i", "5", "--k", "3"],
          "need at least one level k, and 1 <= i < k for each, got i=5, "
          "levels []"),

@@ -1,10 +1,46 @@
 import numpy as np
 import pytest
 
-from lhbp import (SimConfig, estimate_embedded_moment, estimate_extinction,
-                  iterate_to_limit, simulate_truncated)
+from lhbp import (ExplicitModel, SimConfig, TableLaw, estimate_embedded_moment,
+                  estimate_extinction, iterate_to_limit, montecarlo,
+                  simulate_truncated)
+from lhbp.montecarlo import OUTCOME_CAP, OUTCOME_EXTINCT, OUTCOME_SURVIVED
 
 from conftest import all_die_model, ex2, tridiag
+
+
+def _reference_replication(rng, model, cfg, record):
+    """One replication as a plain loop over generations and types: the
+    rules that simulate_truncated applies to each row of a block."""
+    k = cfg.truncation
+    pop = [0] * (k + 2)
+    pop[cfg.initial_type] = 1
+    traj, cum_up = [list(pop)], 0
+    for _ in range(cfg.max_generations):
+        if sum(pop) == 0:
+            return OUTCOME_EXTINCT, cum_up, traj
+        if cfg.variant == "immortal" and not record and (cum_up or pop[k + 1]):
+            return OUTCOME_SURVIVED, cum_up, traj
+        new = [0] * (k + 2)
+        for i in range(k + 1):
+            if pop[i] == 0:
+                continue
+            outs = model.law(i).outcomes()
+            pvals = np.array([p for _, p in outs])
+            picks = rng.multinomial(pop[i], pvals / pvals.sum())
+            for ne, (counts, _) in zip(picks, outs):
+                if ne and any(not 0 <= c <= 10 ** 9 for _, c in counts):
+                    return OUTCOME_CAP, cum_up, traj
+                for t, c in counts:
+                    new[t] += int(ne) * int(c)
+        cum_up += new[k + 1]
+        if cfg.variant == "immortal":
+            new[k + 1] += pop[k + 1]
+        pop = new
+        traj.append(list(pop))
+        if sum(pop) > cfg.population_cap:
+            return OUTCOME_CAP, cum_up, traj
+    return OUTCOME_SURVIVED, cum_up, traj
 
 
 def test_all_die_extinct_immediately():
@@ -130,3 +166,64 @@ def test_immortal_deep_level_agreement():
                               max_generations=30)
     assert est.cap_hits == 0
     assert abs(est.estimate - q50) <= 3 * est.half_width
+
+
+def test_block_of_one_matches_reference_loop(monkeypatch):
+    # with one replication per block, block b draws from the substream keyed
+    # by (seed, b) exactly as the plain loop does: every rule must agree
+    monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 1)
+    overflow = ExplicitModel(head=(
+        TableLaw(((((1, 2),), 0.6), ((), 0.4))),
+        TableLaw(((((0, 2 * 10 ** 9),), 0.02), (((2, 2),), 0.5),
+                  ((), 0.48)))))
+    configs = [(ex2(0.2), SimConfig(2, v, 0, 80, 5, 12, 20))
+               for v in ("sterile", "immortal")]
+    configs += [(overflow, SimConfig(3, v, 0, 80, 6, 30, 10 ** 4))
+                for v in ("sterile", "immortal")]
+    configs.append((tridiag(0.3, 0.3, 0.5),
+                    SimConfig(3, "immortal", 1, 80, 7, 30)))
+    for model, cfg in configs:
+        for record in (False, True):
+            batch = simulate_truncated(model, cfg, record_population=record)
+            for rep in range(cfg.replications):
+                rng = np.random.Generator(
+                    np.random.Philox(key=(cfg.seed << 64) + rep))
+                out, up, traj = _reference_replication(rng, model, cfg, record)
+                assert batch.outcomes[rep] == out
+                assert batch.upward_totals[rep] == up
+                if record:
+                    assert batch.trajectories[rep].tolist() == traj
+            assert len(set(batch.outcomes.tolist())) > 1
+
+
+def test_prefix_stable_across_replication_counts():
+    # substreams are keyed by (seed, block): full blocks repeat bit for bit
+    B = montecarlo.BLOCK_SIZE
+    for variant in ("sterile", "immortal"):
+        short = simulate_truncated(ex2(0.2),
+                                   SimConfig(2, variant, 0, 2 * B, 8))
+        full = simulate_truncated(ex2(0.2),
+                                  SimConfig(2, variant, 0, 2 * B + 17, 8))
+        assert np.array_equal(full.outcomes[:2 * B], short.outcomes)
+        assert np.array_equal(full.upward_totals[:2 * B], short.upward_totals)
+        assert short.upward_totals.any()
+
+
+def test_record_mode_on_block_path():
+    # one block of 300 rows; each row's trajectory ends where that row ended
+    k, cfg = 3, SimConfig(3, "sterile", 1, 300, 13, max_generations=12,
+                          population_cap=40)
+    batch = simulate_truncated(ex2(0.5), cfg, record_population=True)
+    assert min(batch.tally().values()) > 0
+    for traj, out, up in zip(batch.trajectories, batch.outcomes,
+                             batch.upward_totals):
+        assert traj[0].tolist() == [0, 1, 0, 0, 0]
+        assert traj[:-1].any(axis=1).all()
+        assert up == traj[1:, k + 1].sum()  # sterile: each generation's births
+        if out == OUTCOME_EXTINCT:
+            assert not traj[-1].any()
+        elif out == OUTCOME_CAP:
+            assert traj[-1].sum() > cfg.population_cap
+        else:
+            assert len(traj) == cfg.max_generations + 1
+    assert len({len(t) for t in batch.trajectories}) > 2
