@@ -74,7 +74,7 @@ class GlobalVerdict:
     flags: HypothesisFlags | None
 
 
-def _hypothesis_flags(model: LHBPModel, mom: EmbeddedMoments) -> HypothesisFlags:
+def _hypothesis_flags(mom: EmbeddedMoments) -> HypothesisFlags:
     mu, a = mom.mu, mom.a
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(mu > 0, a / mu, np.inf)
@@ -85,7 +85,7 @@ def _hypothesis_flags(model: LHBPModel, mom: EmbeddedMoments) -> HypothesisFlags
         bounded = False
     else:
         bounded = (run_max[-1] - run_max[half]) <= 1e-6 * max(run_max[half], 1e-300)
-    dbl = min(model.p_double_up(k) for k in range(mom.ok_through + 1))
+    dbl = np.min(mom.table.p_double_up[:mom.ok_through + 1])
     return HypothesisFlags(sup, bool(bounded), float(dbl))
 
 
@@ -113,7 +113,7 @@ def global_verdict(model: LHBPModel, K: int = 4000,
     n = len(mom.mu)
     ks = np.arange(1, n - 1, dtype=float)
     raabe = ks * (mom.mu[2:] - 1.0)
-    flags = _hypothesis_flags(model, mom)
+    flags = _hypothesis_flags(mom)
 
     tail = slice(int(0.8 * len(mom.m0)), None)
 
@@ -239,31 +239,22 @@ class XiEstimate:
     liminf_proxy: np.ndarray  # running minimum from each index to the end
 
 
-def _mean_offsets(model: LHBPModel, k: int):
-    """Banded representation of the north-west truncation of the mean matrix."""
-    offsets: dict[int, np.ndarray] = {}
-    for i in range(k + 1):
-        for j, m in model.mean_row(i).items():
-            if j > k:
-                continue
-            d = j - i
-            if d not in offsets:
-                offsets[d] = np.zeros(k + 1)
-            offsets[d][i] = m
-    return offsets
-
-
 def xi_estimate(model: LHBPModel, k: int, n_max: int) -> XiEstimate:
     """Sequence ((M^(k))^n 1)_0^(1/n), n = 1..n_max, in log space."""
     if k < 1 or n_max < 1:
         raise ValueError("need k >= 1 and n_max >= 1")
-    offsets = _mean_offsets(model, k)
+    table = model.moment_table(k)
+    wd = table.width
+    # offsets d of present entries, diagonal and up first; row i adds
+    # m_{i,i+d} z_{i+d} for 0 <= i + d <= k
+    offsets = [(d, table.mean[wd + d]) for d in (0, 1, *range(-1, -wd - 1, -1))
+               if table.mean[wd + d].any()]
     z = np.ones(k + 1)
     log_scale = 0.0
     vals = np.empty(n_max)
     for n in range(1, n_max + 1):
         w = np.zeros(k + 1)
-        for d, col in offsets.items():
+        for d, col in offsets:
             if d >= 0:
                 w[:k + 1 - d] += col[:k + 1 - d] * z[d:]
             else:
@@ -281,11 +272,11 @@ def xi_estimate(model: LHBPModel, k: int, n_max: int) -> XiEstimate:
 
 def head_matrix(model: LHBPModel, k: int) -> np.ndarray:
     """Dense (k+1) x (k+1) north-west truncation of the mean matrix."""
+    table = model.moment_table(k)
     M = np.zeros((k + 1, k + 1))
-    for i in range(k + 1):
-        for j, m in model.mean_row(i).items():
-            if j <= k:
-                M[i, j] = m
+    for d in range(-table.width, 2):
+        i = np.arange(max(0, -d), min(k, k - d) + 1)
+        M[i, i + d] = table.mean[table.width + d, i]
     return M
 
 
@@ -332,8 +323,9 @@ def sls_verdict(model: LHBPModel, k_budget: int = 64,
     # itself (its type 0 loses only the down-children type 0 never has)
     tails_repeat = isinstance(model, TridiagonalModel) and model.u == 1.0
     examined = False
+    heads = head_matrix(model, k_budget)
     for k in range(k_budget + 1):
-        sp = spectral_radius(head_matrix(model, k))
+        sp = spectral_radius(heads[:k + 1, :k + 1])
         if sp <= 1.0 + 1e-9:
             continue
         examined = True

@@ -15,9 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generating import ComputationError, iterate_to_limit
-from .model import LHBPModel
+from .model import LHBPModel, MomentTable
 
 BOUNDARY_TOL = 1e-10
+# rows of the first moment table: most recursions that stop early (x_k >= 1)
+# do so within a few steps, and a table of K rows costs O(K) to build
+FIRST_ROWS = 64
 
 
 @dataclass
@@ -31,6 +34,7 @@ class EmbeddedMoments:
     ok_through: int          # largest k with a defined mu_k; -1 if none
     kind: str                # "ok" | "blowup" | "boundary"
     k_star: int | None
+    table: MomentTable       # the rows the recursions read last
 
     def status_at(self, k: int) -> str:
         if self.kind != "ok" and k >= self.k_star:
@@ -38,36 +42,62 @@ class EmbeddedMoments:
         return "ok"
 
 
-def _window_prod(mus: list[float], lo: int, hi: int) -> float:
-    """Product mu_lo * ... * mu_{hi-1}; empty ranges give 1."""
-    out = 1.0
-    for j in range(lo, hi):
-        out *= mus[j]
-    return out
+def _columns(table: MomentTable, with_a: bool):
+    """The table's present columns, as memoryviews: they yield Python floats
+    without converting rows that a recursion stopping early never reads.
+
+    Returns (width, up, down, back, pairs): ``down`` holds (slot, column) of
+    each offset d = slot - width <= 0 present in some row, ``back`` those
+    with d < 0, and ``pairs`` (slot1, slot2, weight, column) of the second
+    factorial pairs, the weight 2 counting (i, j) and (j, i) once each.
+    """
+    w = table.width
+    down = [(t, memoryview(col)) for t, (col, present)
+            in enumerate(zip(table.mean[:-1], table.mean[:-1].any(axis=1)))
+            if present]
+    pairs = [(w + d1, w + d2, 1.0 if d1 == d2 else 2.0, memoryview(col))
+             for (d1, d2), col, present
+             in zip(table.pairs, table.a, table.a.any(axis=1))
+             if with_a and present]
+    return (w, memoryview(table.mean[w + 1]), down,
+            [(t, col) for t, col in down if t < w], pairs)
 
 
 def embedded_moments(model: LHBPModel, K: int, with_a: bool = True) -> EmbeddedMoments:
     """Run the moment recursions up to horizon K.
 
-    Stops at the first k with x_k >= 1 (within BOUNDARY_TOL of 1 counts as the
+    The rows come from the model's moment table (``model.moment_table``):
+    one of FIRST_ROWS rows, then one of all K + 1 rows if the recursion gets
+    past it.  The recursions skip the table's absent (zero) entries.  Stops
+    at the first k with x_k >= 1 (within BOUNDARY_TOL of 1 counts as the
     boundary case); entries beyond the stop are undefined and the arrays are
-    truncated accordingly.  Row sums in x_k only span the model bandwidth, so
-    the per-step window products cannot overflow; the cumulative mean m0 is
-    tracked in log space alongside its float value.
+    truncated accordingly.  Row sums in x_k only span the model bandwidth,
+    so the per-step window products cannot overflow; the cumulative mean m0
+    is tracked in log space alongside its float value.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
     mus: list[float] = []
     avals: list[float] = []
     xvals: list[float] = []
-    log_m0: list[float] = []
     kind, k_star = "ok", None
+    rows = -1  # last row of the current table
     for k in range(K + 1):
-        row = model.mean_row(k)
+        if k > rows:
+            rows = min(K, FIRST_ROWS - 1) if rows < 0 else K
+            table = model.moment_table(rows)
+            w, up, down, back, pairs = _columns(table, with_a)
+            # win[t] = mu_{k-w+t} * ... * mu_{k-1}, multiplied left to right
+            # (the update at the end of each step, replayed over the last w
+            # means); slots of negative types hold junk no entry reads
+            win = [1.0] * (w + 1)
+            for mu in mus[max(k - w, 0):]:
+                win = [p * mu for p in win[1:]] + [1.0]
         x_k = 0.0
-        for j, m in row.items():
-            if j <= k:
-                x_k += m * _window_prod(mus, j, k)
+        for t, col in down:
+            m = col[k]
+            if m:
+                x_k += m * win[t]
         xvals.append(x_k)
         if abs(x_k - 1.0) <= BOUNDARY_TOL:
             kind, k_star = "boundary", k
@@ -76,29 +106,36 @@ def embedded_moments(model: LHBPModel, K: int, with_a: bool = True) -> EmbeddedM
             kind, k_star = "blowup", k
             break
         denom = 1.0 - x_k
-        mu_k = row.get(k + 1, 0.0) / denom
-        if with_a:
-            term2 = 0.0
-            for (i, j), v in model.a_entries(k).items():
-                # m_{i -> k} includes mu_k, which is already appended below;
-                # compute with the candidate mu_k explicitly
-                mi = _window_prod(mus, i, k) * mu_k if i <= k else 1.0
-                mj = _window_prod(mus, j, k) * mu_k if j <= k else 1.0
-                term2 += mi * mj * v * (2.0 if i != j else 1.0)
-            term1 = 0.0
-            for i, m in row.items():
-                if i > k:
-                    continue
-                s = 0.0
-                for l in range(i, k):
-                    tail = _window_prod(mus, l + 1, k) * mu_k
-                    s += avals[l] * _window_prod(mus, i, l) * tail * tail
-                term1 += m * s
-            avals.append((term1 + term2) / denom)
+        mu_k = up[k] / denom
         mus.append(mu_k)
-        prev_log = log_m0[-1] if log_m0 else 0.0
-        log_m0.append(prev_log + (math.log(mu_k) if mu_k > 0 else -math.inf))
-    log_arr = np.array(log_m0)
+        if not with_a:
+            for t in range(w):  # slide the window one type up
+                win[t] = win[t + 1] * mu_k
+            continue
+        # reach[t] = m_{k-w+t -> k} * mu_k, the mean number of type-(k+1)
+        # first visits per type-(k-w+t) individual; 1 for type k+1 itself
+        reach = [p * mu_k for p in win]
+        reach.append(1.0)
+        term2 = 0.0
+        for t1, t2, f, col in pairs:
+            v = col[k]
+            if v:
+                term2 += reach[t1] * reach[t2] * v * f
+        term1 = 0.0
+        for t, col in back:
+            m = col[k]
+            if m:
+                s = 0.0
+                run = 1.0  # mu_i * ... * mu_{l-1}
+                for l in range(k - w + t, k):
+                    tail = reach[l + 1 - k + w]  # m_{l+1 -> k} * mu_k
+                    s += avals[l] * run * tail * tail
+                    run *= mus[l]
+                term1 += m * s
+        avals.append((term1 + term2) / denom)
+        win = reach[1:]
+    log_arr = np.array([math.log(m) if m > 0 else -math.inf for m in mus],
+                       dtype=float).cumsum()
     with np.errstate(over="ignore"):
         m0 = np.exp(log_arr)
     return EmbeddedMoments(
@@ -111,6 +148,7 @@ def embedded_moments(model: LHBPModel, K: int, with_a: bool = True) -> EmbeddedM
         ok_through=len(mus) - 1,
         kind=kind,
         k_star=k_star,
+        table=table,
     )
 
 

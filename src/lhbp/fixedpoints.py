@@ -94,10 +94,13 @@ def curve_from_anchor(model: LHBPModel, s0: float, J: int, tol: float = 1e-12,
     failure = None
     n_vals = 1
     for j in range(J):
-        # G_j(s_0..s_j, x) = s_j, solved for x in the next slot of buf
+        # G_j(s_0..s_j, x) = s_j, solved for x in the next slot of buf; the
+        # law is built once per index, not once per bisection probe
+        law = model.law(j)
+
         def coordinate(x: float) -> float:
             buf[j + 1] = x
-            return G_value(model, j, buf)
+            return law.pgf(buf)
 
         try:
             buf[j + 1] = _bisect(coordinate, buf[j], solve_tol)

@@ -159,7 +159,7 @@ class _TridiagonalSweep:
     def __init__(self, model: TridiagonalModel, k: int):
         self.k = k
         # scale factors for the upward coordinate of types 0..k
-        self.scale = np.array([model._scale(i) for i in range(k + 1)])
+        self.scale = model._scales(k)
         self.w = np.where(np.isinf(self.scale), 0.0, 1.0 / self.scale)
         self.pmfs = [tuple((c, p) for c, p in _two_point(mean) if c)
                      for mean in (model.a, model.b, model.c)]

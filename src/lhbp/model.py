@@ -13,6 +13,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 PROB_TOL = 1e-12
 
 
@@ -70,6 +72,16 @@ class TableLaw:
     def p_count_at_least(self, t: int, r: int) -> float:
         return sum(p for counts, p in self.entries
                    if dict(counts).get(t, 0) >= r)
+
+    def pgf(self, u) -> float:
+        """Generating function at ``u`` (indexed by child type)."""
+        total = 0.0
+        for counts, p in self.entries:
+            term = p
+            for t, c in counts:
+                term *= u[t] ** c
+            total += term
+        return total
 
 
 @dataclass(frozen=True)
@@ -138,6 +150,14 @@ class ProductLaw:
                 return sum(p for c, p in pmf if c >= r)
         return 0.0
 
+    def pgf(self, u) -> float:
+        """Generating function at ``u``: a product of per-coordinate sums,
+        not an expansion through ``outcomes()``."""
+        val = 1.0
+        for t, pmf in self.coords:
+            val *= sum(p * u[t] ** c for c, p in pmf)
+        return val
+
 
 OffspringLaw = TableLaw | ProductLaw
 
@@ -189,31 +209,114 @@ def _check_law(law: OffspringLaw, owner: int) -> None:
 
 
 # ---------------------------------------------------------------------------
+# moment tables
+
+
+@dataclass(frozen=True)
+class MomentTable:
+    """First and second factorial moment rows of types 0..K as whole arrays.
+
+    ``mean[width + d, k]`` is the mean number m_{k,k+d} of type-(k+d)
+    children of a type-k parent, for d = -width..1.  ``a[n, k]`` is the
+    second factorial moment E[N_i (N_j - [i == j])] of the children of types
+    i = k+d1 and j = k+d2, where ``pairs[n]`` = (d1, d2) with d1 <= d2, in
+    lexicographic order.  ``p_double_up[k]`` is the probability of at least
+    two type-(k+1) children.  A zero entry is an absent one: readers skip it
+    rather than multiply by it, and rows hold no child of a negative type.
+    """
+
+    width: int
+    mean: np.ndarray
+    pairs: tuple[tuple[int, int], ...]
+    a: np.ndarray
+    p_double_up: np.ndarray
+
+    def mean_row(self, k: int) -> dict[int, float]:
+        return {k + d: float(m)
+                for d, m in zip(range(-self.width, 2), self.mean[:, k]) if m}
+
+    def a_entries(self, k: int) -> dict[tuple[int, int], float]:
+        """Second factorial moments of row k, canonical (i <= j) keys."""
+        return {(k + d1, k + d2): float(v)
+                for (d1, d2), v in zip(self.pairs, self.a[:, k]) if v}
+
+    def take(self, rows) -> MomentTable:
+        """A table of copies of the given rows (an index array), in order."""
+        return MomentTable(self.width, self.mean[:, rows], self.pairs,
+                           self.a[:, rows], self.p_double_up[rows])
+
+    def tail(self, d: int) -> MomentTable:
+        """Rows of types d, d+1, ... relabelled t -> t - d, with every child
+        of a type below d removed."""
+        out = self.take(np.arange(d, self.mean.shape[1]))
+        w = self.width
+        for o in range(1, w + 1):
+            out.mean[w - o, :o] = 0.0
+        for n, (d1, _) in enumerate(self.pairs):
+            out.a[n, :max(-d1, 0)] = 0.0
+        return out
+
+
+def _law_table(laws) -> MomentTable:
+    """Moment table whose row i is read off ``laws[i]``, the type-i law.
+
+    Children above type i + 1 break the support rule (``validate`` reports
+    them) and are left out.
+    """
+    means, seconds = [], []
+    for i, law in enumerate(laws):
+        means.append({t - i: m for t, m in law.means().items()
+                      if m != 0.0 and t <= i + 1})
+        seconds.append({(t1 - i, t2 - i): v
+                        for (t1, t2), v in law.second_factorials().items()
+                        if v != 0.0 and t2 <= i + 1})
+    width = max([0] + [-d for row in means for d in row]
+                + [-d1 for row in seconds for d1, _ in row])
+    pairs = tuple(sorted({pair for row in seconds for pair in row}))
+    slot = {pair: n for n, pair in enumerate(pairs)}
+    mean = np.zeros((width + 2, len(laws)))
+    a = np.zeros((len(pairs), len(laws)))
+    for i, (mrow, arow) in enumerate(zip(means, seconds)):
+        for d, m in mrow.items():
+            mean[width + d, i] = m
+        for pair, v in arow.items():
+            a[slot[pair], i] = v
+    dbl = np.array([law.p_count_at_least(i + 1, 2)
+                    for i, law in enumerate(laws)], dtype=float)
+    return MomentTable(width, mean, pairs, a, dbl)
+
+
+# ---------------------------------------------------------------------------
 # model families
 
 
 class LHBPModel:
     """Common interface: laws, exact moment rows, and scalar law statistics.
 
-    Concrete families override the moment accessors with closed forms where
-    the generic law-based route would lose exactness.
+    ``moment_table(K)`` builds the moment rows of types 0..K in one call; the
+    generic route reads them off each law, and concrete families override it
+    with closed forms where that route would lose exactness or speed.  The
+    row accessors are views of one row of that table.
     """
 
     def law(self, i: int) -> OffspringLaw:
         raise NotImplementedError
 
+    def moment_table(self, K: int) -> MomentTable:
+        return _law_table([self.law(i) for i in range(K + 1)])
+
     def mean_row(self, i: int) -> dict[int, float]:
-        return {t: m for t, m in self.law(i).means().items() if m != 0.0}
+        return self.moment_table(i).mean_row(i)
 
     def a_entries(self, k: int) -> dict[tuple[int, int], float]:
         """Second factorial moments of law k, canonical (i <= j) keys."""
-        return self.law(k).second_factorials()
+        return self.moment_table(k).a_entries(k)
 
     def p_single(self, i: int) -> float:
         return self.law(i).p_total_one()
 
     def p_double_up(self, i: int) -> float:
-        return self.law(i).p_count_at_least(i + 1, 2)
+        return float(self.moment_table(i).p_double_up[i])
 
 
 @dataclass(frozen=True)
@@ -249,42 +352,28 @@ class Example2Model(LHBPModel):
             entries.append((tuple(counts), p))
         return TableLaw(tuple(entries))
 
-    def mean_row(self, i: int) -> dict[int, float]:
-        if i == 0:
-            return {1: 1.0}
+    def moment_table(self, K: int) -> MomentTable:
         g = self.gamma
-        f = (i + 1) / i
-        row = {}
-        if g:
-            row[i - 1] = g * f
-        if g < 1:
-            row[i + 1] = (1 - g) * f
-        return row
-
-    def a_entries(self, k: int) -> dict[tuple[int, int], float]:
-        if k == 0:
-            return {(1, 1): 3.0}
-        g = self.gamma
+        k = np.arange(1, K + 1)
+        f = (k + 1) / k
         w = 12 * (k + 1) / (4 * k)
-        out = {}
-        if g:
-            out[(k - 1, k - 1)] = w * g * g
-        if g and g < 1:
-            out[(k - 1, k + 1)] = w * g * (1 - g)
-        if g < 1:
-            out[(k + 1, k + 1)] = w * (1 - g) * (1 - g)
-        return out
+        mean = np.zeros((3, K + 1))  # offsets -1, 0, 1
+        mean[0, 1:] = g * f
+        mean[2, 0] = 1.0
+        mean[2, 1:] = (1 - g) * f
+        a = np.zeros((3, K + 1))  # pairs (-1, -1), (-1, 1), (1, 1)
+        a[0, 1:] = w * g * g
+        a[1, 1:] = w * g * (1 - g)
+        a[2, 0] = 3.0
+        a[2, 1:] = w * (1 - g) * (1 - g)
+        p_upto1 = g ** 4 + 4 * g ** 3 * (1 - g)  # Bin(4, 1-g) in {0, 1}
+        dbl = np.empty(K + 1)
+        dbl[0] = 0.25
+        dbl[1:] = (k + 1) / (4 * k) * (1 - p_upto1)
+        return MomentTable(1, mean, ((-1, -1), (-1, 1), (1, 1)), a, dbl)
 
     def p_single(self, i: int) -> float:
         return 0.0  # total offspring is 0 or 4
-
-    def p_double_up(self, i: int) -> float:
-        if i == 0:
-            return 0.25
-        g = self.gamma
-        c = (i + 1) / (4 * i)
-        p_upto1 = g ** 4 + 4 * g ** 3 * (1 - g)  # Bin(4, 1-g) in {0, 1}
-        return c * (1 - p_upto1)
 
 
 def _two_point(mean: float) -> tuple[tuple[int, float], ...]:
@@ -335,6 +424,18 @@ class TridiagonalModel(LHBPModel):
             return math.inf
         return math.ceil(v) if v < 2 ** 53 else v
 
+    def _scales(self, K: int) -> np.ndarray:
+        """_scale(i) for i = 0..K; once one saturates to inf, so do the rest."""
+        if self.u == 1.0:
+            return np.ones(K + 1)
+        out = []
+        for i in range(K + 1):
+            s = self._scale(i)
+            if s == math.inf:
+                break
+            out.append(s)
+        return np.concatenate([out, np.full(K + 1 - len(out), math.inf)])
+
     def _up_pmf(self, i: int) -> tuple[tuple[float, float], ...]:
         base = _two_point(self.c)
         s = self._scale(i)
@@ -356,31 +457,29 @@ class TridiagonalModel(LHBPModel):
         coords.append((i + 1, self._up_pmf(i)))
         return ProductLaw(tuple(coords))
 
-    def mean_row(self, i: int) -> dict[int, float]:
-        row = {}
-        if i >= 1 and self.a:
-            row[i - 1] = self.a
-        if self.b:
-            row[i] = self.b
-        if self.c:
-            row[i + 1] = self.c
-        return row
-
-    def a_entries(self, k: int) -> dict[tuple[int, int], float]:
-        s = self._scale(k)
-        f2_up = s * (_two_point_f2(self.c) + self.c) - self.c if s > 1 \
-            else _two_point_f2(self.c)
-        means = self.mean_row(k)
-        types = sorted(means)
-        f2 = {k - 1: _two_point_f2(self.a), k: _two_point_f2(self.b),
-              k + 1: f2_up}
-        out = {}
-        for ii, t1 in enumerate(types):
-            if f2[t1]:
-                out[(t1, t1)] = f2[t1]
-            for t2 in types[ii + 1:]:
-                out[(t1, t2)] = means[t1] * means[t2]
-        return out
+    def moment_table(self, K: int) -> MomentTable:
+        a, b, c = self.a, self.b, self.c
+        mean = np.empty((3, K + 1))  # offsets -1, 0, 1
+        mean.T[:] = a, b, c
+        # pairs (-1, -1), (-1, 0), (-1, 1), (0, 0), (0, 1), (1, 1); distinct
+        # coordinates are independent, so their moment is the product of means
+        f2c = _two_point_f2(c)
+        f2 = np.empty((6, K + 1))
+        f2.T[:] = (_two_point_f2(a), a * b, a * c, _two_point_f2(b), b * c, f2c)
+        mean[0, 0] = 0.0  # type 0 has no type -1 children
+        f2[:3, 0] = 0.0
+        up_pmf = _two_point(c)
+        dbl = np.full(K + 1, sum(p for n, p in up_pmf if n >= 2), dtype=float)
+        if c and self.u > 1.0:
+            # a thinned upward count: scale * count with probability 1/scale
+            scale = self._scales(K)
+            thinned = scale > 1
+            with np.errstate(over="ignore"):  # saturates to inf, as scale does
+                f2[5, thinned] = scale[thinned] * (f2c + c) - c
+            kept = 1.0 / scale[thinned]  # 0 once the scale saturates to inf
+            dbl[thinned] = sum(kept * p for n, p in up_pmf if n >= 1)
+        return MomentTable(1, mean, ((-1, -1), (-1, 0), (-1, 1), (0, 0),
+                                     (0, 1), (1, 1)), f2, dbl)
 
 
 @dataclass(frozen=True)
@@ -400,6 +499,11 @@ class ExplicitModel(LHBPModel):
             return self.head[i]
         return shift_law(self.head[t], i - t)
 
+    def moment_table(self, K: int) -> MomentTable:
+        # the shifted tail law has the rows of its type-T original
+        rows = np.minimum(np.arange(K + 1), self.tail_from)
+        return _law_table(self.head[:K + 1]).take(rows)
+
 
 @dataclass(frozen=True)
 class TailModel(LHBPModel):
@@ -416,18 +520,8 @@ class TailModel(LHBPModel):
     def law(self, j: int) -> OffspringLaw:
         return marginalize_law(self.base.law(self.cut + 1 + j), self.cut)
 
-    def mean_row(self, j: int) -> dict[int, float]:
-        d = self.cut + 1
-        return {t - d: m for t, m in self.base.mean_row(d + j).items() if t >= d}
-
-    def a_entries(self, k: int) -> dict[tuple[int, int], float]:
-        d = self.cut + 1
-        return {(i - d, j - d): v
-                for (i, j), v in self.base.a_entries(d + k).items()
-                if i >= d and j >= d}
-
-    def p_double_up(self, j: int) -> float:
-        return self.base.p_double_up(self.cut + 1 + j)
+    def moment_table(self, K: int) -> MomentTable:
+        return self.base.moment_table(self.cut + 1 + K).tail(self.cut + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +602,11 @@ def _check_upward(model: LHBPModel, horizon: int = 8) -> None:
             raise ModelError("M_{i,i+1} = 0: tridiagonal requires c > 0")
         return
     if isinstance(model, ExplicitModel):
-        check = range(len(model.head))
-    else:
-        check = range(horizon)
-    for i in check:
-        if model.mean_row(i).get(i + 1, 0.0) <= 0.0:
-            raise ModelError(f"M_{{i,i+1}} = 0 detected at type {i}")
+        horizon = len(model.head)
+    table = model.moment_table(horizon - 1)
+    bad = np.flatnonzero(table.mean[-1] <= 0.0)
+    if len(bad):
+        raise ModelError(f"M_{{i,i+1}} = 0 detected at type {bad[0]}")
 
 
 @dataclass
@@ -544,20 +637,17 @@ def validate(model: LHBPModel, K: int = 64) -> ValidationReport:
         raise ValueError(f"validation horizon K must be >= 0, got {K}")
     residuals = []
     hess_bad: list[int] = []
-    upward_bad = None
-    back_edge = False
     min_1mp1 = math.inf
     for i in range(K + 1):
         law = model.law(i)
         residuals.append((i, abs(law.prob_sum() - 1.0)))
         if any(t > i + 1 for t in law.support_types()):
             hess_bad.append(i)
-        row = model.mean_row(i)
-        if row.get(i + 1, 0.0) <= 0.0 and upward_bad is None:
-            upward_bad = i
-        if any(t <= i for t, m in row.items() if m > 0):
-            back_edge = True
         min_1mp1 = min(min_1mp1, 1.0 - model.p_single(i))
+    table = model.moment_table(K)
+    no_up = np.flatnonzero(table.mean[-1] <= 0.0)
+    upward_bad = int(no_up[0]) if len(no_up) else None
+    back_edge = bool(np.any(table.mean[:-1] > 0.0))
     return ValidationReport(
         horizon=K,
         normalization_residuals=residuals,
@@ -578,22 +668,11 @@ def validate(model: LHBPModel, K: int = 64) -> ValidationReport:
 def G_value(model: LHBPModel, i: int, u) -> float:
     """Evaluate coordinate i of the progeny generating vector at ``u``.
 
-    ``u`` must cover indices 0..i+1.  Generic scalar path, used by curve
-    construction, residual checks, and as a brute-force oracle.  Product
-    laws are evaluated as a product of per-coordinate sums rather than
-    through ``outcomes()``: that takes fewer powers per call and keeps this
+    ``u`` must cover indices 0..i+1.  Generic scalar path, used for residual
+    checks and as a brute-force oracle.  It builds the type-i law on every
+    call; a caller probing one coordinate many times builds the law once and
+    calls its ``pgf``.  Product laws are evaluated as a product of
+    per-coordinate sums rather than through ``outcomes()``, which keeps this
     path independent of the expansion the generic sweep uses.
     """
-    law = model.law(i)
-    if isinstance(law, TableLaw):
-        total = 0.0
-        for counts, p in law.entries:
-            term = p
-            for t, c in counts:
-                term *= u[t] ** c
-            total += term
-        return total
-    val = 1.0
-    for t, pmf in law.coords:
-        val *= sum(p * u[t] ** c for c, p in pmf)
-    return val
+    return model.law(i).pgf(u)

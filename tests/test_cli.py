@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lhbp.cli import main
 
@@ -287,3 +289,32 @@ def test_extinction_does_not_import_scipy(tmp_path, model_file):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
+MODEL_DOCS = st.one_of(
+    st.builds(lambda g: {"family": "example2", "gamma": g},
+              st.floats(-0.5, 1.5)),
+    st.builds(lambda a, b, c, u: {"family": "tridiagonal", "a": a, "b": b,
+                                  "c": c, "u": u},
+              st.floats(-0.5, 2.5), st.floats(-0.5, 2.5),
+              st.floats(-0.5, 2.5), st.floats(0.5, 4.0)))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cmd=st.sampled_from(["moments", "classify", "gammastar"]),
+       K=st.integers(-3, 300), doc=MODEL_DOCS)
+def test_decide_commands_exit_with_documented_codes(tmp_path, cmd, K, doc):
+    # any horizon and any parameter draw ends in a documented exit code,
+    # never in a traceback (numpy RuntimeWarnings fail the test as well)
+    argv = [cmd, "--K", str(K), "--workers", "1",
+            "--out", str(tmp_path / "out")]
+    if cmd != "gammastar":
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        argv += ["--model", str(path)]
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    assert code in (0, 2, 3, 4)

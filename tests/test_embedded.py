@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from lhbp import (ExplicitModel, TableLaw, embedded_moments, eval_g,
                   iterate_to_limit, partial_verdict)
+from lhbp.embedded import BOUNDARY_TOL
+from lhbp.model import TailModel
 
-from conftest import ex2, tridiag
+from conftest import (e1_model, ex2, product_tail_model, tridiag,
+                      wide_band_model)
 
 
 def test_gamma0_moments_exact():
@@ -120,3 +125,116 @@ def test_blowup_implies_qtilde_below_one():
     assert mom.kind == "blowup"
     r = iterate_to_limit(ex2(0.3), 64, 1.0)
     assert r.vector[0] < 1 - 1e-6
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-step dict-driven recursion the table-driven one replaced
+
+
+def _window_prod(mus, lo, hi):
+    out = 1.0
+    for j in range(lo, hi):
+        out *= mus[j]
+    return out
+
+
+def reference_moments(model, K, with_a=True):
+    """Dict-driven recursion over one row at a time, with every window
+    product recomputed from the means; rows come from one moment table."""
+    table = model.moment_table(K)
+    mus, avals, xvals, log_m0 = [], [], [], []
+    kind, k_star = "ok", None
+    for k in range(K + 1):
+        row = table.mean_row(k)
+        x_k = 0.0
+        for j, m in row.items():
+            if j <= k:
+                x_k += m * _window_prod(mus, j, k)
+        xvals.append(x_k)
+        if abs(x_k - 1.0) <= BOUNDARY_TOL:
+            kind, k_star = "boundary", k
+            break
+        if x_k > 1.0:
+            kind, k_star = "blowup", k
+            break
+        denom = 1.0 - x_k
+        mu_k = row.get(k + 1, 0.0) / denom
+        if with_a:
+            term2 = 0.0
+            for (i, j), v in table.a_entries(k).items():
+                mi = _window_prod(mus, i, k) * mu_k if i <= k else 1.0
+                mj = _window_prod(mus, j, k) * mu_k if j <= k else 1.0
+                term2 += mi * mj * v * (2.0 if i != j else 1.0)
+            term1 = 0.0
+            for i, m in row.items():
+                if i > k:
+                    continue
+                s = 0.0
+                for l in range(i, k):
+                    tail = _window_prod(mus, l + 1, k) * mu_k
+                    s += avals[l] * _window_prod(mus, i, l) * tail * tail
+                term1 += m * s
+            avals.append((term1 + term2) / denom)
+        mus.append(mu_k)
+        prev_log = log_m0[-1] if log_m0 else 0.0
+        log_m0.append(prev_log + (math.log(mu_k) if mu_k > 0 else -math.inf))
+    log_arr = np.array(log_m0)
+    with np.errstate(over="ignore"):
+        m0 = np.exp(log_arr)
+    return (np.array(mus), np.array(avals) if with_a else None,
+            np.array(xvals), m0, log_arr, len(mus) - 1, kind, k_star)
+
+
+def deep_band_model():
+    """Explicit model reaching two types down whose x_k stays below 1, so
+    that the width-2 return terms run over the whole horizon."""
+    head = (TableLaw(((((1, 1),), 0.7), ((), 0.3))),
+            TableLaw(((((0, 1), (2, 1)), 0.5), ((), 0.5))),
+            TableLaw(((((0, 1), (1, 1), (3, 1)), 0.1), (((3, 2),), 0.2),
+                      (((1, 1),), 0.1), (((2, 1),), 0.1), ((), 0.5))))
+    return ExplicitModel(head=head)
+
+
+REFERENCE_MODELS = {
+    **{f"ex2({g})": ex2(g) for g in (0.0, 0.09, 0.3, 1.0)},
+    "tri(0.05, 0.3, 1.2)": tridiag(0.05, 0.3, 1.2),
+    "tri(0.05, 0.3, 1.2, u=3)": tridiag(0.05, 0.3, 1.2, u=3.0),
+    "tri(0, 0.3, 1.6, u=3)": tridiag(0.0, 0.3, 1.6, u=3.0),  # a_k -> inf
+    "tri(0.25, 1, 0.5)": tridiag(0.25, 1.0, 0.5),  # boundary x_0 = 1
+    "wide_band": wide_band_model(),
+    "deep_band": deep_band_model(),
+    "e1": e1_model(),
+    "product_tail": product_tail_model(),
+    "toy": toy_model(),
+    "tail(ex2(0.3), 2)": TailModel(ex2(0.3), 2),
+    "tail(tri(0.5, 0.2, 0.5, u=1.3), 2)": TailModel(
+        tridiag(0.5, 0.2, 0.5, u=1.3), 2),
+}
+
+
+def _bits(x):
+    return None if x is None else (x.dtype, x.shape, x.tobytes())
+
+
+@pytest.mark.parametrize("with_a", (True, False))
+@pytest.mark.parametrize("K", (0, 3, 4000))
+@pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+def test_table_recursion_matches_reference(name, K, with_a):
+    model = REFERENCE_MODELS[name]
+    mom = embedded_moments(model, K, with_a=with_a)
+    mu, a, x, m0, log_m0, ok_through, kind, k_star = reference_moments(
+        model, K, with_a)
+    for got, want in ((mom.mu, mu), (mom.a, a), (mom.x, x), (mom.m0, m0),
+                      (mom.log_m0, log_m0)):
+        assert _bits(got) == _bits(want)
+    assert (mom.ok_through, mom.kind, mom.k_star, mom.horizon) == (
+        ok_through, kind, k_star, K)
+
+
+def test_reference_models_cover_the_hard_cases():
+    # the inf a_k case must stay NaN-free and the boundary case must stop at 0
+    mom = embedded_moments(REFERENCE_MODELS["tri(0, 0.3, 1.6, u=3)"], 4000)
+    assert mom.kind == "ok" and np.isinf(mom.a[-1])
+    assert not np.any(np.isnan(mom.a))
+    mom = embedded_moments(REFERENCE_MODELS["tri(0.25, 1, 0.5)"], 10)
+    assert (mom.kind, mom.k_star) == ("boundary", 0)

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lhbp import (RangeError, classify_trend, curve_from_anchor,
+from lhbp import (G_value, RangeError, classify_trend, curve_from_anchor,
                   decay_diagnostics, embedded_moments, eval_g, invert_g)
+from lhbp.fixedpoints import _bisect
 
-from conftest import ex2, tridiag
+from conftest import ex2, product_tail_model, tridiag
 
 
 def test_invert_roundtrip_quartic():
@@ -82,6 +83,24 @@ def test_curve_rejects_outside_anchor(top_level_03):
         curve_from_anchor(ex2(0.3), qt[0] + 1e-3, 10, bounds=(q[0], qt[0]))
     with pytest.raises(RangeError):
         curve_from_anchor(ex2(0.3), q[0] - 1e-3, 10, bounds=(q[0], qt[0]))
+
+
+@pytest.mark.parametrize("model, s0", [(ex2(0.3), 0.8077), (ex2(0.22), 0.8336),
+                                       (tridiag(0.1, 0.3, 1.1), 0.7),
+                                       (product_tail_model(), 0.6)])
+def test_curve_matches_per_probe_law_build(model, s0):
+    # the curve builds each index's law once; a bisection that rebuilds it
+    # on every probe, through G_value, gives the same bits
+    curve = curve_from_anchor(model, s0, 60)
+    buf = np.zeros(62)
+    buf[0] = s0
+    for j in range(len(curve.values) - 1):
+        def coordinate(x):
+            buf[j + 1] = x
+            return G_value(model, j, buf)
+
+        buf[j + 1] = _bisect(coordinate, buf[j], 1e-13)
+    assert buf[:len(curve.values)].tobytes() == curve.values.tobytes()
 
 
 def test_curve_truncates_below_q():

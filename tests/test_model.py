@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from lhbp import (ExplicitModel, G_value, ModelError, ProductLaw,
                   TableLaw, load_model, validate)
-from lhbp.model import TailModel, marginalize_law, shift_law
+from lhbp.model import LHBPModel, TailModel, marginalize_law, shift_law
 
-from conftest import all_die_model, ex2, tridiag
+from conftest import (all_die_model, e1_model, ex2, product_tail_model,
+                      tridiag, wide_band_model)
 
 
 def enumerate_support(law):
@@ -165,6 +166,51 @@ def test_tridiagonal_u_preserves_means():
     s = 2.0 ** 5
     f2_base = base.a_entries(5).get((6, 6), 0.0)  # zero: mean <= 1 two-point
     assert mod.a_entries(5)[(6, 6)] == pytest.approx(s * (f2_base + 0.8) - 0.8)
+
+
+@pytest.mark.parametrize("model", [
+    ex2(0.0), ex2(0.3), ex2(1.0), tridiag(0.25, 0.25, 0.5),
+    tridiag(0.1, 0.2, 0.8, u=2.0), tridiag(0.0, 0.3, 1.6, u=3.0),
+    tridiag(0.5, 0.0, 0.5), TailModel(ex2(0.3), 3),
+    TailModel(tridiag(0.5, 0.2, 0.5, u=1.3), 2), TailModel(e1_model(), 1)])
+def test_family_tables_match_law_tables(model):
+    # each closed-form table agrees with the generic one read off the laws
+    # (below K = 30, before any thinning scale saturates)
+    fam = model.moment_table(30)
+    law = LHBPModel.moment_table(model, 30)
+    for k in range(31):
+        assert fam.mean_row(k) == pytest.approx(law.mean_row(k), abs=1e-12)
+        assert fam.a_entries(k) == pytest.approx(law.a_entries(k),
+                                                 rel=1e-12, abs=1e-12)
+    assert np.allclose(fam.p_double_up, law.p_double_up, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("model", [wide_band_model(), e1_model(),
+                                   product_tail_model(), all_die_model()])
+def test_explicit_table_repeats_the_tail_rows(model):
+    # the repeated type-T row is exactly what each shifted tail law yields
+    fam = model.moment_table(12)
+    law = LHBPModel.moment_table(model, 12)
+    assert fam.width == law.width and fam.pairs == law.pairs
+    for name in ("mean", "a", "p_double_up"):
+        assert np.array_equal(getattr(fam, name), getattr(law, name))
+
+
+def test_table_rows_hold_no_negative_types():
+    for model in (ex2(0.3), tridiag(0.1, 0.2, 0.8), wide_band_model(),
+                  TailModel(wide_band_model(), 1)):
+        table = model.moment_table(6)
+        for k in range(7):
+            assert min(table.mean_row(k), default=0) >= 0
+            assert all(i >= 0 for i, _ in table.a_entries(k))
+
+
+def test_scale_vector_matches_scalar_scale():
+    # the vector stops calling the scalar once it saturates to inf
+    for u in (1.0, 1.1, 2.0, 3.0):
+        m = tridiag(0.1, 0.2, 0.8, u=u)
+        want = [m._scale(i) for i in range(1201)]
+        assert np.array_equal(m._scales(1200), np.array(want, dtype=float))
 
 
 def test_tridiagonal_saturated_scale_has_no_nan_count():
