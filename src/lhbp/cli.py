@@ -4,8 +4,8 @@ Tabular commands emit CSV with a header row; certificates and simulation
 results are JSON.  Floats are written with 17 significant digits so that
 re-parsing reproduces them exactly.
 
-Exit codes: 0 success, 2 validation failure, 3 non-convergence in a gating
-computation, 4 usage error.
+Exit codes: 0 success, 2 validation failure or unreadable model file, 3
+non-convergence in a gating computation, 4 usage error.
 """
 
 from __future__ import annotations
@@ -73,7 +73,10 @@ def _json_default(o):
 
 def _load(path: str, strict: bool = True) -> LHBPModel:
     with open(path) as fh:
-        return load_model(fh.read(), strict=strict)
+        try:
+            return load_model(fh.read(), strict=strict)
+        except UnicodeDecodeError as e:
+            raise ModelError(f"parse error: {e}") from e
 
 
 def _positive_float(text: str) -> float:
@@ -273,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--model", required=True, help="model JSON path")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         if tol:
-            sp.add_argument("--tol", type=float, default=1e-12,
+            sp.add_argument("--tol", type=_positive_float, default=1e-12,
                             help="iteration tolerance")
         sp.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                         help="parallel workers (only sweep runs in parallel)")
@@ -365,10 +368,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = None  # built on the first call to main, not at import
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         # argparse exits with 2 on usage errors; remap to the documented code
         if e.code not in (0, None):
@@ -376,7 +384,7 @@ def main(argv=None) -> int:
         raise
     try:
         return args.fn(args)
-    except (ModelError, FileNotFoundError) as e:
+    except (ModelError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except ComputationError as e:

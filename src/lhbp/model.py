@@ -3,8 +3,13 @@
 A lower Hessenberg branching process (LHBP) lives on the type set
 {0, 1, 2, ...} and a type-i parent may only bear children of types <= i+1.
 Models here are finitely described, either by explicit head laws plus a
-shift-repeated tail law, or by a parametric family.  All first and second
-factorial moments are extracted in closed form from the finite-support laws.
+shift-repeated tail law, or by a parametric family.
+
+An offspring law (``TableLaw`` or ``ProductLaw``) has four methods.  Every
+law moment is read off ``outcomes()``, its positive-probability joint
+outcomes, which the generic sweep and Monte Carlo also consume; ``pgf()`` is
+the generating function as an independent oracle; ``prob_sum()`` and
+``support_types()`` check laws read from outside the program.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ class TableLaw:
     """Finite offspring distribution given as support vectors with weights.
 
     ``entries`` is a tuple of ``(counts, prob)`` where ``counts`` is a sorted
-    tuple of ``(type, count)`` pairs with strictly positive counts.
+    tuple of ``(type, count)`` pairs with strictly positive counts.  It has
+    the four law methods; its outcomes are its positive entries, in order.
     """
 
     entries: tuple[tuple[tuple[tuple[int, int], ...], float], ...]
@@ -45,33 +51,6 @@ class TableLaw:
 
     def support_types(self) -> set[int]:
         return {t for counts, _ in self.entries for t, _ in counts}
-
-    def means(self) -> dict[int, float]:
-        m: dict[int, float] = {}
-        for counts, p in self.entries:
-            for t, c in counts:
-                m[t] = m.get(t, 0.0) + p * c
-        return m
-
-    def second_factorials(self) -> dict[tuple[int, int], float]:
-        """E[N_i (N_j - [i==j])] keyed by canonical (i <= j) pairs."""
-        a: dict[tuple[int, int], float] = {}
-        for counts, p in self.entries:
-            for ii, (t1, c1) in enumerate(counts):
-                for t2, c2 in counts[ii:]:
-                    v = c1 * (c1 - 1) if t1 == t2 else c1 * c2
-                    if v:
-                        key = (t1, t2)
-                        a[key] = a.get(key, 0.0) + p * v
-        return a
-
-    def p_total_one(self) -> float:
-        return sum(p for counts, p in self.entries
-                   if sum(c for _, c in counts) == 1)
-
-    def p_count_at_least(self, t: int, r: int) -> float:
-        return sum(p for counts, p in self.entries
-                   if dict(counts).get(t, 0) >= r)
 
     def pgf(self, u) -> float:
         """Generating function at ``u`` (indexed by child type)."""
@@ -90,7 +69,8 @@ class ProductLaw:
 
     ``coords`` maps each reachable type to a finite pmf given as a tuple of
     ``(count, prob)`` pairs.  Counts are floats so that astronomically scaled
-    counts saturate to ``inf`` instead of overflowing.
+    counts saturate to ``inf`` instead of overflowing.  It has the four law
+    methods; its outcomes are the joint expansion of its coordinates.
     """
 
     coords: tuple[tuple[int, tuple[tuple[float, float], ...]], ...]
@@ -112,43 +92,6 @@ class ProductLaw:
     def support_types(self) -> set[int]:
         return {t for t, pmf in self.coords
                 if any(c > 0 and p > 0 for c, p in pmf)}
-
-    def means(self) -> dict[int, float]:
-        return {t: sum(c * p for c, p in pmf) for t, pmf in self.coords}
-
-    def second_factorials(self) -> dict[tuple[int, int], float]:
-        means = self.means()
-        a: dict[tuple[int, int], float] = {}
-        types = sorted(means)
-        for ii, t1 in enumerate(types):
-            pmf = dict(self.coords)[t1]
-            f2 = sum(c * (c - 1) * p for c, p in pmf)
-            if f2:
-                a[(t1, t1)] = f2
-            for t2 in types[ii + 1:]:
-                v = means[t1] * means[t2]
-                if v:
-                    a[(t1, t2)] = v
-        return a
-
-    def p_total_one(self) -> float:
-        total = 0.0
-        for t, pmf in self.coords:
-            p_one = sum(p for c, p in pmf if c == 1)
-            if p_one == 0.0:
-                continue
-            p_rest = 1.0
-            for t2, pmf2 in self.coords:
-                if t2 != t:
-                    p_rest *= sum(p for c, p in pmf2 if c == 0)
-            total += p_one * p_rest
-        return total
-
-    def p_count_at_least(self, t: int, r: int) -> float:
-        for t2, pmf in self.coords:
-            if t2 == t:
-                return sum(p for c, p in pmf if c >= r)
-        return 0.0
 
     def pgf(self, u) -> float:
         """Generating function at ``u``: a product of per-coordinate sums,
@@ -258,20 +201,28 @@ class MomentTable:
 
 
 def _law_table(laws) -> MomentTable:
-    """Moment table whose row i is read off ``laws[i]``, the type-i law.
+    """Moment table whose row i is read off ``laws[i]``, the type-i law, in
+    one pass over its ``outcomes()``, summing each statistic in outcome order.
 
     Children above type i + 1 break the support rule (``validate`` reports
     them) and are left out.
     """
-    means, seconds = [], []
+    means = [{} for _ in laws]  # child offset d -> mean
+    seconds = [{} for _ in laws]  # offset pair (d1, d2) -> second factorial
+    dbl = np.zeros(len(laws))
     for i, law in enumerate(laws):
-        means.append({t - i: m for t, m in law.means().items()
-                      if m != 0.0 and t <= i + 1})
-        seconds.append({(t1 - i, t2 - i): v
-                        for (t1, t2), v in law.second_factorials().items()
-                        if v != 0.0 and t2 <= i + 1})
-    width = max([0] + [-d for row in means for d in row]
-                + [-d1 for row in seconds for d1, _ in row])
+        mrow, arow = means[i], seconds[i]
+        for counts, p in law.outcomes():
+            kept = [(t - i, c) for t, c in counts if t <= i + 1]
+            for n, (d1, c1) in enumerate(kept):
+                mrow[d1] = mrow.get(d1, 0.0) + p * c1
+                for d2, c2 in kept[n:]:
+                    v = c1 * (c1 - 1) if d1 == d2 else c1 * c2
+                    if v:
+                        arow[d1, d2] = arow.get((d1, d2), 0.0) + p * v
+                if d1 == 1 and c1 >= 2:
+                    dbl[i] += p
+    width = max([0] + [-d for row in means for d in row])
     pairs = tuple(sorted({pair for row in seconds for pair in row}))
     slot = {pair: n for n, pair in enumerate(pairs)}
     mean = np.zeros((width + 2, len(laws)))
@@ -281,8 +232,6 @@ def _law_table(laws) -> MomentTable:
             mean[width + d, i] = m
         for pair, v in arow.items():
             a[slot[pair], i] = v
-    dbl = np.array([law.p_count_at_least(i + 1, 2)
-                    for i, law in enumerate(laws)], dtype=float)
     return MomentTable(width, mean, pairs, a, dbl)
 
 
@@ -291,7 +240,7 @@ def _law_table(laws) -> MomentTable:
 
 
 class LHBPModel:
-    """Common interface: laws, exact moment rows, and scalar law statistics.
+    """Common interface: laws and exact moment rows.
 
     ``moment_table(K)`` builds the moment rows of types 0..K in one call; the
     generic route reads them off each law, and concrete families override it
@@ -311,12 +260,6 @@ class LHBPModel:
     def a_entries(self, k: int) -> dict[tuple[int, int], float]:
         """Second factorial moments of law k, canonical (i <= j) keys."""
         return self.moment_table(k).a_entries(k)
-
-    def p_single(self, i: int) -> float:
-        return self.law(i).p_total_one()
-
-    def p_double_up(self, i: int) -> float:
-        return float(self.moment_table(i).p_double_up[i])
 
 
 @dataclass(frozen=True)
@@ -371,9 +314,6 @@ class Example2Model(LHBPModel):
         dbl[0] = 0.25
         dbl[1:] = (k + 1) / (4 * k) * (1 - p_upto1)
         return MomentTable(1, mean, ((-1, -1), (-1, 1), (1, 1)), a, dbl)
-
-    def p_single(self, i: int) -> float:
-        return 0.0  # total offspring is 0 or 4
 
 
 def _two_point(mean: float) -> tuple[tuple[int, float], ...]:
@@ -643,7 +583,9 @@ def validate(model: LHBPModel, K: int = 64) -> ValidationReport:
         residuals.append((i, abs(law.prob_sum() - 1.0)))
         if any(t > i + 1 for t in law.support_types()):
             hess_bad.append(i)
-        min_1mp1 = min(min_1mp1, 1.0 - model.p_single(i))
+        p_one = sum(p for counts, p in law.outcomes()
+                    if sum(c for _, c in counts) == 1)
+        min_1mp1 = min(min_1mp1, 1.0 - p_one)
     table = model.moment_table(K)
     no_up = np.flatnonzero(table.mean[-1] <= 0.0)
     upward_bad = int(no_up[0]) if len(no_up) else None

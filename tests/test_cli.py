@@ -55,6 +55,35 @@ def test_validate_missing_file(capsys):
     assert main(["validate", "--model", "/nonexistent/model.json"]) == 2
 
 
+def test_validate_model_path_is_a_directory(capsys, tmp_path):
+    assert main(["validate", "--model", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+def test_validate_binary_model_file(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(b"\xff\xfe\x00\x81 not text")
+    assert main(["validate", "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse error:") and "decode" in err
+
+
+def test_main_reuses_its_parser_without_leaking_values(capsys, model_file):
+    import lhbp.cli
+    path = model_file(EX2 % "0.0")
+    code, rows = run_csv(capsys, ["extinction", "--model", path, "--k", "8",
+                                  "--window", "2"])
+    assert code == 0 and {r["index"] for r in rows} == {"0", "1"}
+    parser = lhbp.cli._PARSER
+    # the default window 8 is cut to the 3 types of level 1, not to 2
+    code, rows = run_csv(capsys, ["extinction", "--model", path, "--k", "8"])
+    assert code == 0 and {r["index"] for r in rows} == {"0", "1", "2"}
+    assert lhbp.cli._PARSER is parser
+    assert parser.parse_args(["extinction", "--model", path,
+                              "--k", "8"]).window == 8
+
+
 def test_moments_csv(capsys, model_file):
     code, rows = run_csv(capsys, ["moments", "--model",
                                   model_file(EX2 % "0.3"), "--K", "10"])
@@ -257,6 +286,14 @@ def test_usage_error_exit_code(capsys):
         assert e.value.code == 4
         assert "--tol-gamma: must be a positive finite number" in (
             capsys.readouterr().err)
+    # nor would an iteration tolerance of that kind mean anything
+    for cmd in ("extinction", "bounds", "fixedpoints", "sweep"):
+        for tol in ("0", "-1", "nan", "abc"):
+            with pytest.raises(SystemExit) as e:
+                main([cmd, "--model", "m.json", "--tol", tol])
+            assert e.value.code == 4
+            assert "--tol: must be a positive finite number" in (
+                capsys.readouterr().err)
 
 
 def test_out_file(tmp_path, model_file):
@@ -313,6 +350,90 @@ def test_decide_commands_exit_with_documented_codes(tmp_path, cmd, K, doc):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         argv += ["--model", str(path)]
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    assert code in (0, 2, 3, 4)
+
+
+@st.composite
+def head_laws(draw, i, fault):
+    """A table or product law of type i with an upward child, broken as
+    ``fault`` says: a negative probability, a child above type i + 1, or a
+    mass other than 1."""
+    n = draw(st.integers(2 if fault == "negative" else 1, 3))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    probs = [w / sum(weights) for w in weights]
+    if fault == "negative":
+        probs[0], probs[-1] = -0.25, probs[-1] + probs[0] + 0.25
+    elif fault == "mass":
+        probs = [0.9 * p for p in probs]
+    top = i + 2 if fault == "above" else i + 1
+    if draw(st.booleans()):
+        entries = [{"counts": {str(t): c for t, c in draw(st.dictionaries(
+                       st.integers(0, i + 1), st.integers(1, 3),
+                       max_size=2)).items()}, "prob": p} for p in probs]
+        entries[0]["counts"][str(top)] = draw(st.integers(1, 3))
+        return {"kind": "table", "entries": entries}
+    types = draw(st.lists(st.integers(0, i), max_size=2, unique=True)) + [top]
+    counts = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n,
+                           unique=True).filter(any))
+    return {"kind": "product",
+            "coords": {str(t): {str(c): p for c, p in zip(counts, probs)}
+                       for t in types}}
+
+
+@st.composite
+def explicit_docs(draw):
+    """Explicit models of up to three head laws; the last may be broken."""
+    fault = draw(st.sampled_from([None, None, None, "negative", "above",
+                                  "mass"]))
+    n = draw(st.integers(1, 3))
+    return {"family": "explicit",
+            "head": [{"type": i, "law": draw(head_laws(
+                i, fault if i == n - 1 else None))} for i in range(n)]}
+
+
+# family models inside their parameter domains, so that most draws compute
+FAMILY_DOCS = st.one_of(
+    st.builds(lambda g: {"family": "example2", "gamma": g}, st.floats(0, 0.99)),
+    st.builds(lambda a, b, c, u: {"family": "tridiagonal", "a": a, "b": b,
+                                  "c": c, "u": u},
+              st.floats(0, 2), st.floats(0, 2), st.floats(0.01, 2),
+              st.floats(1, 3)))
+
+COMMAND_ARGS = {
+    "validate": lambda d: ["--K", d(st.integers(-3, 64))],
+    "extinction": lambda d: ["--k", d(st.integers(-3, 64)),
+                             "--window", d(st.integers(-1, 10))],
+    "bounds": lambda d: ["--i", d(st.integers(-1, 6)),
+                         "--k", d(st.integers(-3, 64))],
+    "fixedpoints": lambda d: ["--k", d(st.integers(-3, 64)),
+                              "--J", d(st.integers(-2, 20))]
+    + d(st.sampled_from([[], ["--anchor", "0.5"], ["--anchor", "-0.5"]])),
+    "simulate": lambda d: ["--k", d(st.integers(-3, 64)),
+                           "--i0", d(st.integers(-1, 5)),
+                           "--reps", d(st.integers(50, 500)),
+                           "--seed", d(st.integers(-1, 2 ** 64)),
+                           "--variant", d(st.sampled_from(["sterile",
+                                                           "immortal"]))],
+}
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cmd=st.sampled_from(sorted(COMMAND_ARGS)),
+       doc=st.one_of(MODEL_DOCS, FAMILY_DOCS, explicit_docs()),
+       data=st.data())
+def test_model_commands_exit_with_documented_codes(tmp_path, cmd, doc, data):
+    # every model command, on family and explicit models, well formed or
+    # not, ends in a documented exit code and never in a traceback
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    args = COMMAND_ARGS[cmd](data.draw)
+    argv = [cmd, "--model", str(path), "--workers", "1",
+            "--out", str(tmp_path / "out")] + [str(a) for a in args]
     try:
         code = main(argv)
     except SystemExit as e:

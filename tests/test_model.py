@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from lhbp import (ExplicitModel, G_value, ModelError, ProductLaw,
                   TableLaw, load_model, validate)
-from lhbp.model import LHBPModel, TailModel, marginalize_law, shift_law
+from lhbp.model import (LHBPModel, TailModel, _law_table, marginalize_law,
+                        shift_law)
 
 from conftest import (all_die_model, e1_model, ex2, product_tail_model,
-                      tridiag, wide_band_model)
+                      tridiag, up_only_model, wide_band_model)
 
 
 def enumerate_support(law):
@@ -39,6 +40,15 @@ def brute_second(law, t1, t2):
         c1, c2 = vec.get(t1, 0), vec.get(t2, 0)
         tot += p * (c1 * (c1 - 1) if t1 == t2 else c1 * c2)
     return tot
+
+
+def brute_p_total_one(law):
+    return sum(p for vec, p in enumerate_support(law)
+               if sum(vec.values()) == 1)
+
+
+def brute_p_at_least_two(law, t):
+    return sum(p for vec, p in enumerate_support(law) if vec.get(t, 0) >= 2)
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +122,20 @@ def test_example2_second_moment_value():
 
 
 def test_example2_p1_zero():
+    # total offspring is 0 or 4, so P(total = 1) vanishes at every type
     m = ex2(0.3)
     for k in range(6):
-        assert m.p_single(k) == 0.0
-        assert m.law(k).p_total_one() == 0.0
+        assert brute_p_total_one(m.law(k)) == 0.0
+    assert validate(m, K=5).min_one_minus_p1 == 1.0
+
+
+@pytest.mark.parametrize("model", [e1_model(), product_tail_model(),
+                                   wide_band_model(),
+                                   tridiag(0.1, 0.2, 0.8, u=2.0)])
+def test_validate_min_one_minus_p1_matches_brute_force(model):
+    want = min(1.0 - brute_p_total_one(model.law(i)) for i in range(9))
+    assert validate(model, K=8).min_one_minus_p1 == pytest.approx(
+        want, rel=1e-15, abs=0)
 
 
 def test_moment_tables_match_brute_force():
@@ -294,8 +314,8 @@ def test_tail_model_moments_match_marginal_laws():
             assert tail.mean_row(j) == pytest.approx(brute_means(law), abs=1e-12)
             for (t1, t2), v in tail.a_entries(j).items():
                 assert v == pytest.approx(brute_second(law, t1, t2), abs=1e-12)
-            assert tail.p_double_up(j) == pytest.approx(
-                law.p_count_at_least(j + 1, 2), abs=1e-12)
+            assert tail.moment_table(j).p_double_up[j] == pytest.approx(
+                brute_p_at_least_two(law, j + 1), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +338,101 @@ def table_laws(draw, owner=2):
     return TableLaw(tuple(entries))
 
 
+def law_row(law):
+    """Row 2 of the law-route moment table of a model whose type-2 law is
+    ``law``: its means, second factorial moments (absolute types) and
+    P(at least two type-3 children)."""
+    m = ExplicitModel(head=(TableLaw(((((1, 1),), 1.0),)),
+                            TableLaw(((((2, 1),), 1.0),)), law))
+    table = LHBPModel.moment_table(m, 2)
+    return m, table.mean_row(2), table.a_entries(2), table.p_double_up[2]
+
+
 @settings(max_examples=30, deadline=None)
 @given(table_laws())
 def test_law_moment_identities(law):
-    bm = brute_means(law)
-    assert law.means() == pytest.approx(bm, abs=1e-12)
-    for (t1, t2), v in law.second_factorials().items():
-        assert v == pytest.approx(brute_second(law, t1, t2), abs=1e-12)
+    m, means, seconds, dbl = law_row(law)
+    assert means == pytest.approx(brute_means(law), abs=1e-12)
+    for t1, t2 in itertools.combinations_with_replacement(range(4), 2):
+        assert seconds.get((t1, t2), 0.0) == pytest.approx(
+            brute_second(law, t1, t2), abs=1e-12)
+    assert dbl == pytest.approx(brute_p_at_least_two(law, 3), abs=1e-12)
     # G at the all-ones point is the total mass
-    m = ExplicitModel(head=(TableLaw(((((1, 1),), 1.0),)),
-                            TableLaw(((((2, 1),), 1.0),)), law))
     assert G_value(m, 2, np.ones(8)) == pytest.approx(law.prob_sum(), abs=1e-12)
+
+
+@st.composite
+def product_laws(draw, owner=2):
+    types = draw(st.lists(st.integers(0, owner + 1), min_size=1, max_size=3,
+                          unique=True))
+    coords = []
+    for t in sorted(types):
+        counts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3,
+                               unique=True))
+        weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(counts),
+                                max_size=len(counts)))
+        total = sum(weights)
+        coords.append((t, tuple((float(c), w / total)
+                                for c, w in sorted(zip(counts, weights)))))
+    return ProductLaw(tuple(coords))
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_laws())
+def test_product_law_rows_match_coordinate_formulas(law):
+    # the rows sum over the joint expansion; independence of the coordinates
+    # gives the same moments coordinate by coordinate
+    _, means, seconds, dbl = law_row(law)
+    pmfs = dict(law.coords)
+    mu = {t: sum(c * p for c, p in pmf) for t, pmf in pmfs.items()}
+    want_means = {t: v for t, v in mu.items() if v}
+    want_seconds = {}
+    for t1, t2 in itertools.combinations_with_replacement(sorted(pmfs), 2):
+        v = (sum(c * (c - 1) * p for c, p in pmfs[t1]) if t1 == t2
+             else mu[t1] * mu[t2])
+        if v:
+            want_seconds[t1, t2] = v
+    assert means == pytest.approx(want_means, rel=1e-15, abs=0)
+    assert seconds == pytest.approx(want_seconds, rel=1e-15, abs=0)
+    assert dbl == pytest.approx(sum(p for c, p in pmfs.get(3, ()) if c >= 2),
+                                rel=1e-15, abs=0)
+
+
+def entry_sum_rows(law, i):
+    """Row i of a table law summed over every entry, in entry order: the
+    reference that law-route table rows must match bit for bit."""
+    means, seconds = {}, {}
+    for counts, p in law.entries:
+        for n, (t1, c1) in enumerate(counts):
+            means[t1] = means.get(t1, 0.0) + p * c1
+            for t2, c2 in counts[n:]:
+                v = c1 * (c1 - 1) if t1 == t2 else c1 * c2
+                if v:
+                    seconds[t1, t2] = seconds.get((t1, t2), 0.0) + p * v
+    dbl = sum(p for counts, p in law.entries if dict(counts).get(i + 1, 0) >= 2)
+    return ({t: m for t, m in means.items() if m and t <= i + 1},
+            {k: v for k, v in seconds.items() if v and k[1] <= i + 1}, dbl)
+
+
+def assert_rows_bit_identical(laws, table):
+    for i, law in enumerate(laws):
+        want = entry_sum_rows(law, i)
+        got = (table.mean_row(i), table.a_entries(i), table.p_double_up[i])
+        for g, w in zip(got[:2], want[:2]):
+            assert {k: v.hex() for k, v in g.items()} == {
+                k: float(v).hex() for k, v in w.items()}
+        assert float(got[2]).hex() == float(want[2]).hex()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(table_laws(), min_size=3, max_size=3))
+def test_table_law_rows_bit_identical_to_entry_sums(laws):
+    assert_rows_bit_identical(laws, _law_table(laws))
+
+
+@pytest.mark.parametrize("model", [ex2(0.0), ex2(0.3), ex2(0.77),
+                                   wide_band_model(), up_only_model(),
+                                   all_die_model()])
+def test_table_model_rows_bit_identical_to_entry_sums(model):
+    laws = [model.law(i) for i in range(12)]
+    assert_rows_bit_identical(laws, LHBPModel.moment_table(model, 11))
