@@ -125,16 +125,15 @@ def cmd_validate(args) -> int:
 
 def cmd_extinction(args) -> int:
     model = _load(args.model)
-    schedule = default_schedule(args.k)
-    window = min(args.window, schedule[0] + 2)
-    ladder = extinction_ladder(model, schedule, window=window, tol=args.tol)
+    ladder = extinction_ladder(model, default_schedule(args.k),
+                               window=args.window, tol=args.tol)
     rows = []
     for li, level in enumerate(ladder.levels):
         rq, rt = ladder.q_results[li], ladder.qtilde_results[li]
-        for i in range(window):
+        for i in range(ladder.window):
             rows.append(("level", level, i, rq.vector[i], rt.vector[i],
                          rq.converged, rt.converged))
-    for i in range(window):
+    for i in range(ladder.window):
         rows.append(("estimate", "", i, ladder.q_estimate[i],
                      ladder.qtilde_estimate[i], ladder.q_stall,
                      ladder.qtilde_stall))
@@ -293,7 +292,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "qtilde, q_converged, qtilde_converged.")
     common(sp, tol=True)
     sp.add_argument("--k", type=int, required=True, help="largest truncation level")
-    sp.add_argument("--window", type=int, default=8, help="report window size")
+    sp.add_argument("--window", type=int, default=None,
+                    help="report window size (default and largest: 3 "
+                         "types, 2 for k = 0)")
     sp.set_defaults(fn=cmd_extinction)
 
     sp = sub.add_parser(

@@ -205,9 +205,13 @@ def agresti_bounds(model: LHBPModel, i: int, levels) -> list[AgrestiBounds]:
         raise ValueError("bounds need the partial-extinction regime "
                          f"(x hits 1 at k={moments.k_star})")
     mu, a = moments.mu, moments.a
+    # The brackets 1/m_ij + sum_j c_j / (mu_j m_ij), m_ij = mu_i ... mu_j,
+    # c_j = a_j (upper) or g_j''(0) / 2 (lower), are carried times m_ij as
+    # 1 + t_j, t_j = mu_j t_{j-1} + c_j / mu_j: an m_ij that underflows to
+    # 0 (small embedded means) then gives the bound 1, not a division by 0.
     m_ij = 1.0
-    sum_upper = 0.0
-    sum_lower = 0.0
+    t_upper = 0.0
+    t_lower = 0.0
     found = {}
     prev = None
     for j in range(i, top):
@@ -217,14 +221,15 @@ def agresti_bounds(model: LHBPModel, i: int, levels) -> list[AgrestiBounds]:
                 f"bounds: level {j} did not converge at boundary 0")
         prev = res.vector
         m_ij *= mu[j]
-        sum_upper += a[j] / (mu[j] * m_ij)
+        t_upper = mu[j] * t_upper + a[j] / mu[j]
         # g_j is a generating function, so g_j''(0) >= 0
-        sum_lower += max(g_second_derivative(model, res), 0.0) / (mu[j] * m_ij)
-        upper_bracket = 1.0 / m_ij + sum_upper
-        lower_bracket = 1.0 / m_ij + 0.5 * sum_lower
+        t_lower = (mu[j] * t_lower
+                   + max(g_second_derivative(model, res), 0.0) / mu[j])
+        upper_bracket = 1.0 + t_upper
+        lower_bracket = 1.0 + 0.5 * t_lower
         degenerate = upper_bracket <= 0.0 or lower_bracket <= 0.0
-        upper = 1.0 if degenerate else 1.0 - 1.0 / upper_bracket
-        lower = 0.0 if degenerate else max(0.0, 1.0 - 1.0 / lower_bracket)
+        upper = 1.0 if degenerate else 1.0 - m_ij / upper_bracket
+        lower = 0.0 if degenerate else max(0.0, 1.0 - m_ij / lower_bracket)
         found[j + 1] = AgrestiBounds(j + 1, lower, upper, degenerate)
     return [found[k] for k in levels]
 

@@ -314,10 +314,12 @@ def iterate_to_limit(model: LHBPModel, k: int, s: float, tol: float = 1e-12,
     """Solve the level-k truncated generating system with boundary s.
 
     Newton steps on v = V(v) in survival space, from v = 1 - start (the
-    start defaults to (0, ..., 0, s); any supplied start must lie below the
-    target fixed point and below its own image, which warm starts from a
-    lower truncation level satisfy).  A start of a lower level is padded
-    with zeros; the last entry of any start, its boundary, is ignored.
+    start defaults to (0, ..., 0, s)).  A supplied start must lie below the
+    target fixed point and below its own image.  Warm starts from other
+    levels do: the result of a lower level, padded with zeros; for s = 1
+    the converged s = 1 result of a deeper level, cut to its first k + 2
+    entries; and the elementwise maximum of two such starts.  The last
+    entry of a start, its boundary, is ignored.
     The iteration stops once a step moves no coordinate by more than
     ``tol``.  ``max_iter`` defaults to k + 100 steps: from a start far
     below the target a step carries the boundary's influence only a few
@@ -434,14 +436,20 @@ def default_schedule(cap: int) -> tuple[int, ...]:
     return tuple(levels)
 
 
-def extinction_ladder(model: LHBPModel, schedule, window: int = 8,
+def extinction_ladder(model: LHBPModel, schedule, window: int | None = None,
                       tol: float = 1e-12) -> ExtinctionLadder:
     """Run both boundaries over an increasing truncation schedule.
 
-    Each global-extinction run warm-starts from the previous level (padded
-    with zeros), which makes the reported ladder nondecreasing by
-    construction; each partial run warm-starts from the same level's global
-    vector, which enforces the q <= qtilde sandwich.
+    q runs bottom-up, each level warm-started from the one below (padded
+    with zeros), so the q ladder is nondecreasing by construction.  qtilde
+    runs top-down, since qtilde^(k) decreases in k: the top level starts
+    from its own q, each lower level k from the elementwise maximum of its
+    q and the next deeper level's qtilde cut to types 0..k, unless that
+    level did not converge.  Both starts are sub-solutions of the level-k
+    system with boundary 1, and each result is held above its start, which
+    keeps q <= qtilde and the qtilde ladder nonincreasing.  ``window``
+    (default: all k + 2 entries of the smallest level k) sets how many
+    leading coordinates are reported and extrapolated.
     """
     schedule = tuple(schedule)
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -449,20 +457,31 @@ def extinction_ladder(model: LHBPModel, schedule, window: int = 8,
     if min(schedule, default=-1) < 0:
         raise ValueError(
             f"truncation levels must be >= 0, got {list(schedule)}")
+    if window is None:
+        window = schedule[0] + 2
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if window > schedule[0] + 2:
-        raise ValueError("window exceeds the smallest truncation size")
+        raise ValueError("window exceeds the smallest truncation size: "
+                         f"{window} > {schedule[0] + 2}")
     q_results, qt_results = [], []
     prev = None
     for k in schedule:
         rq = iterate_to_limit(model, k, 0.0, tol=tol, start=prev)
-        rt = iterate_to_limit(model, k, 1.0, tol=tol, start=rq.vector)
-        # the sandwich holds mathematically; guard the last float ulp
-        rt.vector = np.maximum(rt.vector, rq.vector)
         prev = rq.vector
         q_results.append(rq)
+    deeper = None
+    for rq in reversed(q_results):
+        start = rq.vector
+        if deeper is not None:
+            start = np.maximum(start, deeper.vector[:rq.level + 2])
+        rt = iterate_to_limit(model, rq.level, 1.0, tol=tol, start=start)
+        # the start is a sub-solution, so the solution lies above it
+        # mathematically; guard the last float ulp
+        rt.vector = np.maximum(rt.vector, start)
+        deeper = rt if rt.converged else None
         qt_results.append(rt)
+    qt_results.reverse()
     q_est, q_stall = _extrapolate([r.vector[:window] for r in q_results], tol)
     qt_est, qt_stall = _extrapolate([r.vector[:window] for r in qt_results], tol)
     q_est = np.minimum(q_est, qt_est)

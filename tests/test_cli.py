@@ -76,12 +76,12 @@ def test_main_reuses_its_parser_without_leaking_values(capsys, model_file):
                                   "--window", "2"])
     assert code == 0 and {r["index"] for r in rows} == {"0", "1"}
     parser = lhbp.cli._PARSER
-    # the default window 8 is cut to the 3 types of level 1, not to 2
+    # the default window is the 3 types of level 1, not the 2 asked before
     code, rows = run_csv(capsys, ["extinction", "--model", path, "--k", "8"])
     assert code == 0 and {r["index"] for r in rows} == {"0", "1", "2"}
     assert lhbp.cli._PARSER is parser
     assert parser.parse_args(["extinction", "--model", path,
-                              "--k", "8"]).window == 8
+                              "--k", "8"]).window is None
 
 
 def test_moments_csv(capsys, model_file):
@@ -217,6 +217,26 @@ def test_extinction_level_zero_and_negative(capsys, model_file):
             f"error: window must be >= 1, got {window}\n")
 
 
+def test_extinction_window_is_what_it_prints(capsys, model_file):
+    # the default is the largest window the schedule allows; a larger one
+    # is refused rather than cut
+    path = model_file(EX2 % "0.3")
+    for k, window in (("0", 2), ("1", 3), ("64", 3)):
+        code, rows = run_csv(capsys, ["extinction", "--model", path,
+                                      "--k", k])
+        assert code == 0
+        assert {r["index"] for r in rows} == {str(i) for i in range(window)}
+        code, explicit = run_csv(capsys, ["extinction", "--model", path,
+                                          "--k", k, "--window", str(window)])
+        assert code == 0 and explicit == rows
+        assert main(["extinction", "--model", path, "--k", k,
+                     "--window", str(window + 1)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: window exceeds the smallest "
+                                f"truncation size: {window + 1} > {window}\n")
+
+
 def test_nonconvergence_exit_code(capsys, model_file, monkeypatch):
     import dataclasses
 
@@ -270,6 +290,23 @@ def test_newton_breakdown_exit_code(capsys, model_file):
     last = [r for r in rows if r["kind"] == "level"][-1]
     assert last["level"] == "1024"
     assert last["qtilde_converged"] == "False"
+
+
+def test_newton_breakdown_spares_lower_levels(capsys, model_file):
+    # levels 1024 and 2048 end unconverged; level 512 does not start from
+    # level 1024's vector and still converges to qtilde = 1
+    code, rows = run_csv(capsys, ["extinction", "--model",
+                                  model_file(TRI % ("0.1", "0.3", "1.2", "1")),
+                                  "--k", "2048"])
+    assert code == 3
+    by_level = {}
+    for r in rows:
+        if r["kind"] == "level":
+            by_level.setdefault(r["level"], []).append(r)
+    assert all(r["qtilde_converged"] == "False"
+               for lv in ("1024", "2048") for r in by_level[lv])
+    assert all(r["qtilde_converged"] == "True" and r["qtilde"] == "1"
+               for r in by_level["512"])
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from lhbp import (Budget, PartialSurvivalRegimeError, agresti_bounds,
-                  classify, embedded_moments, global_verdict,
+                  classify, default_schedule, embedded_moments, global_verdict,
                   iterate_to_limit, sls_verdict, spectral_radius,
                   tridiagonal_mu_limit, xi_estimate)
 from lhbp.criteria import head_matrix
@@ -110,6 +111,23 @@ def test_agresti_lower_degenerates_to_zero_for_quartic():
     [b] = agresti_bounds(ex2(0.0), 1, [50])
     assert b.lower == 0.0  # 1 - m_{1->49} < 0 clamps
     assert not b.degenerate
+
+
+def test_agresti_bounds_survive_underflowing_means():
+    # embedded means near 0.039 make m_{3->j} underflow past j of about
+    # 230, while a_j grows like 2.7^j; the bounds must stay finite, bracket
+    # q_3 of level k - 1 and keep the lower bound where it was at k = 128
+    m = tridiag(0.7149, 0.7149, 0.01, u=2.7069)
+    levels = [k for k in default_schedule(300) if k > 3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bounds = agresti_bounds(m, 3, levels)
+        oracles = [float(iterate_to_limit(m, k - 1, 0.0).vector[3])
+                   for k in levels]
+    for b, oracle in zip(bounds, oracles):
+        assert b.lower <= oracle <= b.upper
+    at_128 = levels.index(128)
+    assert all(b.lower >= bounds[at_128].lower for b in bounds[at_128:])
 
 
 def test_agresti_precondition_errors():

@@ -107,6 +107,67 @@ def test_ladder_monotone_and_sandwich(ladder_ex2_03):
     assert np.all(ladder_ex2_03.q_estimate <= ladder_ex2_03.qtilde_estimate)
 
 
+# the qtilde trap, the deep example2 anchor and the thinned model whose
+# computed qtilde falls from 1 to q between levels 256 and 512, where the
+# boundary's weight 1/ceil(1.1^k) drops below rounding
+TOP_DOWN_CASES = ((tridiag(0.15, 0.25, 0.7), 2048), (ex2(0.3), 8000),
+                  (tridiag(0.05, 0.1, 1.2, u=1.1), 4096))
+
+
+@pytest.fixture(scope="module")
+def top_down_ladders():
+    return [extinction_ladder(model, default_schedule(k), window=3)
+            for model, k in TOP_DOWN_CASES]
+
+
+def test_top_down_qtilde_matches_solves_from_q(top_down_ladders):
+    # each level's qtilde, warm-started from the deeper one, is the solve
+    # started from its own q (held above q, as the ladder holds it); the
+    # top level, which has no deeper one, is that solve bit for bit
+    for (model, _), ladder in zip(TOP_DOWN_CASES, top_down_ladders):
+        assert ladder.converged
+        for rq, rt in zip(ladder.q_results, ladder.qtilde_results):
+            alone = iterate_to_limit(model, rq.level, 1.0, start=rq.vector)
+            alone.vector = np.maximum(alone.vector, rq.vector)
+            assert np.max(np.abs(rt.vector - alone.vector)) <= 1e-14
+        assert np.array_equal(rt.vector, alone.vector)
+        assert rt.iterations == alone.iterations
+
+
+def test_top_down_qtilde_window_nonincreasing(top_down_ladders):
+    for ladder in top_down_ladders:
+        assert np.all(np.diff(ladder.qtilde_window, axis=0) <= 0.0)
+        assert np.all(ladder.qtilde_window >= ladder.q_window)
+
+
+def test_top_down_trap_solves_lower_levels_without_steps(top_down_ladders):
+    # the top level's qtilde is 1 and so is every lower level's start
+    trap = top_down_ladders[0]
+    assert sum(r.iterations for r in trap.qtilde_results[:-1]) == 0
+    assert np.all(trap.qtilde_window == 1.0)
+
+
+def test_top_down_skips_unconverged_deeper_level():
+    # level 1024 of tridiagonal(0.1, 0.3, 1.2) ends unconverged near
+    # qtilde = 0 (test_newton_breakdown_flagged), so level 512 starts from
+    # its own q, not from that vector, and reaches qtilde = 1 as alone
+    model = tridiag(0.1, 0.3, 1.2)
+    ladder = extinction_ladder(model, (512, 1024), window=3)
+    low, top = ladder.qtilde_results
+    assert not top.converged and low.converged
+    alone = iterate_to_limit(model, 512, 1.0,
+                             start=ladder.q_results[0].vector)
+    assert np.array_equal(low.vector, alone.vector)
+    assert low.iterations == alone.iterations
+    assert np.all(low.vector == 1.0)
+
+
+def test_ladder_default_window_is_the_largest_allowed():
+    # the smallest level k reports all of its k + 2 entries
+    assert extinction_ladder(ex2(0.3), default_schedule(8)).window == 3
+    assert extinction_ladder(ex2(0.3), (0,)).window == 2
+
+
 def test_ladder_rejects_bad_schedule():
     with pytest.raises(ValueError, match="increasing"):
         extinction_ladder(ex2(0.0), (4, 4, 8))
