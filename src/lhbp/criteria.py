@@ -182,7 +182,6 @@ class AgrestiBounds:
     level: int
     lower: float
     upper: float
-    degenerate: bool
 
 
 def agresti_bounds(model: LHBPModel, i: int, levels) -> list[AgrestiBounds]:
@@ -204,14 +203,16 @@ def agresti_bounds(model: LHBPModel, i: int, levels) -> list[AgrestiBounds]:
     if moments.ok_through < top - 1:
         raise ValueError("bounds need the partial-extinction regime "
                          f"(x hits 1 at k={moments.k_star})")
-    mu, a = moments.mu, moments.a
-    # The brackets 1/m_ij + sum_j c_j / (mu_j m_ij), m_ij = mu_i ... mu_j,
-    # c_j = a_j (upper) or g_j''(0) / 2 (lower), are carried times m_ij as
-    # 1 + t_j, t_j = mu_j t_{j-1} + c_j / mu_j: an m_ij that underflows to
-    # 0 (small embedded means) then gives the bound 1, not a division by 0.
+    # Python floats, so that m_ij may overflow or underflow quietly
+    mu, a = moments.mu.tolist(), moments.a.tolist()
+    # The brackets B = 1/m_ij + sum_j c_j / (mu_j m_ij), m_ij = mu_i ... mu_j,
+    # c_j = a_j (upper) or g_j''(0) / 2 (lower), give the bounds 1 - 1/B.
+    # They are carried times w = min(m_ij, 1), as wB = 1 / max(m_ij, 1) + s,
+    # s = w * sum: an m_ij that underflows to 0 gives the bound 1, one that
+    # overflows gives 1 - 1/sum, and neither divides by 0 or inf.
     m_ij = 1.0
-    t_upper = 0.0
-    t_lower = 0.0
+    s_upper = 0.0
+    s_lower = 0.0
     found = {}
     prev = None
     for j in range(i, top):
@@ -220,18 +221,24 @@ def agresti_bounds(model: LHBPModel, i: int, levels) -> list[AgrestiBounds]:
             raise ComputationError(
                 f"bounds: level {j} did not converge at boundary 0")
         prev = res.vector
-        m_ij *= mu[j]
-        t_upper = mu[j] * t_upper + a[j] / mu[j]
+        m_prev, m_ij = m_ij, m_ij * mu[j]
+        w, scale = min(m_ij, 1.0), max(m_ij, 1.0)
+        # rescale the sums from weight min(m_prev, 1) to w
+        f = mu[j] if max(m_prev, m_ij) <= 1.0 else w / min(m_prev, 1.0)
+        s_upper = f * s_upper + a[j] / (mu[j] * scale)
         # g_j is a generating function, so g_j''(0) >= 0
-        t_lower = (mu[j] * t_lower
-                   + max(g_second_derivative(model, res), 0.0) / mu[j])
-        upper_bracket = 1.0 + t_upper
-        lower_bracket = 1.0 + 0.5 * t_lower
-        degenerate = upper_bracket <= 0.0 or lower_bracket <= 0.0
-        upper = 1.0 if degenerate else 1.0 - m_ij / upper_bracket
-        lower = 0.0 if degenerate else max(0.0, 1.0 - m_ij / lower_bracket)
-        found[j + 1] = AgrestiBounds(j + 1, lower, upper, degenerate)
+        s_lower = (f * s_lower
+                   + 0.5 * max(g_second_derivative(model, res), 0.0)
+                   / (mu[j] * scale))
+        found[j + 1] = AgrestiBounds(j + 1,
+                                     _bound(w, 1.0 / scale + s_lower),
+                                     _bound(w, 1.0 / scale + s_upper))
     return [found[k] for k in levels]
+
+
+def _bound(w: float, wb: float) -> float:
+    """max(0, 1 - 1/B) from wb = w B; 0 also where the bracket B is 0."""
+    return 1.0 - w / wb if wb > w else 0.0
 
 
 # ---------------------------------------------------------------------------

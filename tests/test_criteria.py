@@ -110,7 +110,7 @@ def test_agresti_lower_degenerates_to_zero_for_quartic():
     # g_j''(0) = 0 for the quartic laws, so the lower bracket is 1/m alone
     [b] = agresti_bounds(ex2(0.0), 1, [50])
     assert b.lower == 0.0  # 1 - m_{1->49} < 0 clamps
-    assert not b.degenerate
+    assert b.upper > 0.0
 
 
 def test_agresti_bounds_survive_underflowing_means():
@@ -128,6 +128,26 @@ def test_agresti_bounds_survive_underflowing_means():
         assert b.lower <= oracle <= b.upper
     at_128 = levels.index(128)
     assert all(b.lower >= bounds[at_128].lower for b in bounds[at_128:])
+
+
+@pytest.mark.parametrize("abc,levels", [((0.1, 0.3, 1.1), [16, 512, 1024]),
+                                         ((0.0, 0.0, 2.0), [16, 1100])])
+def test_agresti_bounds_survive_overflowing_means(abc, levels):
+    # embedded means that stay above 1 make m_{1->j} overflow (past j of
+    # about 817 for mu -> 2.38, at j = 1024 for mu = 2); the bounds must stay
+    # finite and bracket q_1 of level k - 1
+    m = tridiag(*abc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bounds = agresti_bounds(m, 1, levels)
+        oracles = [float(iterate_to_limit(m, k - 1, 0.0).vector[1])
+                   for k in levels]
+    for b, oracle in zip(bounds, oracles):
+        assert math.isfinite(b.lower) and math.isfinite(b.upper)
+        assert b.lower <= oracle <= b.upper
+    # past the overflow the brackets have settled at their sums
+    assert ((bounds[-1].lower, bounds[-1].upper)
+            == pytest.approx((bounds[-2].lower, bounds[-2].upper), abs=1e-15))
 
 
 def test_agresti_precondition_errors():
