@@ -69,10 +69,12 @@ def _log_u(v):
 class _GenericSweep:
     """Survival map built from per-type law outcomes.
 
-    Types are grouped into blocks sharing an outcome pattern.  An outcome
-    with probability p and child counts c_t adds p (1 - prod u_t^c_t) =
-    -p expm1(sum c_t log1p(-v_t)) to V_i, and p c_t u_t^(c_t - 1)
-    prod_{t' != t} u_t'^c_t' to dV_i/dv_t.
+    Types are grouped into blocks of consecutive types sharing an outcome
+    pattern.  An outcome with probability p and child counts c_t adds
+    p (1 - prod u_t^c_t) = -p expm1(sum c_t log1p(-v_t)) to V_i, and
+    p c_t u_t^(c_t - 1) prod_{t' != t} u_t'^c_t' to dV_i/dv_t.  An outcome
+    without children adds nothing, and a count of 1 has the slope factor
+    u_t^0 = 1, so neither is computed.
     """
 
     def __init__(self, model: LHBPModel, k: int):
@@ -81,42 +83,44 @@ class _GenericSweep:
         tail = k + 1
         if isinstance(model, ExplicitModel):
             tail = min(model.tail_from + 1, k + 1)
-        self.blocks = [self._block(model.law(i), i, np.array([i]))
+        self.blocks = [self._block(model.law(i), i, i + 1)
                        for i in range(tail)]
         if tail <= k:
-            self.blocks.append(self._block(model.law(tail), tail,
-                                           np.arange(tail, k + 1)))
+            self.blocks.append(self._block(model.law(tail), tail, k + 1))
         # at least 0: the band always holds its superdiagonal and diagonal
         # rows, also when every child is one type up
-        self.width = max(0, max((-off for _, entries in self.blocks
+        self.width = max(0, max((-off for _, _, entries in self.blocks
                                  for _, factors in entries
                                  for off, _ in factors), default=0))
 
     @staticmethod
-    def _block(law, owner: int, idx: np.ndarray):
-        """Outcomes as (probs, ((offset, count), ...)) relative to the owner."""
-        return idx, [(np.full(len(idx), p),
-                      tuple((t - owner, float(c)) for t, c in counts))
-                     for counts, p in law.outcomes()]
+    def _block(law, lo: int, hi: int):
+        """Types lo..hi-1 with the law of type lo, its outcomes given as
+        (prob, ((offset, count), ...)) with child types relative to lo."""
+        return lo, hi, [(p, tuple((t - lo, float(c)) for t, c in counts))
+                        for counts, p in law.outcomes() if counts]
 
     @np.errstate(divide="ignore", over="ignore")
     def __call__(self, v):
         log_u = _log_u(v)
         val = np.empty(self.k + 1)
         jac = np.zeros((self.width + 2, self.k + 1))
-        for idx, entries in self.blocks:
-            acc = np.zeros(len(idx))
-            for probs, factors in entries:
-                logs = [cnt * log_u[idx + off] for off, cnt in factors]
-                acc -= probs * np.expm1(sum(logs))
-                powers = [np.exp(x) for x in logs]
+        for lo, hi, entries in self.blocks:
+            acc = np.zeros(hi - lo)
+            for p, factors in entries:
+                logs = [cnt * log_u[lo + off:hi + off] for off, cnt in factors]
+                acc -= p * np.expm1(sum(logs))
+                powers = [np.exp(x) for x in logs] if len(logs) > 1 else ()
                 for f, (off, cnt) in enumerate(factors):
-                    slope = probs * cnt * np.exp((cnt - 1) * log_u[idx + off])
+                    slope = p * cnt
+                    if cnt != 1.0:
+                        lu = log_u[lo + off:hi + off]
+                        slope = slope * np.exp((cnt - 1) * lu)
                     for g, pw in enumerate(powers):
                         if g != f:
                             slope = slope * pw
-                    jac[1 - off, idx] += slope
-            val[idx] = acc
+                    jac[1 - off, lo:hi] += slope
+            val[lo:hi] = acc
         return val, jac
 
 
