@@ -323,11 +323,15 @@ def sls_verdict(model: LHBPModel, k_budget: int = 64,
     coupling block has finitely many positive entries whenever the model
     bandwidth is finite, which the finite description guarantees.
 
-    Raises ``ValueError`` only when the x-criterion certifies qt = 1 within
-    horizon K (``PartialExtinctionCertain``).  A head with spectral radius
-    > 1 certifies qt < 1 by itself, so this x-recursion runs only when no
-    head up to ``k_budget`` has one; a horizon-limited
-    ``PartialExtinctionLikely`` then ends the scan Inconclusive.  Every tail of a tridiagonal model with
+    Raises ``ValueError`` when the x-criterion proves qt = 1
+    (``PartialExtinctionCertain``: an invariant bound on every later
+    embedded mean, see ``partial_verdict``), as it does for most qt = 1
+    models with a tail band, e.g. tridiagonal(0.25, 0.25, 0.5), whose heads
+    all have spectral radius < 1.  A head with spectral radius > 1
+    certifies qt < 1 by itself, so this x-recursion runs only when no head
+    up to ``k_budget`` has one; a horizon-limited ``PartialExtinctionLikely``
+    (no tail band, or a band critical to within the bound's margin) then
+    ends the scan Inconclusive.  Every tail of a tridiagonal model with
     u = 1 is the model itself, so there the first tail that fails the
     x-criterion ends the scan Inconclusive: no later cut can pass.
     """
@@ -384,7 +388,9 @@ def classify(model: LHBPModel, budget: Budget | None = None) -> Classification:
     certs.append({"test": "partial_verdict",
                   "inputs": {"K": budget.partial_horizon},
                   "outcome": pv.verdict,
-                  "k_decided": pv.k_decided})
+                  "k_decided": pv.k_decided,
+                  "mu_bound": pv.mu_bound,
+                  "x_bound": pv.x_bound})
     if pv.survival_side:
         sls = sls_verdict(model, budget.sls_level_budget,
                           budget.sls_tail_horizon)

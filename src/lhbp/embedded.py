@@ -180,11 +180,23 @@ VERDICT_LIKELY = "PartialExtinctionLikely"
 VERDICT_BOUNDARY = "Boundary"
 
 
+# The certificate's relative outward rounding of the window maximum, X(M)
+# and f(M); the relative step past f(M) while searching for M, and the cap
+# on search steps.  The scan stops for a certificate at these horizons, all
+# inside the first table, where starting over costs little, and at K.
+CERT_MARGIN = 1e-12
+CERT_SLACK = 1e-3
+CERT_STEPS = 8
+CERT_HORIZONS = (8, 32)
+
+
 @dataclass
 class PartialVerdict:
     verdict: str
     k_decided: int | None
     horizon: int
+    mu_bound: float | None = None   # a certificate's M
+    x_bound: float | None = None    # and its X(M)
 
     @property
     def survival_side(self) -> bool:
@@ -192,22 +204,57 @@ class PartialVerdict:
         return self.verdict in (VERDICT_SURVIVAL, VERDICT_BOUNDARY)
 
 
+def _certificate(band: tuple[float, ...], mus: np.ndarray):
+    """(M, X(M)) proving x_j < 1 for every type j after the last of ``mus``,
+    or None.
+
+    ``band`` bounds the mean column of every later type (the layout of
+    ``LHBPModel.tail_band``: down offsets -w..0, then the up mean).  Let
+    X(M) = sum_d band[-d] M^d and f(M) = up / (1 - X(M)).  If the last w
+    means are at most M, X(M) < 1 - BOUNDARY_TOL and f(M) <= M, then by
+    induction each later x_j <= X(M) and mu_j <= f(M) <= M, since x_j grows
+    with the w means before it and mu_j with x_j.  The window maximum, X(M)
+    and f(M) are each rounded up by the relative CERT_MARGIN.  M starts at
+    the window maximum and moves to f(M), stepped CERT_SLACK past it, at
+    most CERT_STEPS times.
+    """
+    *down, up = band
+    w = len(down) - 1
+    M = max(mus[-w:].tolist() if w else (), default=0.0) * (1 + CERT_MARGIN)
+    for _ in range(CERT_STEPS):
+        X = 0.0
+        for m in down:  # Horner, from offset -w
+            X = X * M + m
+        X *= 1 + CERT_MARGIN
+        if not X < 1.0 - BOUNDARY_TOL:
+            return None
+        F = up / (1.0 - X) * (1 + CERT_MARGIN)
+        if F <= M:
+            return M, X
+        M = F * (1 + CERT_SLACK)
+    return None
+
+
 def partial_verdict(model: LHBPModel, K: int = 5000) -> PartialVerdict:
     """Decide the partial extinction criterion over horizon K.
 
     x_k > 1 certifies partial survival; x_k = 1 (within tolerance) also
     forces it, via a longer first-return loop through some higher type.  On
-    the extinction side, an observed decrease mu_k < mu_{k-1} locks the
-    sequence below its current bound and ends the scan early ("Certain");
-    otherwise the verdict is horizon-limited ("Likely").
+    the extinction side the scan stops at each of CERT_HORIZONS below K and
+    at K, and ends at the first stop where the model's ``tail_band`` yields
+    an invariant bound on every later mean (``_certificate``): that proves
+    each later x_j < 1 ("Certain", with the bound M and X(M)).  A model
+    without a tail band, or whose band admits no such bound, is scanned to
+    K and stays horizon-limited ("Likely").
     """
-    mom = embedded_moments(model, K, with_a=False)
-    if mom.kind == "blowup":
-        return PartialVerdict(VERDICT_SURVIVAL, mom.k_star, K)
-    if mom.kind == "boundary":
-        return PartialVerdict(VERDICT_BOUNDARY, mom.k_star, K)
-    mu = mom.mu
-    dec = np.nonzero(mu[1:] < mu[:-1])[0]
-    if len(dec):
-        return PartialVerdict(VERDICT_CERTAIN, int(dec[0]) + 1, K)
+    for h in [h for h in CERT_HORIZONS if h < K] + [K]:
+        mom = embedded_moments(model, h, with_a=False)
+        if mom.kind == "blowup":
+            return PartialVerdict(VERDICT_SURVIVAL, mom.k_star, K)
+        if mom.kind == "boundary":
+            return PartialVerdict(VERDICT_BOUNDARY, mom.k_star, K)
+        band = model.tail_band(h + 1)
+        cert = band and _certificate(band, mom.mu)
+        if cert:
+            return PartialVerdict(VERDICT_CERTAIN, h, K, *cert)
     return PartialVerdict(VERDICT_LIKELY, None, K)

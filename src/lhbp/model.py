@@ -245,7 +245,9 @@ class LHBPModel:
     ``moment_table(K)`` builds the moment rows of types 0..K in one call; the
     generic route reads them off each law, and concrete families override it
     with closed forms where that route would lose exactness or speed.  The
-    row accessors are views of one row of that table.
+    row accessors are views of one row of that table.  ``tail_band(k0)``
+    bounds the mean rows of all types >= k0 at once, where a family knows
+    such a bound in closed form.
     """
 
     def law(self, i: int) -> OffspringLaw:
@@ -253,6 +255,12 @@ class LHBPModel:
 
     def moment_table(self, K: int) -> MomentTable:
         return _law_table([self.law(i) for i in range(K + 1)])
+
+    def tail_band(self, k0: int) -> tuple[float, ...] | None:
+        """Entrywise sup over the types j >= k0 >= 1 of the mean column
+        ``mean[:, j]`` of the moment table (same layout: offsets -width..1),
+        or None where no bound is known."""
+        return None
 
     def mean_row(self, i: int) -> dict[int, float]:
         return self.moment_table(i).mean_row(i)
@@ -314,6 +322,10 @@ class Example2Model(LHBPModel):
         dbl[0] = 0.25
         dbl[1:] = (k + 1) / (4 * k) * (1 - p_upto1)
         return MomentTable(1, mean, ((-1, -1), (-1, 1), (1, 1)), a, dbl)
+
+    def tail_band(self, k0: int) -> tuple[float, ...]:
+        f = (k0 + 1) / k0  # falls with k
+        return self.gamma * f, 0.0, (1 - self.gamma) * f
 
 
 def _two_point(mean: float) -> tuple[tuple[int, float], ...]:
@@ -421,6 +433,9 @@ class TridiagonalModel(LHBPModel):
         return MomentTable(1, mean, ((-1, -1), (-1, 0), (-1, 1), (0, 0),
                                      (0, 1), (1, 1)), f2, dbl)
 
+    def tail_band(self, k0: int) -> tuple[float, ...]:
+        return self.a, self.b, self.c  # thinning leaves the means alone
+
 
 @dataclass(frozen=True)
 class ExplicitModel(LHBPModel):
@@ -443,6 +458,11 @@ class ExplicitModel(LHBPModel):
         # the shifted tail law has the rows of its type-T original
         rows = np.minimum(np.arange(K + 1), self.tail_from)
         return _law_table(self.head[:K + 1]).take(rows)
+
+    def tail_band(self, k0: int) -> tuple[float, ...]:
+        # rows past the head repeat the type-T row
+        mean = _law_table(self.head).mean
+        return tuple(mean[:, min(k0, self.tail_from):].max(axis=1).tolist())
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lhbp import TridiagonalModel, embedded_moments
 from lhbp.cli import main
 
 EX2 = '{"family": "example2", "gamma": %s}'
@@ -93,6 +94,16 @@ def test_moments_csv(capsys, model_file):
     assert float(rows[1]["mu"]) == pytest.approx(3.5)
 
 
+def test_moments_csv_reparses_exactly(capsys, model_file):
+    code, rows = run_csv(capsys, ["moments", "--model",
+                                  model_file(TRI % ("0.1", "0.2", "0.8", "1")),
+                                  "--K", "300"])
+    assert code == 0
+    mom = embedded_moments(TridiagonalModel(0.1, 0.2, 0.8), 300)
+    for name in ("mu", "a", "x", "m0"):
+        assert [float(r[name]) for r in rows] == getattr(mom, name).tolist()
+
+
 def test_classify_json(capsys, model_file):
     code, doc = run_json(capsys, ["classify", "--model",
                                   model_file(EX2 % "0.8")])
@@ -106,7 +117,21 @@ def test_classify_json(capsys, model_file):
     assert code == 0
     assert doc["regime"] == "Unresolved"
     assert doc["certificates"][0]["k_decided"] == 3140
+    assert doc["certificates"][0]["mu_bound"] is None
     assert doc["certificates"][1]["outcome"] == "Inconclusive"
+
+
+def test_classify_reports_the_partial_certificate(capsys, model_file):
+    code, doc = run_json(capsys, ["classify", "--model",
+                                  model_file(TRI % ("0.05", "0.3", "1.2", "1")),
+                                  "--K", "5000"])
+    assert code == 0
+    cert = doc["certificates"][0]
+    assert cert["outcome"] == "PartialExtinctionCertain"
+    assert cert["k_decided"] == 8
+    # mu_k increases to 2, the smaller root of 0.05 M^2 - 0.7 M + 1.2
+    assert 2.0 < cert["mu_bound"] < 2.01
+    assert cert["x_bound"] == pytest.approx(0.3 + 0.05 * cert["mu_bound"])
 
 
 def test_extinction_csv_and_roundtrip(capsys, model_file):

@@ -226,6 +226,15 @@ def test_sls_requires_partial_survival():
         sls_verdict(ex2(0.0))
 
 
+def test_sls_rejects_certified_qtilde_one_below_every_head():
+    # every head has spectral radius < b + 2 sqrt(ac) < 1, and the
+    # x-criterion proves qt = 1 with an invariant bound just above mu = 1
+    model = tridiag(0.25, 0.25, 0.5)
+    assert spectral_radius(head_matrix(model, 64)) < 1
+    with pytest.raises(ValueError, match="qt < 1"):
+        sls_verdict(model)
+
+
 def test_sls_homogeneous_tridiagonal_stops_early():
     # every tail of tridiagonal(0.5, b, 0.5) is the model itself, whose
     # x-criterion fails: the first examined cut (spectral radius > 1)

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lhbp import (ExplicitModel, TableLaw, embedded_moments, eval_g,
+from lhbp import (Example2Model, ExplicitModel, LHBPModel, ProductLaw,
+                  TableLaw, TridiagonalModel, embedded_moments, eval_g,
                   iterate_to_limit, partial_verdict)
-from lhbp.embedded import BOUNDARY_TOL
+from lhbp.embedded import BOUNDARY_TOL, _certificate
 from lhbp.model import TailModel
 
-from conftest import (e1_model, ex2, product_tail_model, tridiag,
-                      wide_band_model)
+from conftest import (all_die_model, e1_model, ex2, product_tail_model,
+                      tridiag, up_only_model, wide_band_model)
 
 
 def test_gamma0_moments_exact():
@@ -114,9 +117,104 @@ def test_partial_verdict_boundary():
     assert pv.survival_side
 
 
-def test_partial_verdict_likely_for_increasing_mu():
+def test_partial_verdict_certifies_near_critical_band():
+    # mu_k increases to 1, the attracting root of 0.25 M^2 - 0.75 M + 0.5;
+    # the invariant bound sits just above it, past the rounding margin
     pv = partial_verdict(tridiag(0.25, 0.25, 0.5), 300)
+    assert pv.verdict == "PartialExtinctionCertain"
+    assert not pv.survival_side
+    assert 1.0 < pv.mu_bound < 1.01
+    assert pv.x_bound == pytest.approx(0.25 + 0.25 * pv.mu_bound, rel=1e-11)
+    assert embedded_moments(tridiag(0.25, 0.25, 0.5), 300).kind == "ok"
+
+
+class LawOnlyModel(LHBPModel):
+    """tridiagonal(0.25, 0.25, 0.5) through the generic law route alone:
+    no tail band."""
+
+    def law(self, i):
+        return TridiagonalModel(0.25, 0.25, 0.5).law(i)
+
+
+def test_partial_verdict_likely_without_tail_bound():
+    model = LawOnlyModel()
+    assert model.tail_band(1) is None
+    pv = partial_verdict(model, 300)
     assert pv.verdict == "PartialExtinctionLikely"
+    assert pv.k_decided is None and pv.mu_bound is None
+
+
+def late_blowup_model():
+    """Head means fall (mu_1 = 0.2 < mu_0 = 2), but the repeated tail row
+    (0.25, 0.2, 0.65) has no invariant interval ((1 - b)^2 < 4ac), so the
+    means grow until x_26 > 1."""
+    def bern(p):
+        return (0.0, 1.0 - p), (1.0, p)
+    return ExplicitModel(head=(
+        TableLaw(((((1, 2),), 1.0),)),
+        TableLaw(((((2, 1),), 0.2), ((), 0.8))),
+        ProductLaw(((1, bern(0.25)), (2, bern(0.2)), (3, bern(0.65))))))
+
+
+def test_partial_verdict_late_blowup_after_head_decrease():
+    model = late_blowup_model()
+    mom = embedded_moments(model, 5000, with_a=False)
+    assert mom.mu[1] < mom.mu[0]  # a stop at the first decrease says qt = 1
+    assert mom.kind == "blowup" and mom.k_star == 26
+    pv = partial_verdict(model, 5000)
+    assert pv.verdict == "PartialSurvival"
+    assert pv.k_decided == 26
+
+
+def test_band_without_invariant_interval_is_never_certified():
+    # (1 - b)^2 < 4ac: f(M) > M for every M with X(M) < 1
+    model = tridiag(0.5, 5e-7, 0.5)
+    band = model.tail_band(1)
+    for M in np.linspace(0.0, 2.5, 251):
+        assert _certificate(band, np.array([M])) is None
+    pv = partial_verdict(model, 5000)
+    assert pv.verdict == "PartialSurvival"
+    assert pv.k_decided == 3140
+
+
+AGREEMENT_MODELS = {
+    "product_tail": product_tail_model(), "e1": e1_model(),
+    "wide_band": wide_band_model(), "up_only": up_only_model(),
+    "all_die": all_die_model(), "late_blowup": late_blowup_model(),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.one_of(
+    st.builds(Example2Model, st.floats(0.0, 1.0)),
+    st.builds(TridiagonalModel, st.floats(0.0, 2.0), st.floats(0.0, 2.0),
+              st.floats(0.0, 2.0), st.floats(1.0, 3.0)),
+    st.sampled_from(sorted(AGREEMENT_MODELS)).map(AGREEMENT_MODELS.get)),
+       K=st.integers(0, 3000))
+def test_partial_verdict_agrees_with_full_scan(model, K):
+    pv = partial_verdict(model, K)
+    full = embedded_moments(model, K, with_a=False)
+    assert pv.survival_side == (full.kind != "ok")
+    if pv.verdict == "PartialExtinctionCertain":
+        assert full.kind == "ok"
+        assert pv.k_decided <= K
+        assert np.all(full.mu[pv.k_decided + 1:] <= pv.mu_bound)
+        assert np.all(full.x[pv.k_decided + 1:] <= pv.x_bound)
+    else:
+        assert pv.k_decided == full.k_star
+
+
+@pytest.mark.parametrize("model", [ex2(0.03), tridiag(0.05, 0.3, 1.2)])
+def test_partial_verdict_certifies_within_first_table(model, monkeypatch):
+    rows = []
+    real = type(model).moment_table
+
+    def counting(self, K):
+        rows.append(K + 1)
+        return real(self, K)
+    monkeypatch.setattr(type(model), "moment_table", counting)
+    assert partial_verdict(model, 5000).verdict == "PartialExtinctionCertain"
+    assert sum(rows) <= 64
 
 
 def test_blowup_implies_qtilde_below_one():

@@ -216,6 +216,24 @@ def test_explicit_table_repeats_the_tail_rows(model):
         assert np.array_equal(getattr(fam, name), getattr(law, name))
 
 
+@pytest.mark.parametrize("model", [
+    ex2(0.0), ex2(0.3), ex2(1.0), tridiag(0.25, 0.25, 0.5),
+    tridiag(0.1, 0.2, 0.8, u=2.0), wide_band_model(), e1_model(),
+    product_tail_model(), up_only_model(), all_die_model()])
+def test_tail_band_is_the_sup_of_later_mean_columns(model):
+    # the band bounds every column from type k0 on and is attained by one
+    mean = model.moment_table(60).mean
+    for k0 in (1, 2, 3, 7, 30):
+        band = np.array(model.tail_band(k0))
+        assert band.shape == (mean.shape[0],)
+        assert np.all(mean[:, k0:] <= band[:, None])
+        assert np.array_equal(mean[:, k0:].max(axis=1), band)
+
+
+def test_tail_band_absent_without_a_closed_form():
+    assert TailModel(ex2(0.3), 2).tail_band(1) is None
+
+
 def test_table_rows_hold_no_negative_types():
     for model in (ex2(0.3), tridiag(0.1, 0.2, 0.8), wide_band_model(),
                   TailModel(wide_band_model(), 1)):
