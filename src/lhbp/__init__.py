@@ -11,13 +11,12 @@ from .model import (Example2Model, ExplicitModel, LHBPModel, ModelError,
 from .generating import (ComputationError, ExtinctionLadder, TruncationResult,
                          default_schedule, extinction_ladder, iterate_to_limit)
 from .embedded import (EmbeddedMoments, PartialVerdict, embedded_moments,
-                       eval_g, partial_verdict)
+                       partial_verdict)
 from .criteria import (Budget, Classification, GlobalVerdict,
                        PartialSurvivalRegimeError, SLSVerdict, agresti_bounds,
                        classify, global_verdict, sls_verdict, spectral_radius,
                        tridiagonal_mu_limit, xi_estimate)
-from .fixedpoints import (FixedPointCurve, RangeError, classify_trend,
-                          curve_from_anchor, decay_diagnostics, invert_g)
+from .fixedpoints import FixedPointCurve, RangeError, curve_from_anchor
 from .montecarlo import (SimBatch, SimConfig, SimEstimate,
                          estimate_embedded_moment, estimate_extinction,
                          simulate_truncated)

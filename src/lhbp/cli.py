@@ -229,8 +229,10 @@ def cmd_sweep(args) -> int:
             "sweep supports the example2 family (gamma parameter) only")
     grid = args.grid
     payloads = [(float(g), args.k, args.tol) for g in grid]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # a fork pool starts all its workers at the first submit
+    workers = min(args.workers, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, payloads))
     else:
         rows = [_sweep_row(p) for p in payloads]

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generating import ComputationError, iterate_to_limit
 from .model import LHBPModel, MomentTable
 
 BOUNDARY_TOL = 1e-10
@@ -150,25 +149,6 @@ def embedded_moments(model: LHBPModel, K: int, with_a: bool = True) -> EmbeddedM
         k_star=k_star,
         table=table,
     )
-
-
-# ---------------------------------------------------------------------------
-# embedded generating function values
-
-def eval_g(model: LHBPModel, k: int, s: float, tol: float = 1e-13) -> float:
-    """g_k(s): coordinate k of the level-k truncation limit with boundary s.
-
-    Monotone nondecreasing in s; g_k(1) is the partial extinction probability
-    of type k in its own truncation.  Raises ``ComputationError`` when the
-    level-k solve does not converge.
-    """
-    if not (0.0 <= s <= 1.0):
-        raise ValueError(f"s must lie in [0, 1], got {s}")
-    res = iterate_to_limit(model, k, s, tol=tol)
-    if not res.converged:
-        raise ComputationError(
-            f"eval_g did not converge at level {k}, boundary {s}")
-    return float(res.vector[k])
 
 
 # ---------------------------------------------------------------------------

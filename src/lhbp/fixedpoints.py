@@ -1,11 +1,12 @@
-"""Construction and diagnostics of the fixed-point continuum.
+"""Construction of the fixed-point continuum.
 
 For an irreducible model the fixed points of the generating vector form a
 curve parametrised by the type-0 coordinate: every anchor between the global
 and partial extinction values extends to a unique vector, built index by
 index through monotone inversion.  Each coordinate solves the scalar
-equation G_j(s_0, ..., s_j, x) = s_j in its last argument, which coincides
-with inverting the embedded generating function g_j along the curve.
+equation G_j(s_0, ..., s_j, x) = s_j in its last argument by bisection on
+the type-j law's ``pgf``, which coincides with inverting the embedded
+generating function g_j along the curve.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedded import embedded_moments, eval_g
+from .embedded import embedded_moments
 from .model import G_value, LHBPModel
 
 ENDPOINT_SLACK = 1e-6
@@ -52,16 +53,8 @@ def _bisect(f, target: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def invert_g(model: LHBPModel, k: int, target: float,
-             tol: float = 1e-12) -> float:
-    """Unique preimage of ``target`` under the monotone map g_k."""
-    return _bisect(lambda s: eval_g(model, k, s), target, tol)
-
-
 @dataclass
 class FixedPointCurve:
-    anchor_index: int
-    anchor_value: float
     values: np.ndarray          # s_0 .. s_J (shorter if truncated)
     residual: float             # max |G_i(s) - s_i| over the window
     decay: np.ndarray           # (1 - s_k) * m_{0->k-1} where defined
@@ -115,69 +108,4 @@ def curve_from_anchor(model: LHBPModel, s0: float, J: int, tol: float = 1e-12,
     mom = embedded_moments(model, max(n_vals - 2, 0), with_a=False)
     usable = min(n_vals - 1, mom.ok_through + 1)
     decay = (1.0 - values[1:usable + 1]) * mom.m0[:usable]
-    return FixedPointCurve(0, s0, values, residual, decay, failure)
-
-
-# ---------------------------------------------------------------------------
-# decay diagnostics
-
-
-@dataclass
-class TrendClass:
-    label: str                 # "stabilizing" | "diverging" | "vanishing"
-    level: float | None        # the stabilised constant, when stabilizing
-
-
-def classify_trend(seq: np.ndarray) -> TrendClass:
-    """Finite-window trend of a positive sequence.
-
-    Stabilizing when the last quarter's relative range stays under 5%;
-    otherwise the log-slope per index decides, with its sign breaking the
-    tie for drifts slower than 1% per index (a linear ramp over a long
-    window moves the range far more than the local slope).
-    """
-    seq = np.asarray(seq, dtype=float)
-    seq = seq[np.isfinite(seq)]
-    if len(seq) == 0:
-        return TrendClass("stabilizing", None)
-    tail = seq[-max(2, len(seq) // 4):]
-    top = float(np.max(tail))
-    if top <= 0.0:
-        return TrendClass("vanishing", None)
-    rel = (top - float(np.min(tail))) / top
-    if rel < 0.05:
-        return TrendClass("stabilizing", float(np.mean(tail)))
-    logs = np.log(np.maximum(tail, 1e-300))
-    slope = (logs[-1] - logs[0]) / max(len(tail) - 1, 1)
-    return TrendClass("diverging" if slope > 0 else "vanishing", None)
-
-
-@dataclass
-class DecayReport:
-    decay: np.ndarray
-    decay_trend: TrendClass
-    ratio_q: np.ndarray | None
-    ratio_q_trend: TrendClass | None
-    ratio_qtilde: np.ndarray | None
-    ratio_qtilde_trend: TrendClass | None
-
-
-def decay_diagnostics(curve: FixedPointCurve,
-                      q_window: np.ndarray | None = None,
-                      qtilde_window: np.ndarray | None = None) -> DecayReport:
-    """Report the curve's decay (1 - s_k) m_{0->k-1} and the gap ratios
-    against the extinction vectors, each with a finite-window trend class."""
-
-    def ratios(window):
-        if window is None:
-            return None, None
-        n = min(len(window), len(curve.values))
-        gap_s = 1.0 - curve.values[:n]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(gap_s > 0, (1.0 - window[:n]) / gap_s, np.inf)
-        return r, classify_trend(r)
-
-    rq, tq = ratios(q_window)
-    rt, tt = ratios(qtilde_window)
-    return DecayReport(curve.decay, classify_trend(curve.decay),
-                       rq, tq, rt, tt)
+    return FixedPointCurve(values, residual, decay, failure)

@@ -445,13 +445,14 @@ def extinction_ladder(model: LHBPModel, schedule, window: int | None = None,
     """Run both boundaries over an increasing truncation schedule.
 
     q runs bottom-up, each level warm-started from the one below (padded
-    with zeros), so the q ladder is nondecreasing by construction.  qtilde
-    runs top-down, since qtilde^(k) decreases in k: the top level starts
-    from its own q, each lower level k from the elementwise maximum of its
-    q and the next deeper level's qtilde cut to types 0..k, unless that
-    level did not converge.  Both starts are sub-solutions of the level-k
-    system with boundary 1, and each result is held above its start, which
-    keeps q <= qtilde and the qtilde ladder nonincreasing.  ``window``
+    with zeros) and held above that start, so the q ladder is nondecreasing
+    by construction.  qtilde runs top-down, since qtilde^(k) decreases in
+    k: the top level starts from its own q, each lower level k from the
+    elementwise maximum of its q and the next deeper level's qtilde cut to
+    types 0..k, unless that level did not converge.  Both starts are
+    sub-solutions of the level-k system with boundary 1, and each result is
+    held above its start, which keeps q <= qtilde and the qtilde ladder
+    nonincreasing.  ``window``
     (default: all k + 2 entries of the smallest level k) sets how many
     leading coordinates are reported and extrapolated.
     """
@@ -472,6 +473,10 @@ def extinction_ladder(model: LHBPModel, schedule, window: int | None = None,
     prev = None
     for k in schedule:
         rq = iterate_to_limit(model, k, 0.0, tol=tol, start=prev)
+        if prev is not None:
+            # the padded start is a sub-solution; guard the last float ulp
+            n = len(prev)
+            rq.vector[:n] = np.maximum(rq.vector[:n], prev)
         prev = rq.vector
         q_results.append(rq)
     deeper = None

@@ -244,10 +244,10 @@ class LHBPModel:
 
     ``moment_table(K)`` builds the moment rows of types 0..K in one call; the
     generic route reads them off each law, and concrete families override it
-    with closed forms where that route would lose exactness or speed.  The
-    row accessors are views of one row of that table.  ``tail_band(k0)``
-    bounds the mean rows of all types >= k0 at once, where a family knows
-    such a bound in closed form.
+    with closed forms where that route would lose exactness or speed; every
+    moment reader takes its rows from that table.  ``tail_band(k0)`` bounds
+    the mean rows of all types >= k0 at once, where a family knows such a
+    bound in closed form.
     """
 
     def law(self, i: int) -> OffspringLaw:
@@ -261,13 +261,6 @@ class LHBPModel:
         ``mean[:, j]`` of the moment table (same layout: offsets -width..1),
         or None where no bound is known."""
         return None
-
-    def mean_row(self, i: int) -> dict[int, float]:
-        return self.moment_table(i).mean_row(i)
-
-    def a_entries(self, k: int) -> dict[tuple[int, int], float]:
-        """Second factorial moments of law k, canonical (i <= j) keys."""
-        return self.moment_table(k).a_entries(k)
 
 
 @dataclass(frozen=True)
@@ -512,7 +505,9 @@ def load_model(text: str, strict: bool = True):
             model = _parse_explicit(doc)
         else:
             raise ModelError(f"unknown family {family!r}")
-    except (KeyError, TypeError) as e:
+    except ModelError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
         raise ModelError(f"parse error: {e}") from e
     if strict:
         _check_upward(model)

@@ -1,7 +1,7 @@
 import pytest
 
 from lhbp import (Example2Model, ExplicitModel, ProductLaw, TableLaw,
-                  TridiagonalModel, extinction_ladder)
+                  TridiagonalModel, extinction_ladder, iterate_to_limit)
 
 LADDER_SCHEDULE = tuple(4 * 2 ** i for i in range(11))  # 4 .. 4096
 
@@ -12,6 +12,14 @@ def ex2(gamma):
 
 def tridiag(a, b, c, u=1.0):
     return TridiagonalModel(a=a, b=b, c=c, u=u)
+
+
+def g(model, k, s):
+    """g_k(s) of the embedded generating function: coordinate k of the
+    converged level-k truncation limit with boundary s."""
+    res = iterate_to_limit(model, k, s, tol=1e-13)
+    assert res.converged
+    return float(res.vector[k])
 
 
 def product_tail_model():

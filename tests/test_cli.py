@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lhbp import TridiagonalModel, embedded_moments
@@ -207,6 +207,33 @@ def test_sweep_workers_parallel(capsys, model_file):
     assert len(rows) == 3
 
 
+def test_sweep_workers_capped_at_grid_size(capsys, model_file, monkeypatch):
+    # a fork pool starts every worker at the first submit, so a 3-point grid
+    # must not ask for 64; the recording pool maps in process
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    import lhbp.cli
+    monkeypatch.setattr(lhbp.cli, "ProcessPoolExecutor", RecordingPool)
+    code, rows = run_csv(capsys, ["sweep", "--model", model_file(EX2 % "0.0"),
+                                  "--grid", "0:0.5:1", "--k", "16",
+                                  "--workers", "64"])
+    assert code == 0 and len(rows) == 3
+    assert seen == [3]
+
+
 def test_gammastar_small(capsys):
     code, doc = run_json(capsys, ["gammastar", "--K", "2000",
                                   "--tol-gamma", "0.002", "--workers", "1"])
@@ -399,10 +426,27 @@ MODEL_DOCS = st.one_of(
               st.floats(-0.5, 2.5), st.floats(0.5, 4.0)))
 
 
+# model files with a malformed value where a number is due: each is a parse
+# error, exit code 2
+_HEAD_LAW = {"kind": "table", "entries": [{"counts": {"1": 1}, "prob": 0.5},
+                                          {"counts": {}, "prob": 0.5}]}
+MALFORMED_DOCS = (
+    {"family": "example2", "gamma": "abc"},
+    {"family": "tridiagonal", "a": 0.25, "b": 0.25, "c": "0.5x"},
+    {"family": "explicit", "head": [{"type": 0, "law": {
+        "kind": "table", "entries": [{"counts": {"1": "x"}, "prob": 1.0}]}}]},
+    {"family": "explicit", "head": [{"type": "zero", "law": _HEAD_LAW}]})
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cmd=st.sampled_from(["moments", "classify", "gammastar"]),
-       K=st.integers(-3, 300), doc=MODEL_DOCS)
+       K=st.integers(-3, 300),
+       doc=st.one_of(MODEL_DOCS, st.sampled_from(MALFORMED_DOCS)))
+@example(cmd="moments", K=10, doc=MALFORMED_DOCS[0])
+@example(cmd="classify", K=-1, doc=MALFORMED_DOCS[1])
+@example(cmd="moments", K=300, doc=MALFORMED_DOCS[2])
+@example(cmd="classify", K=10, doc=MALFORMED_DOCS[3])
 def test_decide_commands_exit_with_documented_codes(tmp_path, cmd, K, doc):
     # any horizon and any parameter draw ends in a documented exit code,
     # never in a traceback (numpy RuntimeWarnings fail the test as well)
@@ -417,6 +461,8 @@ def test_decide_commands_exit_with_documented_codes(tmp_path, cmd, K, doc):
     except SystemExit as e:
         code = e.code
     assert code in (0, 2, 3, 4)
+    if cmd != "gammastar" and doc in MALFORMED_DOCS:
+        assert code == 2
 
 
 @st.composite
@@ -486,7 +532,8 @@ COMMAND_ARGS = {
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cmd=st.sampled_from(sorted(COMMAND_ARGS)),
-       doc=st.one_of(MODEL_DOCS, FAMILY_DOCS, explicit_docs()),
+       doc=st.one_of(MODEL_DOCS, FAMILY_DOCS, explicit_docs(),
+                     st.sampled_from(MALFORMED_DOCS)),
        data=st.data())
 def test_model_commands_exit_with_documented_codes(tmp_path, cmd, doc, data):
     # every model command, on family and explicit models, well formed or
@@ -501,3 +548,5 @@ def test_model_commands_exit_with_documented_codes(tmp_path, cmd, doc, data):
     except SystemExit as e:
         code = e.code
     assert code in (0, 2, 3, 4)
+    if doc in MALFORMED_DOCS:
+        assert code == 2

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lhbp import (Example2Model, ExplicitModel, LHBPModel, ProductLaw,
-                  TableLaw, TridiagonalModel, embedded_moments, eval_g,
+                  TableLaw, TridiagonalModel, embedded_moments,
                   iterate_to_limit, partial_verdict)
 from lhbp.embedded import BOUNDARY_TOL, _certificate
 from lhbp.model import TailModel
 
-from conftest import (all_die_model, e1_model, ex2, product_tail_model,
+from conftest import (all_die_model, e1_model, ex2, g, product_tail_model,
                       tridiag, up_only_model, wide_band_model)
 
 
@@ -46,11 +46,11 @@ def test_tridiagonal_mu_increases_to_limit():
 
 def test_eval_g_quartic_values():
     m = ex2(0.0)
-    assert eval_g(m, 1, 0.0) == pytest.approx(0.5, abs=1e-13)
-    assert eval_g(m, 1, 1.0) == pytest.approx(1.0, abs=1e-13)
+    assert g(m, 1, 0.0) == pytest.approx(0.5, abs=1e-13)
+    assert g(m, 1, 1.0) == pytest.approx(1.0, abs=1e-13)
     # g_1(s) = (1/2) s^4 + 1/2 exactly
     for s in (0.25, 0.5, 0.9):
-        assert eval_g(m, 1, s) == pytest.approx(0.5 * s ** 4 + 0.5, abs=1e-12)
+        assert g(m, 1, s) == pytest.approx(0.5 * s ** 4 + 0.5, abs=1e-12)
 
 
 def test_eval_g_derivative_matches_mu():
@@ -58,14 +58,15 @@ def test_eval_g_derivative_matches_mu():
     for model in (ex2(0.05), tridiag(0.25, 0.25, 0.5)):
         mom = embedded_moments(model, 12, with_a=False)
         for k in range(8):
-            d = (3 * eval_g(model, k, 1.0) - 4 * eval_g(model, k, 1.0 - h)
-                 + eval_g(model, k, 1.0 - 2 * h)) / (2 * h)
+            d = (3 * g(model, k, 1.0) - 4 * g(model, k, 1.0 - h)
+                 + g(model, k, 1.0 - 2 * h)) / (2 * h)
             assert d == pytest.approx(mom.mu[k], abs=1e-5)
 
 
 def brute_first_returns(model, k, max_len=30, prune=1e-16):
     """DFS over first-return paths to k in the sterile mean graph (types <= k)."""
-    rows = {i: {j: m for j, m in model.mean_row(i).items() if j <= k}
+    table = model.moment_table(k)
+    rows = {i: {j: m for j, m in table.mean_row(i).items() if j <= k}
             for i in range(k + 1)}
     total = 0.0
     stack = [(j, w, 1) for j, w in rows[k].items()]

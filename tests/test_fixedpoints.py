@@ -3,38 +3,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lhbp import (G_value, RangeError, classify_trend, curve_from_anchor,
-                  decay_diagnostics, embedded_moments, eval_g, invert_g)
+from lhbp import (G_value, RangeError, curve_from_anchor, embedded_moments,
+                  iterate_to_limit)
 from lhbp.fixedpoints import _bisect
 
-from conftest import ex2, product_tail_model, tridiag
+from conftest import ex2, g, product_tail_model, tridiag
 
 
 def test_invert_roundtrip_quartic():
     m = ex2(0.0)
-    v = eval_g(m, 1, 0.5)
-    assert invert_g(m, 1, v) == pytest.approx(0.5, abs=1e-10)
+    v = g(m, 1, 0.5)
+    assert _bisect(lambda s: g(m, 1, s), v, 1e-12) == \
+        pytest.approx(0.5, abs=1e-10)
 
 
 def test_invert_hits_zero_endpoint():
     # g_1(0) = 1/2 for the quartic law, so the preimage of 1/2 is 0
-    assert invert_g(ex2(0.0), 1, 0.5) == 0.0
+    m = ex2(0.0)
+    assert _bisect(lambda s: g(m, 1, s), 0.5, 1e-12) == 0.0
 
 
 def test_invert_range_error():
     m = ex2(0.0)
-    g0 = eval_g(m, 1, 0.0)
+    g0 = g(m, 1, 0.0)
     with pytest.raises(RangeError):
-        invert_g(m, 1, g0 - 0.01)
+        _bisect(lambda s: g(m, 1, s), g0 - 0.01, 1e-12)
     with pytest.raises(RangeError):
-        invert_g(m, 1, 1.01)
+        _bisect(lambda s: g(m, 1, s), 1.01, 1e-12)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.floats(0.05, 0.95))
 def test_invert_roundtrip_property(s):
     m = tridiag(0.2, 0.1, 0.6)
-    assert invert_g(m, 3, eval_g(m, 3, s)) == pytest.approx(s, abs=1e-9)
+    assert _bisect(lambda x: g(m, 3, x), g(m, 3, s), 1e-12) == \
+        pytest.approx(s, abs=1e-9)
 
 
 def test_curve_construction_agrees_with_embedded_inversion(top_level_03):
@@ -45,7 +48,7 @@ def test_curve_construction_agrees_with_embedded_inversion(top_level_03):
     curve = curve_from_anchor(model, anchor, 10, bounds=(q[0], qt[0]))
     s = anchor
     for j in range(8):
-        s_next = invert_g(model, j, s, tol=1e-13)
+        s_next = _bisect(lambda x: g(model, j, x), s, 1e-13)
         assert curve.values[j + 1] == pytest.approx(s_next, abs=1e-8)
         s = s_next
 
@@ -110,29 +113,29 @@ def test_curve_truncates_below_q():
     assert curve.failure_index is not None
 
 
-def test_trend_classes():
-    assert classify_trend(np.full(40, 2.0)).label == "stabilizing"
-    assert classify_trend(np.exp(0.05 * np.arange(40))).label == "diverging"
-    assert classify_trend(np.exp(-0.05 * np.arange(40))).label == "vanishing"
-    t = classify_trend(2.0 + 1e-4 * np.sin(np.arange(40)))
-    assert t.label == "stabilizing"
-    assert t.level == pytest.approx(2.0, abs=1e-3)
+def _last_quarter(seq):
+    return seq[-max(2, len(seq) // 4):]
 
 
 def test_decay_diagnostics_gamma0():
     # along the global extinction curve of the pure-upward family the decay
-    # (1 - q_k) m_{0->k-1} = (1 - q_k) k grows without bound
+    # (1 - q_k) m_{0->k-1} = (1 - q_k) k grows without bound: over the last
+    # quarter of the window it moves by more than 5% and ends higher
     model = ex2(0.0)
-    from lhbp import iterate_to_limit
     q = iterate_to_limit(model, 600, 0.0).vector
     curve = curve_from_anchor(model, float(q[0]), 400)
-    rep = decay_diagnostics(curve, q_window=q, qtilde_window=np.ones(401))
-    assert rep.decay_trend.label == "diverging"
-    # the curve is the q-curve itself: gap ratio stays near one
-    assert rep.ratio_q_trend.label == "stabilizing"
-    assert rep.ratio_q_trend.level == pytest.approx(1.0, abs=0.05)
+    tail = _last_quarter(curve.decay)
+    assert np.all(np.isfinite(tail))
+    assert np.ptp(tail) >= 0.05 * np.max(tail) and tail[-1] > tail[0]
+    gap_s = 1.0 - curve.values
+    assert np.all(gap_s > 0)
+    n = len(curve.values)
+    # the curve is the q-curve itself: the gap ratio settles near one
+    tail = _last_quarter((1.0 - q[:n]) / gap_s)
+    assert np.ptp(tail) < 0.05 * np.max(tail)
+    assert np.mean(tail) == pytest.approx(1.0, abs=0.05)
     # against qtilde = 1 the ratio vanishes
-    assert rep.ratio_qtilde_trend.label == "vanishing"
+    assert np.all((1.0 - np.ones(n)) / gap_s == 0.0)
 
 
 def test_decay_diagnostics_intermediate_03(top_level_03):
@@ -141,14 +144,17 @@ def test_decay_diagnostics_intermediate_03(top_level_03):
     anchor = 0.5 * (q[0] + qt[0])
     curve = curve_from_anchor(model, anchor, 200, bounds=(q[0], qt[0]))
     mom = embedded_moments(model, 200, with_a=False)
-    rep = decay_diagnostics(curve, q_window=q[:201], qtilde_window=qt[:201])
     # the mu table blows up at k* = 2, so the decay prefix stops there and is
     # far too short to assess the limit; it must still be positive and finite
-    assert len(rep.decay) == mom.ok_through + 1
-    assert np.all(rep.decay > 0) and np.all(np.isfinite(rep.decay))
+    assert len(curve.decay) == mom.ok_through + 1
+    assert np.all(curve.decay > 0) and np.all(np.isfinite(curve.decay))
     # intermediate curves separate from both extremes: the gap to q grows
     # while the gap to qtilde collapses by orders of magnitude (it then
     # plateaus at a tiny level on this window, so assert the collapse itself)
-    assert rep.ratio_q_trend.label == "diverging"
-    assert rep.ratio_qtilde[60] < 1e-3 * rep.ratio_qtilde[10]
-    assert rep.ratio_qtilde[-1] < 2e-4
+    gap_s = 1.0 - curve.values
+    assert np.all(gap_s > 0)
+    tail = _last_quarter((1.0 - q[:201]) / gap_s)
+    assert np.ptp(tail) >= 0.05 * np.max(tail) and tail[-1] > tail[0]
+    ratio_qtilde = (1.0 - qt[:201]) / gap_s
+    assert ratio_qtilde[60] < 1e-3 * ratio_qtilde[10]
+    assert ratio_qtilde[-1] < 2e-4

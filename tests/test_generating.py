@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lhbp import (ExplicitModel, G_value, TableLaw, default_schedule,
-                  eval_g, extinction_ladder, iterate_to_limit)
+                  extinction_ladder, iterate_to_limit)
 from lhbp.generating import g_second_derivative
 
-from conftest import (all_die_model, e1_model, ex2, product_tail_model,
+from conftest import (all_die_model, e1_model, ex2, g, product_tail_model,
                       tridiag, up_only_model, wide_band_model)
 
 
@@ -136,6 +136,7 @@ def test_top_down_qtilde_matches_solves_from_q(top_down_ladders):
 
 def test_top_down_qtilde_window_nonincreasing(top_down_ladders):
     for ladder in top_down_ladders:
+        assert np.all(np.diff(ladder.q_window, axis=0) >= 0.0)
         assert np.all(np.diff(ladder.qtilde_window, axis=0) <= 0.0)
         assert np.all(ladder.qtilde_window >= ladder.q_window)
 
@@ -385,13 +386,13 @@ def test_g_second_derivative_closed_forms():
 
 
 def test_g_second_derivative_matches_eval_g_stencil():
-    # the one-sided second difference D(h) of eval_g has an O(h) error;
+    # the one-sided second difference D(h) of g_j has an O(h) error;
     # 2 D(h/2) - D(h) leaves an O(h^2) error, 8e-5 (relative) on
     # example2(0.1) at h = 1e-3, which one more Richardson step with the
     # weights (4, -1) / 3 removes
     def stencil(model, j, h):
-        return (eval_g(model, j, 0.0) - 2 * eval_g(model, j, h)
-                + eval_g(model, j, 2 * h)) / h ** 2
+        return (g(model, j, 0.0) - 2 * g(model, j, h)
+                + g(model, j, 2 * h)) / h ** 2
 
     def second_order(model, j, h):
         return 2 * stencil(model, j, h / 2) - stencil(model, j, h)

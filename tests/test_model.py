@@ -57,7 +57,7 @@ def brute_p_at_least_two(law, t):
 
 def test_load_example2_means():
     m = load_model('{"family": "example2", "gamma": 0.3}')
-    row = m.mean_row(1)
+    row = m.moment_table(1).mean_row(1)
     assert row[0] == pytest.approx(0.6, abs=1e-15)
     assert row[2] == pytest.approx(1.4, abs=1e-15)
 
@@ -88,9 +88,10 @@ def test_load_parse_error():
 
 def test_load_tridiagonal_mean_rows():
     m = load_model('{"family": "tridiagonal", "a": 0.25, "b": 0.25, "c": 0.5, "u": 1}')
-    assert m.mean_row(0) == {0: 0.25, 1: 0.5}
+    table = m.moment_table(7)
+    assert table.mean_row(0) == {0: 0.25, 1: 0.5}
     for i in (1, 3, 7):
-        assert m.mean_row(i) == {i - 1: 0.25, i: 0.25, i + 1: 0.5}
+        assert table.mean_row(i) == {i - 1: 0.25, i: 0.25, i + 1: 0.5}
 
 
 def test_load_tridiagonal_c_zero_rejected():
@@ -107,7 +108,7 @@ def test_load_example2_gamma_one_strictness():
 
 def test_tridiagonal_mean_row_5():
     m = tridiag(0.1, 0.2, 0.8)
-    assert m.mean_row(5) == {4: 0.1, 5: 0.2, 6: 0.8}
+    assert m.moment_table(5).mean_row(5) == {4: 0.1, 5: 0.2, 6: 0.8}
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +118,7 @@ def test_tridiagonal_mean_row_5():
 def test_example2_second_moment_value():
     # G_1 = (1/2)(g s_0 + (1-g) s_2)^4 + 1/2 has d2/ds0^2 = 6 g^2 at s = 1
     m = ex2(0.3)
-    assert m.a_entries(1)[(0, 0)] == pytest.approx(0.54, abs=1e-15)
+    assert m.moment_table(1).a_entries(1)[(0, 0)] == pytest.approx(0.54, abs=1e-15)
     assert brute_second(m.law(1), 0, 0) == pytest.approx(0.54, abs=1e-15)
 
 
@@ -142,13 +143,14 @@ def test_moment_tables_match_brute_force():
     models = [ex2(0.0), ex2(0.3), tridiag(0.25, 0.25, 0.5),
               tridiag(0.1, 0.2, 0.8, u=2.0)]
     for model in models:
+        table = model.moment_table(7)
         for i in range(8):
             law = model.law(i)
             bm = brute_means(law)
-            row = model.mean_row(i)
+            row = table.mean_row(i)
             for t in set(bm) | set(row):
                 assert row.get(t, 0.0) == pytest.approx(bm.get(t, 0.0), abs=1e-12)
-            for (t1, t2), v in model.a_entries(i).items():
+            for (t1, t2), v in table.a_entries(i).items():
                 assert v >= 0.0
                 assert v == pytest.approx(brute_second(law, t1, t2), rel=1e-12, abs=1e-12)
 
@@ -156,18 +158,20 @@ def test_moment_tables_match_brute_force():
 def test_mean_total_offspring_identity():
     # row sums of the mean matrix equal the brute-force mean total offspring
     for model in (ex2(0.2), tridiag(0.3, 0.1, 0.7)):
+        table = model.moment_table(6)
         for i in range(7):
             total = sum(p * sum(vec.values())
                         for vec, p in enumerate_support(model.law(i)))
-            assert sum(model.mean_row(i).values()) == pytest.approx(total, abs=1e-12)
+            assert sum(table.mean_row(i).values()) == pytest.approx(total, abs=1e-12)
 
 
 def test_a_block_symmetric_nonnegative():
-    # a_entries holds each unordered pair once, as (t1 <= t2); the dense
-    # second-moment block it stands for is symmetric and non-negative
+    # a table's a_entries hold each unordered pair once, as (t1 <= t2); the
+    # dense second-moment block they stand for is symmetric and non-negative
     for model in (ex2(0.4), tridiag(0.1, 0.2, 0.8, u=2.0)):
+        table = model.moment_table(5)
         for k in range(6):
-            entries = model.a_entries(k)
+            entries = table.a_entries(k)
             assert all(t1 <= t2 for t1, t2 in entries)
             n = max((t2 for _, t2 in entries), default=0) + 1
             A = np.zeros((n, n))
@@ -180,12 +184,13 @@ def test_a_block_symmetric_nonnegative():
 def test_tridiagonal_u_preserves_means():
     base = tridiag(0.1, 0.2, 0.8)
     mod = tridiag(0.1, 0.2, 0.8, u=2.0)
+    base_t, mod_t = base.moment_table(11), mod.moment_table(11)
     for i in range(12):
-        assert base.mean_row(i) == mod.mean_row(i)
+        assert base_t.mean_row(i) == mod_t.mean_row(i)
     # second moment of the upward coordinate grows by the scale factor
     s = 2.0 ** 5
-    f2_base = base.a_entries(5).get((6, 6), 0.0)  # zero: mean <= 1 two-point
-    assert mod.a_entries(5)[(6, 6)] == pytest.approx(s * (f2_base + 0.8) - 0.8)
+    f2_base = base_t.a_entries(5).get((6, 6), 0.0)  # zero: mean <= 1 two-point
+    assert mod_t.a_entries(5)[(6, 6)] == pytest.approx(s * (f2_base + 0.8) - 0.8)
 
 
 @pytest.mark.parametrize("model", [
@@ -264,9 +269,10 @@ def test_tail_rule_consistency():
     law0 = TableLaw(((((1, 1),), 0.6), ((), 0.4)))
     law1 = TableLaw(((((0, 1),), 0.15), (((2, 2),), 0.3), ((), 0.55)))
     m = ExplicitModel(head=(law0, law1))
+    table = m.moment_table(9)
     for i, j in itertools.product((2, 5, 9), repeat=2):
-        ri = m.mean_row(i)
-        rj = m.mean_row(j)
+        ri = table.mean_row(i)
+        rj = table.mean_row(j)
         assert {t - i: v for t, v in ri.items()} == {t - j: v for t, v in rj.items()}
 
 
@@ -281,8 +287,9 @@ def test_explicit_json_roundtrip_product():
                                               "2": {"0": 0.5, "1": 0.3, "2": 0.2}}}}]}
     m = load_model(json.dumps(doc))
     assert isinstance(m.law(1), ProductLaw)
-    assert m.mean_row(1) == pytest.approx({0: 0.2, 2: 0.7})
-    assert m.mean_row(4) == pytest.approx({3: 0.2, 5: 0.7})
+    table = m.moment_table(4)
+    assert table.mean_row(1) == pytest.approx({0: 0.2, 2: 0.7})
+    assert table.mean_row(4) == pytest.approx({3: 0.2, 5: 0.7})
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +334,13 @@ def test_shift_and_marginalize():
 def test_tail_model_moments_match_marginal_laws():
     for base in (ex2(0.3), tridiag(0.1, 0.2, 0.8, u=2.0)):
         tail = TailModel(base, 3)
+        table = tail.moment_table(3)
         for j in range(4):
             law = tail.law(j)
-            assert tail.mean_row(j) == pytest.approx(brute_means(law), abs=1e-12)
-            for (t1, t2), v in tail.a_entries(j).items():
+            assert table.mean_row(j) == pytest.approx(brute_means(law), abs=1e-12)
+            for (t1, t2), v in table.a_entries(j).items():
                 assert v == pytest.approx(brute_second(law, t1, t2), abs=1e-12)
-            assert tail.moment_table(j).p_double_up[j] == pytest.approx(
+            assert table.p_double_up[j] == pytest.approx(
                 brute_p_at_least_two(law, j + 1), abs=1e-12)
 
 
