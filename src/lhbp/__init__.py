@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 
 from .model import (Example2Model, ExplicitModel, LHBPModel, ModelError,
                     ProductLaw, TableLaw, TailModel, TridiagonalModel,
-                    G_value, load_model, validate)
+                    load_model, validate)
 from .generating import (ComputationError, ExtinctionLadder, TruncationResult,
                          default_schedule, extinction_ladder, iterate_to_limit)
 from .embedded import (EmbeddedMoments, PartialVerdict, embedded_moments,

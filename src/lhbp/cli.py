@@ -60,15 +60,7 @@ def _write_csv(rows, header, out_path):
 
 
 def _write_json(obj, out_path):
-    _emit(json.dumps(obj, indent=2, default=_json_default) + "\n", out_path)
-
-
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON serialisable: {type(o)}")
+    _emit(json.dumps(obj, indent=2) + "\n", out_path)
 
 
 def _load(path: str, strict: bool = True) -> LHBPModel:
@@ -96,8 +88,10 @@ def _parse_grid(spec: str) -> np.ndarray:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"grid must be START:STEP:END, got {spec!r}")
-    if step <= 0 or end < start:
-        raise argparse.ArgumentTypeError(f"bad grid {spec!r}")
+    # gamma lies in [0, 1]; written so that NaN fails the test
+    if not (step > 0 and 0.0 <= start <= end <= 1.0):
+        raise argparse.ArgumentTypeError(
+            f"bad grid {spec!r}: need STEP > 0 and 0 <= START <= END <= 1")
     n = int(round((end - start) / step)) + 1
     return np.linspace(start, end, n)
 
@@ -182,8 +176,7 @@ def cmd_fixedpoints(args) -> int:
     model = _load(args.model)
     if args.J > args.k:
         raise argparse.ArgumentTypeError("curve window J must not exceed k")
-    ladder = extinction_ladder(model, default_schedule(args.k),
-                               window=min(2, args.k + 2), tol=args.tol)
+    ladder = extinction_ladder(model, default_schedule(args.k), tol=args.tol)
     qv = ladder.q_results[-1].vector
     qtv = ladder.qtilde_results[-1].vector
     q0, qt0 = float(qv[0]), float(qtv[0])
@@ -214,7 +207,7 @@ def cmd_simulate(args) -> int:
 def _sweep_row(payload):
     gamma, k, tol = payload
     model = Example2Model(gamma=gamma)
-    ladder = extinction_ladder(model, (k,), window=1, tol=tol)
+    ladder = extinction_ladder(model, (k,), tol=tol)
     rq, rt = ladder.q_results[0], ladder.qtilde_results[0]
     cls = classify(model, Budget(partial_horizon=2000, global_horizon=2000,
                                  sls_tail_horizon=1000))
@@ -357,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "qtilde_converged; one row per grid point.")
     common(sp, tol=True)
     sp.add_argument("--grid", type=_parse_grid, required=True,
-                    help="parameter grid START:STEP:END")
+                    help="gamma grid START:STEP:END within [0, 1]")
     sp.add_argument("--k", type=int, required=True, help="truncation level")
     sp.set_defaults(fn=cmd_sweep)
 

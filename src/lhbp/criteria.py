@@ -89,8 +89,7 @@ def _hypothesis_flags(mom: EmbeddedMoments) -> HypothesisFlags:
     return HypothesisFlags(sup, bool(bounded), float(dbl))
 
 
-def global_verdict(model: LHBPModel, K: int = 4000,
-                   margin: float = 0.05) -> GlobalVerdict:
+def global_verdict(model: LHBPModel, K: int = 4000) -> GlobalVerdict:
     """Decide q = 1 vs q < 1 on the partial-extinction side.
 
     Order of rules: (0) a certified qt < 1 (the x-criterion fails within the
@@ -144,6 +143,7 @@ def global_verdict(model: LHBPModel, K: int = 4000,
 
     # rule 2: ratio test on the tail window
     rtail = raabe[int(0.8 * len(raabe)):]
+    margin = 0.05
     if len(rtail):
         lo, hi = float(np.min(rtail)), float(np.max(rtail))
         if lo > 1.0 + margin:

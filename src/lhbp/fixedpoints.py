@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedded import embedded_moments
-from .model import G_value, LHBPModel
+from .model import LHBPModel
 
 ENDPOINT_SLACK = 1e-6
 RANGE_SLACK = 1e-12
@@ -86,9 +86,10 @@ def curve_from_anchor(model: LHBPModel, s0: float, J: int, tol: float = 1e-12,
     buf[0] = s0
     failure = None
     n_vals = 1
+    residual = 0.0
     for j in range(J):
         # G_j(s_0..s_j, x) = s_j, solved for x in the next slot of buf; the
-        # law is built once per index, not once per bisection probe
+        # law is built once per index and also gives the index's residual
         law = model.law(j)
 
         def coordinate(x: float) -> float:
@@ -100,11 +101,9 @@ def curve_from_anchor(model: LHBPModel, s0: float, J: int, tol: float = 1e-12,
         except RangeError:
             failure = j
             break
+        residual = max(residual, abs(law.pgf(buf) - buf[j]))
         n_vals += 1
     values = buf[:n_vals].copy()
-    residual = 0.0
-    for i in range(n_vals - 1):
-        residual = max(residual, abs(G_value(model, i, values) - values[i]))
     mom = embedded_moments(model, max(n_vals - 2, 0), with_a=False)
     usable = min(n_vals - 1, mom.ok_through + 1)
     decay = (1.0 - values[1:usable + 1]) * mom.m0[:usable]

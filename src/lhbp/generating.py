@@ -323,7 +323,10 @@ def iterate_to_limit(model: LHBPModel, k: int, s: float, tol: float = 1e-12,
     levels do: the result of a lower level, padded with zeros; for s = 1
     the converged s = 1 result of a deeper level, cut to its first k + 2
     entries; and the elementwise maximum of two such starts.  The last
-    entry of a start, its boundary, is ignored.
+    entry of a start, its boundary, is ignored.  Such a start is a
+    sub-solution, so the target lies above it; this function holds the
+    returned u at or above the start on the start's other entries, which
+    rounding in the last ulp would otherwise break.
     The iteration stops once a step moves no coordinate by more than
     ``tol``.  ``max_iter`` defaults to k + 100 steps: from a start far
     below the target a step carries the boundary's influence only a few
@@ -366,6 +369,9 @@ def iterate_to_limit(model: LHBPModel, k: int, s: float, tol: float = 1e-12,
     u = 1.0 - v
     u[k + 1] = s
     residual = float(np.max(np.abs(val - head)))
+    if start is not None:
+        held = u[:len(start) - 1]
+        np.maximum(held, start[:-1], out=held)
     return TruncationResult(k, s, u, n, residual, converged)
 
 
@@ -445,16 +451,16 @@ def extinction_ladder(model: LHBPModel, schedule, window: int | None = None,
     """Run both boundaries over an increasing truncation schedule.
 
     q runs bottom-up, each level warm-started from the one below (padded
-    with zeros) and held above that start, so the q ladder is nondecreasing
-    by construction.  qtilde runs top-down, since qtilde^(k) decreases in
-    k: the top level starts from its own q, each lower level k from the
-    elementwise maximum of its q and the next deeper level's qtilde cut to
-    types 0..k, unless that level did not converge.  Both starts are
-    sub-solutions of the level-k system with boundary 1, and each result is
-    held above its start, which keeps q <= qtilde and the qtilde ladder
-    nonincreasing.  ``window``
-    (default: all k + 2 entries of the smallest level k) sets how many
-    leading coordinates are reported and extrapolated.
+    with zeros), so the q ladder is nondecreasing by construction.  qtilde
+    runs top-down, since qtilde^(k) decreases in k: the top level starts
+    from its own q, each lower level k from the elementwise maximum of its
+    q and the next deeper level's qtilde cut to types 0..k, unless that
+    level did not converge.  Both starts are sub-solutions of the level-k
+    system with boundary 1.  ``iterate_to_limit`` holds each result at or
+    above its start, which keeps q <= qtilde and the qtilde ladder
+    nonincreasing.  ``window`` (default: all k + 2 entries of the smallest
+    level k) sets how many leading coordinates are reported and
+    extrapolated.
     """
     schedule = tuple(schedule)
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -473,10 +479,6 @@ def extinction_ladder(model: LHBPModel, schedule, window: int | None = None,
     prev = None
     for k in schedule:
         rq = iterate_to_limit(model, k, 0.0, tol=tol, start=prev)
-        if prev is not None:
-            # the padded start is a sub-solution; guard the last float ulp
-            n = len(prev)
-            rq.vector[:n] = np.maximum(rq.vector[:n], prev)
         prev = rq.vector
         q_results.append(rq)
     deeper = None
@@ -485,9 +487,6 @@ def extinction_ladder(model: LHBPModel, schedule, window: int | None = None,
         if deeper is not None:
             start = np.maximum(start, deeper.vector[:rq.level + 2])
         rt = iterate_to_limit(model, rq.level, 1.0, tol=tol, start=start)
-        # the start is a sub-solution, so the solution lies above it
-        # mathematically; guard the last float ulp
-        rt.vector = np.maximum(rt.vector, start)
         deeper = rt if rt.converged else None
         qt_results.append(rt)
     qt_results.reverse()

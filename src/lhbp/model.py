@@ -127,22 +127,23 @@ def marginalize_law(law: OffspringLaw, cut: int) -> OffspringLaw:
 
 
 def _check_law(law: OffspringLaw, owner: int) -> None:
-    if abs(law.prob_sum() - 1.0) > PROB_TOL:
+    # each test is written so that NaN fails it
+    if not abs(law.prob_sum() - 1.0) <= PROB_TOL:
         raise ModelError(
             f"type {owner}: probabilities sum to {law.prob_sum()!r}, not 1")
     if isinstance(law, TableLaw):
         for counts, p in law.entries:
-            if p < 0:
-                raise ModelError(f"type {owner}: negative probability {p}")
+            if not p >= 0:
+                raise ModelError(f"type {owner}: bad probability {p}")
             for t, c in counts:
-                if t < 0 or c <= 0 or c != int(c):
+                if t < 0 or not c > 0:
                     raise ModelError(f"type {owner}: bad count {c} for type {t}")
     else:
         for t, pmf in law.coords:
             if t < 0:
                 raise ModelError(f"type {owner}: negative child type {t}")
             for c, p in pmf:
-                if p < 0 or c < 0:
+                if not (p >= 0 and c >= 0):
                     raise ModelError(f"type {owner}: bad pmf entry ({c}, {p})")
     bad = [t for t in law.support_types() if t > owner + 1]
     if bad:
@@ -352,12 +353,13 @@ class TridiagonalModel(LHBPModel):
     u: float = 1.0
 
     def __post_init__(self):
-        if min(self.a, self.b, self.c) < 0:
-            raise ModelError("tridiagonal parameters must be non-negative")
-        if self.u < 1.0:
+        # each test is written so that NaN fails it
+        means = (self.a, self.b, self.c)
+        if not all(0.0 <= m <= 2.0 for m in means):
+            raise ModelError("tridiagonal means a, b, c must lie in [0, 2] "
+                             f"(two-point coordinate laws), got {means}")
+        if not self.u >= 1.0:
             raise ModelError(f"u must be >= 1, got {self.u}")
-        if max(self.a, self.b, self.c) > 2.0:
-            raise ModelError("two-point coordinate laws require means <= 2")
 
     def _scale(self, i: int) -> float:
         """ceil(u^i) as a float, saturating to inf."""
@@ -519,23 +521,31 @@ def _parse_law(doc: dict) -> OffspringLaw:
     if kind == "table":
         entries = []
         for e in doc["entries"]:
-            counts = tuple(sorted((int(t), int(c))
-                                  for t, c in e["counts"].items() if int(c)))
-            entries.append((counts, float(e["prob"])))
+            counts = [(int(t), _count(c)) for t, c in e["counts"].items()]
+            entries.append((tuple(sorted((t, c) for t, c in counts if c)),
+                            float(e["prob"])))
         return TableLaw(tuple(entries))
     if kind == "product":
         coords = []
         for t, pmf in doc["coords"].items():
             coords.append((int(t), tuple(sorted(
-                (float(int(c)), float(p)) for c, p in pmf.items()))))
+                (float(_count(c)), float(p)) for c, p in pmf.items()))))
         return ProductLaw(tuple(sorted(coords)))
     raise ModelError(f"unknown law kind {kind!r}")
+
+
+def _count(c) -> int:
+    """A child count of a model document, which must be a whole number."""
+    x = float(c)
+    if not x.is_integer():
+        raise ModelError(f"parse error: count {c!r} is not a whole number")
+    return int(x)
 
 
 def _parse_explicit(doc: dict) -> ExplicitModel:
     rows = sorted(doc["head"], key=lambda r: int(r["type"]))
     types = [int(r["type"]) for r in rows]
-    if types != list(range(len(rows))):
+    if not rows or types != list(range(len(rows))):
         raise ModelError(f"head must cover types 0..T contiguously, got {types}")
     tail_from = int(doc.get("tail_from", len(rows) - 1))
     if tail_from != len(rows) - 1:
@@ -616,20 +626,3 @@ def validate(model: LHBPModel, K: int = 64) -> ValidationReport:
         min_one_minus_p1=min_1mp1,
         divergence_flag="plausible" if min_1mp1 > 1e-6 else "fails",
     )
-
-
-# ---------------------------------------------------------------------------
-# scalar generating vector
-
-
-def G_value(model: LHBPModel, i: int, u) -> float:
-    """Evaluate coordinate i of the progeny generating vector at ``u``.
-
-    ``u`` must cover indices 0..i+1.  Generic scalar path, used for residual
-    checks and as a brute-force oracle.  It builds the type-i law on every
-    call; a caller probing one coordinate many times builds the law once and
-    calls its ``pgf``.  Product laws are evaluated as a product of
-    per-coordinate sums rather than through ``outcomes()``, which keeps this
-    path independent of the expansion the generic sweep uses.
-    """
-    return model.law(i).pgf(u)

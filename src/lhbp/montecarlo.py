@@ -218,9 +218,8 @@ def estimate_extinction(model: LHBPModel, k: int, i0: int, variant: str,
     return SimEstimate(p, hw, used, caps, caps > 0.05 * n, seed)
 
 
-def estimate_embedded_moment(model: LHBPModel, k: int, n: int, seed: int,
-                             max_generations: int = 10_000,
-                             population_cap: int = 10_000_000) -> SimEstimate:
+def estimate_embedded_moment(model: LHBPModel, k: int, n: int,
+                             seed: int) -> SimEstimate:
     """Sample mean of the total type-(k+1) births in the sterile level-k
     truncation started from one type-k individual; estimates the embedded
     offspring mean of generation k.
@@ -232,9 +231,7 @@ def estimate_embedded_moment(model: LHBPModel, k: int, n: int, seed: int,
     if mom.kind != "ok":
         raise ValueError(f"embedded mean undefined: x hits 1 at k={mom.k_star}")
     cfg = SimConfig(truncation=k, variant="sterile", initial_type=k,
-                    replications=n, seed=seed,
-                    max_generations=max_generations,
-                    population_cap=population_cap)
+                    replications=n, seed=seed)
     batch = simulate_truncated(model, cfg)
     done = batch.outcomes == OUTCOME_EXTINCT
     used = int(np.sum(done))

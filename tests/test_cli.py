@@ -15,6 +15,7 @@ from lhbp import TridiagonalModel, embedded_moments
 from lhbp.cli import main
 
 EX2 = '{"family": "example2", "gamma": %s}'
+NAN = float("nan")
 TRI = '{"family": "tridiagonal", "a": %s, "b": %s, "c": %s, "u": %s}'
 
 
@@ -197,6 +198,22 @@ def test_sweep_needs_example2(capsys, model_file):
                  model_file(TRI % ("0.25", "0.25", "0.5", "1")),
                  "--grid", "0:0.5:1", "--k", "16"])
     assert code == 4
+
+
+def test_sweep_grid_outside_unit_interval_is_usage_error(capsys, model_file,
+                                                         monkeypatch):
+    # the grid is a command-line argument: gamma = 1.2 is a usage error,
+    # reported before any worker starts
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started")
+
+    import lhbp.cli
+    monkeypatch.setattr(lhbp.cli, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(SystemExit) as e:
+        main(["sweep", "--model", model_file(EX2 % "0.0"),
+              "--grid", "0.9:0.3:1.5", "--k", "16", "--workers", "2"])
+    assert e.value.code == 4
+    assert "0.9:0.3:1.5" in capsys.readouterr().err
 
 
 def test_sweep_workers_parallel(capsys, model_file):
@@ -435,7 +452,35 @@ MALFORMED_DOCS = (
     {"family": "tridiagonal", "a": 0.25, "b": 0.25, "c": "0.5x"},
     {"family": "explicit", "head": [{"type": 0, "law": {
         "kind": "table", "entries": [{"counts": {"1": "x"}, "prob": 1.0}]}}]},
-    {"family": "explicit", "head": [{"type": "zero", "law": _HEAD_LAW}]})
+    {"family": "explicit", "head": [{"type": "zero", "law": _HEAD_LAW}]},
+    {"family": "explicit", "head": []},
+    # json.loads reads NaN; each NaN must fail its check
+    {"family": "tridiagonal", "a": NAN, "b": 0.25, "c": 0.5},
+    {"family": "tridiagonal", "a": 0.25, "b": NAN, "c": 0.5},
+    {"family": "tridiagonal", "a": 0.25, "b": 0.25, "c": NAN},
+    {"family": "tridiagonal", "a": 0.25, "b": 0.25, "c": 0.5, "u": NAN},
+    {"family": "explicit", "head": [{"type": 0, "law": {
+        "kind": "product", "coords": {"1": {"0": NAN, "1": 0.5}}}}]},
+    # the NaN coordinate sums last, where min() over the sums misses it
+    {"family": "explicit", "head": [{"type": 0, "law": {
+        "kind": "product", "coords": {"0": {"1": 1.0},
+                                      "1": {"0": NAN, "1": 0.5}}}}]},
+    # a fractional count is not rounded to a whole child
+    {"family": "explicit", "head": [{"type": 0, "law": {
+        "kind": "table", "entries": [{"counts": {"1": 1.5}, "prob": 1.0}]}}]},
+    {"family": "explicit", "head": [{"type": 0, "law": {
+        "kind": "table", "entries": [{"counts": {"1": 0.5}, "prob": 0.5},
+                                     {"counts": {"1": 1}, "prob": 0.5}]}}]})
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["extinction", "--k", "4"],
+                                  ["simulate", "--k", "2", "--reps", "100"]])
+@pytest.mark.parametrize("doc", MALFORMED_DOCS)
+def test_malformed_model_exits_2(capsys, tmp_path, argv, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(argv + ["--model", str(path), "--workers", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @settings(max_examples=40, deadline=None,

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lhbp import (G_value, RangeError, curve_from_anchor, embedded_moments,
+from lhbp import (RangeError, curve_from_anchor, embedded_moments,
                   iterate_to_limit)
 from lhbp.fixedpoints import _bisect
 
@@ -93,17 +93,22 @@ def test_curve_rejects_outside_anchor(top_level_03):
                                        (product_tail_model(), 0.6)])
 def test_curve_matches_per_probe_law_build(model, s0):
     # the curve builds each index's law once; a bisection that rebuilds it
-    # on every probe, through G_value, gives the same bits
+    # on every probe gives the same bits, and so does the residual taken
+    # over the finished curve
     curve = curve_from_anchor(model, s0, 60)
     buf = np.zeros(62)
     buf[0] = s0
     for j in range(len(curve.values) - 1):
         def coordinate(x):
             buf[j + 1] = x
-            return G_value(model, j, buf)
+            return model.law(j).pgf(buf)
 
         buf[j + 1] = _bisect(coordinate, buf[j], 1e-13)
     assert buf[:len(curve.values)].tobytes() == curve.values.tobytes()
+    values = curve.values
+    residual = max((abs(model.law(j).pgf(values) - values[j])
+                    for j in range(len(values) - 1)), default=0.0)
+    assert curve.residual == residual
 
 
 def test_curve_truncates_below_q():

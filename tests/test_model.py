@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lhbp import (ExplicitModel, G_value, ModelError, ProductLaw,
-                  TableLaw, load_model, validate)
+from lhbp import (ExplicitModel, ModelError, ProductLaw, TableLaw,
+                  load_model, validate)
 from lhbp.model import (LHBPModel, TailModel, _law_table, marginalize_law,
                         shift_law)
 
@@ -262,7 +262,7 @@ def test_tridiagonal_saturated_scale_has_no_nan_count():
     model = tridiag(0.1, 0.2, 0.8, u=2.0)
     assert all(not np.isnan(c) for _, pmf in model.law(1100).coords
                for c, _ in pmf)
-    assert np.isfinite(G_value(model, 1100, np.full(1102, 0.5)))
+    assert np.isfinite(model.law(1100).pgf(np.full(1102, 0.5)))
 
 
 def test_tail_rule_consistency():
@@ -384,7 +384,7 @@ def test_law_moment_identities(law):
             brute_second(law, t1, t2), abs=1e-12)
     assert dbl == pytest.approx(brute_p_at_least_two(law, 3), abs=1e-12)
     # G at the all-ones point is the total mass
-    assert G_value(m, 2, np.ones(8)) == pytest.approx(law.prob_sum(), abs=1e-12)
+    assert m.law(2).pgf(np.ones(8)) == pytest.approx(law.prob_sum(), abs=1e-12)
 
 
 @st.composite
