@@ -11,8 +11,6 @@ non-convergence in a gating computation, 4 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -36,12 +34,6 @@ EXIT_NONCONVERGED = 3
 EXIT_USAGE = 4
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
@@ -51,12 +43,14 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _write_csv(rows, header, out_path):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
+    """Write a header and rows as CSV, each float (np.float64 included) with
+    17 significant digits and any other value as ``str``.  No field is
+    quoted: the commands write no text with a comma, quote or line break."""
+    lines = [",".join(header)]
     for row in rows:
-        w.writerow([_fmt(v) for v in row])
-    _emit(buf.getvalue(), out_path)
+        lines.append(",".join([f"{v:.17g}" if isinstance(v, float) else str(v)
+                               for v in row]))
+    _emit("\n".join(lines) + "\n", out_path)
 
 
 def _write_json(obj, out_path):

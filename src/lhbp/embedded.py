@@ -41,57 +41,47 @@ class EmbeddedMoments:
         return "ok"
 
 
-def _columns(table: MomentTable, with_a: bool):
-    """The table's present columns, as memoryviews: they yield Python floats
-    without converting rows that a recursion stopping early never reads.
-
-    Returns (width, up, down, back, pairs): ``down`` holds (slot, column) of
-    each offset d = slot - width <= 0 present in some row, ``back`` those
-    with d < 0, and ``pairs`` (slot1, slot2, weight, column) of the second
-    factorial pairs, the weight 2 counting (i, j) and (j, i) once each.
-    """
-    w = table.width
-    down = [(t, memoryview(col)) for t, (col, present)
-            in enumerate(zip(table.mean[:-1], table.mean[:-1].any(axis=1)))
-            if present]
-    pairs = [(w + d1, w + d2, 1.0 if d1 == d2 else 2.0, memoryview(col))
-             for (d1, d2), col, present
-             in zip(table.pairs, table.a, table.a.any(axis=1))
-             if with_a and present]
-    return (w, memoryview(table.mean[w + 1]), down,
-            [(t, col) for t, col in down if t < w], pairs)
-
-
 def embedded_moments(model: LHBPModel, K: int, with_a: bool = True) -> EmbeddedMoments:
-    """Run the moment recursions up to horizon K.
+    """Run the moment recursions up to horizon K, in two passes.
 
-    The rows come from the model's moment table (``model.moment_table``):
-    one of FIRST_ROWS rows, then one of all K + 1 rows if the recursion gets
-    past it.  The recursions skip the table's absent (zero) entries.  Stops
-    at the first k with x_k >= 1 (within BOUNDARY_TOL of 1 counts as the
+    Only x_k and mu_k are recursive in a nonlinear way: x_k sums the mean
+    row of type k against products of the means before it, and mu_k divides
+    the upward mean by 1 - x_k.  The first pass runs them alone, one scalar
+    step at a time, and keeps each step's 1 - x_k.  Its rows come from the
+    model's moment table (``model.moment_table``): one of FIRST_ROWS rows,
+    then one of all K + 1 rows if the recursion gets past it.  It stops at
+    the first k with x_k >= 1 (within BOUNDARY_TOL of 1 counts as the
     boundary case); entries beyond the stop are undefined and the arrays are
     truncated accordingly.  Row sums in x_k only span the model bandwidth,
     so the per-step window products cannot overflow; the cumulative mean m0
     is tracked in log space alongside its float value.
+
+    With ``with_a``, a second pass computes the second factorial moments a_k
+    from the means and the last table (``_second_moments``).  Both passes
+    skip the table's absent (zero) entries.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
     mus: list[float] = []
-    avals: list[float] = []
     xvals: list[float] = []
+    denoms: list[float] = []
     kind, k_star = "ok", None
     rows = -1  # last row of the current table
     for k in range(K + 1):
         if k > rows:
             rows = min(K, FIRST_ROWS - 1) if rows < 0 else K
             table = model.moment_table(rows)
-            w, up, down, back, pairs = _columns(table, with_a)
+            w = table.width
+            up = memoryview(table.mean[w + 1])
+            down = [(t, memoryview(col)) for t, (col, present) in enumerate(
+                zip(table.mean[:-1], table.mean[:-1].any(axis=1))) if present]
             # win[t] = mu_{k-w+t} * ... * mu_{k-1}, multiplied left to right
             # (the update at the end of each step, replayed over the last w
             # means); slots of negative types hold junk no entry reads
             win = [1.0] * (w + 1)
             for mu in mus[max(k - w, 0):]:
                 win = [p * mu for p in win[1:]] + [1.0]
+            slide = range(w)  # built once: a range per step costs more
         x_k = 0.0
         for t, col in down:
             m = col[k]
@@ -107,40 +97,18 @@ def embedded_moments(model: LHBPModel, K: int, with_a: bool = True) -> EmbeddedM
         denom = 1.0 - x_k
         mu_k = up[k] / denom
         mus.append(mu_k)
-        if not with_a:
-            for t in range(w):  # slide the window one type up
-                win[t] = win[t + 1] * mu_k
-            continue
-        # reach[t] = m_{k-w+t -> k} * mu_k, the mean number of type-(k+1)
-        # first visits per type-(k-w+t) individual; 1 for type k+1 itself
-        reach = [p * mu_k for p in win]
-        reach.append(1.0)
-        term2 = 0.0
-        for t1, t2, f, col in pairs:
-            v = col[k]
-            if v:
-                term2 += reach[t1] * reach[t2] * v * f
-        term1 = 0.0
-        for t, col in back:
-            m = col[k]
-            if m:
-                s = 0.0
-                run = 1.0  # mu_i * ... * mu_{l-1}
-                for l in range(k - w + t, k):
-                    tail = reach[l + 1 - k + w]  # m_{l+1 -> k} * mu_k
-                    s += avals[l] * run * tail * tail
-                    run *= mus[l]
-                term1 += m * s
-        avals.append((term1 + term2) / denom)
-        win = reach[1:]
+        denoms.append(denom)
+        for t in slide:  # slide the window one type up
+            win[t] = win[t + 1] * mu_k
     log_arr = np.array([math.log(m) if m > 0 else -math.inf for m in mus],
                        dtype=float).cumsum()
     with np.errstate(over="ignore"):
         m0 = np.exp(log_arr)
+    mu = np.array(mus)
     return EmbeddedMoments(
         horizon=K,
-        mu=np.array(mus),
-        a=np.array(avals) if with_a else None,
+        mu=mu,
+        a=_second_moments(table, mu, denoms) if with_a else None,
         x=np.array(xvals),
         m0=m0,
         log_m0=log_arr,
@@ -149,6 +117,57 @@ def embedded_moments(model: LHBPModel, K: int, with_a: bool = True) -> EmbeddedM
         k_star=k_star,
         table=table,
     )
+
+
+def _second_moments(table: MomentTable, mu: np.ndarray,
+                    denoms: list[float]) -> np.ndarray:
+    """a_0..a_{n-1} for the n means ``mu`` and their 1 - x_k ``denoms``.
+
+    a_k = (term1_k + term2_k) / (1 - x_k).  term2_k pairs the second
+    factorial moments of row k with the reach of each child type, and needs
+    only the means, so it is computed for all k at once.  term1_k carries
+    the a_l of the w types below k and is linear in them; it runs as one
+    scalar sweep over precomputed lists.  Every product and sum is taken in
+    the order of the one-step recursion, so the results are bitwise those of
+    stepping it.
+    """
+    n, w = len(mu), table.width
+    # win[t, k] = mu_{k-w+t} * ... * mu_{k-1} and reach[t, k] = win[t, k] *
+    # mu_k, the mean number of type-(k+1) first visits per type-(k-w+t)
+    # individual (reach[w + 1] = 1 for type k+1 itself); each window slot is
+    # the next one a step earlier, times mu
+    win = np.ones((w + 1, n))
+    reach = np.ones((w + 2, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(w, -1, -1):
+            win[t, 1:] = reach[t + 1, :-1]
+            np.multiply(win[t], mu, out=reach[t])
+        # the weight 2 counts the pairs (i, j) and (j, i) once each
+        term2 = np.zeros(n)
+        for (d1, d2), col in zip(table.pairs, table.a):
+            v = col[:n]
+            np.add(term2, reach[w + d1] * reach[w + d2] * v
+                   * (1.0 if d1 == d2 else 2.0), out=term2, where=v != 0)
+    # term1_k = sum over the back slots t of m_{k,i} (i = k - w + t) times
+    # the sum over l in [i, k) of a_l * win[w - l + i, l] * reach[l+1-k+w, k]^2
+    back = [(col[:n].tolist(),
+             [(t + j - w, win[w - j].tolist(), reach[t + j + 1].tolist())
+              for j in range(w - t)])
+            for t, col in enumerate(table.mean[:w]) if col[:n].any()]
+    avals: list[float] = []
+    for k, (t2, denom) in enumerate(zip(term2.tolist(), denoms)):
+        term1 = 0.0
+        for ms, parts in back:
+            m = ms[k]
+            if m:
+                s = 0.0
+                for off, run, tail in parts:
+                    l = k + off
+                    r = tail[k]
+                    s += avals[l] * run[l] * r * r
+                term1 += m * s
+        avals.append((term1 + t2) / denom)
+    return np.array(avals, dtype=float)
 
 
 # ---------------------------------------------------------------------------

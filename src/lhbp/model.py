@@ -521,7 +521,8 @@ def _parse_law(doc: dict) -> OffspringLaw:
     if kind == "table":
         entries = []
         for e in doc["entries"]:
-            counts = [(int(t), _count(c)) for t, c in e["counts"].items()]
+            counts = [(int(t), _whole(c, "count"))
+                      for t, c in e["counts"].items()]
             entries.append((tuple(sorted((t, c) for t, c in counts if c)),
                             float(e["prob"])))
         return TableLaw(tuple(entries))
@@ -529,25 +530,27 @@ def _parse_law(doc: dict) -> OffspringLaw:
         coords = []
         for t, pmf in doc["coords"].items():
             coords.append((int(t), tuple(sorted(
-                (float(_count(c)), float(p)) for c, p in pmf.items()))))
+                (float(_whole(c, "count")), float(p))
+                for c, p in pmf.items()))))
         return ProductLaw(tuple(sorted(coords)))
     raise ModelError(f"unknown law kind {kind!r}")
 
 
-def _count(c) -> int:
-    """A child count of a model document, which must be a whole number."""
+def _whole(c, what: str) -> int:
+    """A child count, type or type bound of a model document, which must be
+    a whole number."""
     x = float(c)
     if not x.is_integer():
-        raise ModelError(f"parse error: count {c!r} is not a whole number")
+        raise ModelError(f"parse error: {what} {c!r} is not a whole number")
     return int(x)
 
 
 def _parse_explicit(doc: dict) -> ExplicitModel:
-    rows = sorted(doc["head"], key=lambda r: int(r["type"]))
-    types = [int(r["type"]) for r in rows]
+    rows = sorted(doc["head"], key=lambda r: _whole(r["type"], "type"))
+    types = [_whole(r["type"], "type") for r in rows]
     if not rows or types != list(range(len(rows))):
         raise ModelError(f"head must cover types 0..T contiguously, got {types}")
-    tail_from = int(doc.get("tail_from", len(rows) - 1))
+    tail_from = _whole(doc.get("tail_from", len(rows) - 1), "tail_from")
     if tail_from != len(rows) - 1:
         raise ModelError("tail_from must equal the largest head type")
     head = tuple(_parse_law(r["law"]) for r in rows)

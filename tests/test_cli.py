@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lhbp import TridiagonalModel, embedded_moments
-from lhbp.cli import main
+from lhbp.cli import _write_csv, main
 
 EX2 = '{"family": "example2", "gamma": %s}'
 NAN = float("nan")
@@ -145,6 +146,30 @@ def test_extinction_csv_and_roundtrip(capsys, model_file):
     assert q0 == sorted(q0)
     # 17-significant-digit floats reparse identically
     assert all(f"{float(r['q']):.17g}" == r["q"] for r in levels)
+
+
+def test_write_csv_matches_csv_module(tmp_path, capsys):
+    # every float, np.float64 included, as 17 significant digits; anything
+    # else as str; the same bytes as csv.writer over the formatted fields
+    header = ("k", "mu", "a", "x", "m0", "status")
+    rows = [(0, 0.1, np.float64(0.1), NAN, np.float64(NAN), "ok"),
+            (np.int64(7), -0.0, np.float64(-0.0), math.inf, -math.inf, ""),
+            (True, np.float64(math.inf), np.float64(-math.inf), 1e-320,
+             np.float64(2.0 / 3.0), "blowup(2)"),
+            (2 ** 70, False, np.bool_(True), "", 1.0, "PartialSurvival")]
+    ref = io.StringIO()
+    w = csv.writer(ref, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+    path = tmp_path / "out.csv"
+    _write_csv(rows, header, str(path))
+    assert path.read_bytes() == ref.getvalue().encode()
+    _write_csv(rows, header, None)
+    assert capsys.readouterr().out == ref.getvalue()
+    # str(np.float64) keeps only the shortest round-trip digits
+    assert ref.getvalue().splitlines()[1] == (
+        "0,0.10000000000000001,0.10000000000000001,nan,nan,ok")
 
 
 def test_bounds_csv(capsys, model_file):
@@ -447,6 +472,8 @@ MODEL_DOCS = st.one_of(
 # error, exit code 2
 _HEAD_LAW = {"kind": "table", "entries": [{"counts": {"1": 1}, "prob": 0.5},
                                           {"counts": {}, "prob": 0.5}]}
+_HEAD_LAW_1 = {"kind": "table", "entries": [{"counts": {"2": 1}, "prob": 0.5},
+                                            {"counts": {}, "prob": 0.5}]}
 MALFORMED_DOCS = (
     {"family": "example2", "gamma": "abc"},
     {"family": "tridiagonal", "a": 0.25, "b": 0.25, "c": "0.5x"},
@@ -470,7 +497,13 @@ MALFORMED_DOCS = (
         "kind": "table", "entries": [{"counts": {"1": 1.5}, "prob": 1.0}]}}]},
     {"family": "explicit", "head": [{"type": 0, "law": {
         "kind": "table", "entries": [{"counts": {"1": 0.5}, "prob": 0.5},
-                                     {"counts": {"1": 1}, "prob": 0.5}]}}]})
+                                     {"counts": {"1": 1}, "prob": 0.5}]}}]},
+    # nor is a fractional head type or tail bound cut to a whole type
+    {"family": "explicit", "head": [{"type": 0, "law": _HEAD_LAW},
+                                    {"type": 1.5, "law": _HEAD_LAW_1}]},
+    {"family": "explicit", "head": [{"type": 0, "law": _HEAD_LAW},
+                                    {"type": 1, "law": _HEAD_LAW_1}],
+     "tail_from": 1.7})
 
 
 @pytest.mark.parametrize("argv", [["validate"], ["extinction", "--k", "4"],

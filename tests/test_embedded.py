@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lhbp import (Example2Model, ExplicitModel, LHBPModel, ProductLaw,
                   TableLaw, TridiagonalModel, embedded_moments,
                   iterate_to_limit, partial_verdict)
-from lhbp.embedded import BOUNDARY_TOL, _certificate
+from lhbp.embedded import BOUNDARY_TOL, FIRST_ROWS, _certificate
 from lhbp.model import TailModel
 
 from conftest import (all_die_model, e1_model, ex2, g, product_tail_model,
@@ -316,7 +316,10 @@ def _bits(x):
 
 
 @pytest.mark.parametrize("with_a", (True, False))
-@pytest.mark.parametrize("K", (0, 3, 4000))
+# K = FIRST_ROWS - 1 runs in the first table alone; FIRST_ROWS and
+# FIRST_ROWS + 1 switch to the final table for its last one or two rows
+@pytest.mark.parametrize("K", (0, 3, FIRST_ROWS - 1, FIRST_ROWS,
+                               FIRST_ROWS + 1, 4000))
 @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
 def test_table_recursion_matches_reference(name, K, with_a):
     model = REFERENCE_MODELS[name]
