@@ -76,6 +76,18 @@ def _positive_float(text: str) -> float:
     return x
 
 
+def _probability(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    # written so that NaN fails the test
+    if not 0.0 <= x <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be a probability in [0, 1], got {text!r}")
+    return x
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         start, step, end = (float(p) for p in spec.split(":"))
@@ -168,6 +180,9 @@ def cmd_bounds(args) -> int:
 
 def cmd_fixedpoints(args) -> int:
     model = _load(args.model)
+    if args.J < 0:
+        raise argparse.ArgumentTypeError(
+            f"curve window J must be >= 0, got {args.J}")
     if args.J > args.k:
         raise argparse.ArgumentTypeError("curve window J must not exceed k")
     ladder = extinction_ladder(model, default_schedule(args.k), tol=args.tol)
@@ -322,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True,
                     help="truncation level for the q/qtilde windows")
     sp.add_argument("--J", type=int, default=100, help="curve window length")
-    sp.add_argument("--anchor", type=float, default=None,
+    sp.add_argument("--anchor", type=_probability, default=None,
                     help="anchor s_0 (default: midpoint of [q_0, qtilde_0])")
     sp.set_defaults(fn=cmd_fixedpoints)
 

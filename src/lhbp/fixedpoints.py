@@ -4,13 +4,14 @@ For an irreducible model the fixed points of the generating vector form a
 curve parametrised by the type-0 coordinate: every anchor between the global
 and partial extinction values extends to a unique vector, built index by
 index through monotone inversion.  Each coordinate solves the scalar
-equation G_j(s_0, ..., s_j, x) = s_j in its last argument by bisection on
-the type-j law's ``pgf``, which coincides with inverting the embedded
-generating function g_j along the curve.
+equation G_j(s_0, ..., s_j, x) = s_j in its last argument by Illinois
+regula falsi on the type-j law's ``pgf``, which coincides with inverting the
+embedded generating function g_j along the curve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +27,19 @@ class RangeError(ValueError):
     """Target lies outside the reachable interval of a monotone map."""
 
 
-def _bisect(f, target: float, tol: float) -> float:
-    """Solve f(x) = target on [0, 1] for a nondecreasing f by bisection.
+def _invert(f, target: float, tol: float) -> float:
+    """Solve f(x) = target on [0, 1] for a nondecreasing f.
 
-    Stops once |f(x) - target| <= tol or the bracket is below 1e-16 wide.
-    Raises ``RangeError`` when target lies outside [f(0), f(1)] by more
-    than RANGE_SLACK.
+    Illinois modified regula falsi (Dowell & Jarratt, BIT 11, 1971): each
+    step takes the secant root through the bracket ends, and an end kept
+    twice in a row has its residual halved.  A step is a midpoint step when
+    the secant root falls outside the open bracket, or when the last two
+    steps left the bracket wider than half its width before them: the
+    bracket then halves at least every third step, so the 200-step cap
+    leaves room to shrink [0, 1] below 1e-16.  Stops once
+    |f(x) - target| <= tol or the bracket is at most 1e-16 wide.  Raises
+    ``RangeError`` when target lies outside [f(0), f(1)] by more than
+    RANGE_SLACK.
     """
     lo, hi = 0.0, 1.0
     flo, fhi = f(lo), f(hi)
@@ -41,16 +49,30 @@ def _bisect(f, target: float, tol: float) -> float:
         return lo
     if abs(fhi - target) <= tol:
         return hi
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm - target) <= tol or hi - lo <= 1e-16:
-            return mid
-        if fm < target:
-            lo = mid
+    rlo, rhi = flo - target, fhi - target
+    kept = 0  # 1 or -1 when the last step kept hi or lo
+    width1 = width2 = math.inf  # bracket widths one and two steps back
+    for _ in range(200):
+        # a secant root needs rlo < 0 < rhi; within RANGE_SLACK of an end
+        # both residuals share a sign and midpoint steps walk to that end
+        x = lo + (hi - lo) * (rlo / (rlo - rhi)) if rlo < 0.0 < rhi else lo
+        if not (lo < x < hi and hi - lo <= 0.5 * width2):
+            x = 0.5 * (lo + hi)
+        width2, width1 = width1, hi - lo
+        r = f(x) - target
+        if abs(r) <= tol or hi - lo <= 1e-16:
+            return x
+        if r < 0.0:
+            lo, rlo = x, r
+            if kept == 1:
+                rhi *= 0.5
+            kept = 1
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi, rhi = x, r
+            if kept == -1:
+                rlo *= 0.5
+            kept = -1
+    return x
 
 
 @dataclass
@@ -82,8 +104,9 @@ def curve_from_anchor(model: LHBPModel, s0: float, J: int, tol: float = 1e-12,
             raise RangeError(
                 f"anchor {s0!r} outside [{lo}, {hi}] (+/- {ENDPOINT_SLACK})")
     solve_tol = min(tol, 1e-13)
-    buf = np.zeros(J + 2)
-    buf[0] = s0
+    # Python floats, not a numpy buffer: every pgf probe is then scalar work
+    buf = [0.0] * (J + 2)
+    buf[0] = float(s0)
     failure = None
     n_vals = 1
     residual = 0.0
@@ -97,13 +120,13 @@ def curve_from_anchor(model: LHBPModel, s0: float, J: int, tol: float = 1e-12,
             return law.pgf(buf)
 
         try:
-            buf[j + 1] = _bisect(coordinate, buf[j], solve_tol)
+            buf[j + 1] = _invert(coordinate, buf[j], solve_tol)
         except RangeError:
             failure = j
             break
         residual = max(residual, abs(law.pgf(buf) - buf[j]))
         n_vals += 1
-    values = buf[:n_vals].copy()
+    values = np.array(buf[:n_vals])
     mom = embedded_moments(model, max(n_vals - 2, 0), with_a=False)
     usable = min(n_vals - 1, mom.ok_through + 1)
     decay = (1.0 - values[1:usable + 1]) * mom.m0[:usable]

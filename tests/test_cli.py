@@ -193,6 +193,30 @@ def test_fixedpoints_csv(capsys, model_file):
     assert np.all(s >= q - 1e-6) and np.all(s <= qt + 1e-6)
 
 
+def test_fixedpoints_rejects_bad_anchor_and_window_before_solving(
+        capsys, monkeypatch, model_file):
+    # qtilde_0 = 1 on tridiagonal(0.15, 0.25, 0.7): an anchor just above 1
+    # sat inside the anchor slack and printed s_0 > 1
+    import lhbp.cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the ladder ran before the arguments were checked")
+
+    monkeypatch.setattr(lhbp.cli, "extinction_ladder", no_solve)
+    path = model_file(TRI % ("0.15", "0.25", "0.7", "1"))
+    for anchor in ("1.0000005", "1.5", "-0.5", "nan", "abc"):
+        with pytest.raises(SystemExit) as e:
+            main(["fixedpoints", "--model", path, "--k", "8",
+                  "--anchor", anchor])
+        assert e.value.code == 4
+        assert "--anchor: must be a probability in [0, 1]" in (
+            capsys.readouterr().err)
+    assert main(["fixedpoints", "--model", path, "--k", "8",
+                 "--J", "-1"]) == 4
+    assert capsys.readouterr() == (
+        "", "error: curve window J must be >= 0, got -1\n")
+
+
 def test_simulate_json(capsys, model_file):
     code, doc = run_json(capsys, ["simulate", "--model",
                                   model_file(EX2 % "0.0"), "--k", "1",

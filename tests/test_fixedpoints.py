@@ -3,41 +3,154 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lhbp import (RangeError, curve_from_anchor, embedded_moments,
+from lhbp import (ProductLaw, RangeError, TableLaw, curve_from_anchor,
+                  default_schedule, embedded_moments, extinction_ladder,
                   iterate_to_limit)
-from lhbp.fixedpoints import _bisect
+from lhbp.fixedpoints import RANGE_SLACK, _invert
 
 from conftest import ex2, g, product_tail_model, tridiag
+
+INVERT_STEPS = 200  # _invert's loop cap, after its two endpoint probes
+
+
+def _bisect_reference(f, target, tol):
+    """The bisection inverse the curve used before Illinois regula falsi:
+    an oracle for the curves, kept here and nowhere in the package."""
+    lo, hi = 0.0, 1.0
+    flo, fhi = f(lo), f(hi)
+    if not (flo - RANGE_SLACK <= target <= fhi + RANGE_SLACK):
+        raise RangeError(f"target {target!r} outside [{flo}, {fhi}]")
+    if abs(flo - target) <= tol:
+        return lo
+    if abs(fhi - target) <= tol:
+        return hi
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if abs(fm - target) <= tol or hi - lo <= 1e-16:
+            return mid
+        if fm < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def test_invert_roundtrip_quartic():
     m = ex2(0.0)
     v = g(m, 1, 0.5)
-    assert _bisect(lambda s: g(m, 1, s), v, 1e-12) == \
+    assert _invert(lambda s: g(m, 1, s), v, 1e-12) == \
         pytest.approx(0.5, abs=1e-10)
 
 
 def test_invert_hits_zero_endpoint():
     # g_1(0) = 1/2 for the quartic law, so the preimage of 1/2 is 0
     m = ex2(0.0)
-    assert _bisect(lambda s: g(m, 1, s), 0.5, 1e-12) == 0.0
+    assert _invert(lambda s: g(m, 1, s), 0.5, 1e-12) == 0.0
 
 
 def test_invert_range_error():
     m = ex2(0.0)
     g0 = g(m, 1, 0.0)
     with pytest.raises(RangeError):
-        _bisect(lambda s: g(m, 1, s), g0 - 0.01, 1e-12)
+        _invert(lambda s: g(m, 1, s), g0 - 0.01, 1e-12)
     with pytest.raises(RangeError):
-        _bisect(lambda s: g(m, 1, s), 1.01, 1e-12)
+        _invert(lambda s: g(m, 1, s), 1.01, 1e-12)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.floats(0.05, 0.95))
 def test_invert_roundtrip_property(s):
     m = tridiag(0.2, 0.1, 0.6)
-    assert _bisect(lambda x: g(m, 3, x), g(m, 3, s), 1e-12) == \
+    assert _invert(lambda x: g(m, 3, x), g(m, 3, s), 1e-12) == \
         pytest.approx(s, abs=1e-9)
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def table_laws(draw, j):
+    entries = [(tuple(sorted(draw(st.dictionaries(
+        st.integers(0, j + 1), st.integers(1, 6), max_size=3)).items())),
+        draw(st.floats(0.01, 1.0))) for _ in range(draw(st.integers(1, 4)))]
+    total = sum(p for _, p in entries)
+    return TableLaw(tuple((counts, p / total) for counts, p in entries))
+
+
+@st.composite
+def product_laws(draw, j):
+    coords = []
+    for t in draw(st.sets(st.integers(0, j + 1), min_size=1)):
+        pmf = draw(st.lists(st.tuples(
+            st.sampled_from([0.0, 1.0, 2.0, 5.0, 100.0, 2.0 ** 60]),
+            st.floats(0.01, 1.0)), min_size=1, max_size=3))
+        total = sum(p for _, p in pmf)
+        coords.append((t, tuple((c, p / total) for c, p in pmf)))
+    return ProductLaw(tuple(sorted(coords)))
+
+
+@st.composite
+def laws_with_index(draw):
+    """A type-j offspring law; its last child type j + 1 is the unknown."""
+    kind = draw(st.sampled_from(["example2", "tridiagonal", "table",
+                                 "product"]))
+    if kind == "example2":
+        j = draw(st.integers(0, 60))
+        return ex2(draw(unit)).law(j), j
+    if kind == "tridiagonal":
+        # u = 2 thins the type-(j+1) count by ceil(2^j): up to 2^1023
+        j = draw(st.integers(0, 1100))
+        return tridiag(draw(st.floats(0, 2)), draw(st.floats(0, 2)),
+                       draw(st.floats(0.01, 2)),
+                       draw(st.floats(1, 2))).law(j), j
+    j = draw(st.integers(0, 3))
+    laws = table_laws if kind == "table" else product_laws
+    return draw(laws(j)), j
+
+
+@settings(max_examples=100, deadline=None)
+@given(law_j=laws_with_index(), data=st.data(),
+       tol=st.sampled_from([1e-12, 1e-13, 1e-15]))
+def test_invert_roundtrip_over_laws(law_j, data, tol):
+    # either stop of the contract holds when _invert returns: the residual
+    # is within tol, or the bracket its probes left is at most 1e-16 wide
+    law, j = law_j
+    buf = [data.draw(unit) for _ in range(j + 1)] + [0.0]
+    probes = []
+
+    def f(x):
+        buf[-1] = x
+        probes.append((x, law.pgf(buf)))
+        return probes[-1][1]
+
+    target = f(data.draw(unit))
+    probes.clear()
+    x = _invert(f, target, tol)
+    assert 0.0 <= x <= 1.0
+    assert len(probes) <= 2 + INVERT_STEPS
+    lo = max((p for p, v in probes[:-1] if v < target), default=0.0)
+    hi = min((p for p, v in probes[:-1] if v >= target), default=1.0)
+    assert abs(f(x) - target) <= tol or (hi - lo <= 1e-16 and lo <= x <= hi)
+
+
+def test_invert_halves_a_flat_bracket():
+    # f(x) = x^200 is below 1e-60 on [0, 1/2]: the Illinois secant alone
+    # only doubles x per step from about the target 0.3^200; the forced
+    # midpoint steps halve the bracket every third step and reach 0.3
+    law = ProductLaw(((0, ((200.0, 1.0),)),))
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        return law.pgf([x])
+
+    target = f(0.3)
+    calls = 0
+    x = _invert(f, target, 0.0)
+    assert calls <= 2 + INVERT_STEPS
+    assert x == pytest.approx(0.3, rel=1e-14)
 
 
 def test_curve_construction_agrees_with_embedded_inversion(top_level_03):
@@ -48,7 +161,7 @@ def test_curve_construction_agrees_with_embedded_inversion(top_level_03):
     curve = curve_from_anchor(model, anchor, 10, bounds=(q[0], qt[0]))
     s = anchor
     for j in range(8):
-        s_next = _bisect(lambda x: g(model, j, x), s, 1e-13)
+        s_next = _invert(lambda x: g(model, j, x), s, 1e-13)
         assert curve.values[j + 1] == pytest.approx(s_next, abs=1e-8)
         s = s_next
 
@@ -92,9 +205,9 @@ def test_curve_rejects_outside_anchor(top_level_03):
                                        (tridiag(0.1, 0.3, 1.1), 0.7),
                                        (product_tail_model(), 0.6)])
 def test_curve_matches_per_probe_law_build(model, s0):
-    # the curve builds each index's law once; a bisection that rebuilds it
-    # on every probe gives the same bits, and so does the residual taken
-    # over the finished curve
+    # the curve builds each index's law once on a buffer of Python floats; an
+    # inversion that rebuilds the law on every probe of a numpy buffer gives
+    # the same bits, and so does the residual taken over the finished curve
     curve = curve_from_anchor(model, s0, 60)
     buf = np.zeros(62)
     buf[0] = s0
@@ -103,12 +216,69 @@ def test_curve_matches_per_probe_law_build(model, s0):
             buf[j + 1] = x
             return model.law(j).pgf(buf)
 
-        buf[j + 1] = _bisect(coordinate, buf[j], 1e-13)
+        buf[j + 1] = _invert(coordinate, buf[j], 1e-13)
     assert buf[:len(curve.values)].tobytes() == curve.values.tobytes()
     values = curve.values
     residual = max((abs(model.law(j).pgf(values) - values[j])
                     for j in range(len(values) - 1)), default=0.0)
     assert curve.residual == residual
+
+
+POOL_GAMMAS = (0.22, 0.24, 0.3)
+
+
+@pytest.fixture(scope="module")
+def pool_bounds():
+    """(q_0, qtilde_0) of the level-1024 ladder of ex2(gamma), as the
+    ``fixedpoints --k 1024`` command computes them."""
+    out = {}
+    for gamma in POOL_GAMMAS:
+        ladder = extinction_ladder(ex2(gamma), default_schedule(1024))
+        out[gamma] = (float(ladder.q_results[-1].vector[0]),
+                      float(ladder.qtilde_results[-1].vector[0]))
+    return out
+
+
+@pytest.mark.parametrize("gamma", POOL_GAMMAS)
+def test_curve_matches_bisection_reference(pool_bounds, gamma):
+    # the J = 200 midpoint-anchor curve stays within 1e-9 of the curve the
+    # bisection reference builds coordinate by coordinate
+    model = ex2(gamma)
+    q0, qt0 = pool_bounds[gamma]
+    anchor = 0.5 * (q0 + qt0)
+    curve = curve_from_anchor(model, anchor, 200, bounds=(q0, qt0))
+    assert curve.ok and len(curve.values) == 201
+    ref = [anchor] + [0.0] * 201
+    for j in range(200):
+        law = model.law(j)
+
+        def coordinate(x):
+            ref[j + 1] = x
+            return law.pgf(ref)
+
+        ref[j + 1] = _bisect_reference(coordinate, ref[j], 1e-13)
+    assert np.max(np.abs(curve.values - ref[:201])) <= 1e-9
+
+
+@pytest.mark.parametrize("gamma", (0.22, 0.3))
+def test_curve_pgf_calls_per_index(monkeypatch, pool_bounds, gamma):
+    # the inversion's cost as a count of pgf calls: bisection made about 43
+    # per index (two endpoint probes, about 40 steps and the residual)
+    q0, qt0 = pool_bounds[gamma]
+    pgf = TableLaw.pgf
+    calls = 0
+
+    def counted(law, u):
+        nonlocal calls
+        calls += 1
+        return pgf(law, u)
+
+    monkeypatch.setattr(TableLaw, "pgf", counted)
+    curve = curve_from_anchor(ex2(gamma), 0.5 * (q0 + qt0), 200,
+                              bounds=(q0, qt0))
+    assert len(curve.values) == 201
+    assert curve.residual <= 1e-10
+    assert calls / 200 <= 10
 
 
 def test_curve_truncates_below_q():
