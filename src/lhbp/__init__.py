@@ -14,7 +14,7 @@ from .embedded import (EmbeddedMoments, PartialVerdict, embedded_moments,
                        partial_verdict)
 from .criteria import (Budget, Classification, GlobalVerdict,
                        PartialSurvivalRegimeError, SLSVerdict, agresti_bounds,
-                       classify, global_verdict, sls_verdict, spectral_radius,
+                       classify, global_verdict, sls_verdict,
                        tridiagonal_mu_limit, xi_estimate)
 from .fixedpoints import FixedPointCurve, RangeError, curve_from_anchor
 from .montecarlo import (SimBatch, SimConfig, SimEstimate,

@@ -33,6 +33,11 @@ EXIT_VALIDATION = 2
 EXIT_NONCONVERGED = 3
 EXIT_USAGE = 4
 
+# exit code of each error a command may raise: the first matching class wins
+EXIT_CODES = {ModelError: EXIT_VALIDATION, OSError: EXIT_VALIDATION,
+              ComputationError: EXIT_NONCONVERGED,
+              argparse.ArgumentTypeError: EXIT_USAGE, ValueError: EXIT_USAGE}
+
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
@@ -390,15 +395,9 @@ def main(argv=None) -> int:
         raise
     try:
         return args.fn(args)
-    except (ModelError, OSError) as e:
+    except tuple(EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ComputationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NONCONVERGED
-    except (argparse.ArgumentTypeError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(c for cls, c in EXIT_CODES.items() if isinstance(e, cls))
 
 
 if __name__ == "__main__":

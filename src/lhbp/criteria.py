@@ -12,7 +12,8 @@ import numpy as np
 
 from .embedded import (VERDICT_CERTAIN, EmbeddedMoments, embedded_moments,
                        partial_verdict)
-from .generating import ComputationError, g_second_derivative, iterate_to_limit
+from .generating import (ComputationError, eliminate_band, g_second_derivative,
+                         iterate_to_limit)
 from .model import LHBPModel, TailModel, TridiagonalModel
 
 GLOBAL_EXTINCTION = "GlobalExtinction"
@@ -282,33 +283,37 @@ def xi_estimate(model: LHBPModel, k: int, n_max: int) -> XiEstimate:
     return XiEstimate(vals, np.minimum.accumulate(vals[::-1])[::-1])
 
 
-def head_matrix(model: LHBPModel, k: int) -> np.ndarray:
-    """Dense (k+1) x (k+1) north-west truncation of the mean matrix."""
-    table = model.moment_table(k)
-    M = np.zeros((k + 1, k + 1))
-    for d in range(-table.width, 2):
-        i = np.arange(max(0, -d), min(k, k - d) + 1)
-        M[i, i + d] = table.mean[table.width + d, i]
-    return M
-
-
-def spectral_radius(M: np.ndarray) -> float:
-    """Largest eigenvalue modulus of a square matrix (dense LAPACK solve;
-    the strong-local-survival scan only passes heads of a few dozen types)."""
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
-
-
 # ---------------------------------------------------------------------------
 # strong local survival
+
+
+# unshifted, a head with rho = 1, e.g. ex2(0.5) at k = 1, has a zero pivot
+HEAD_SHIFT = 1e-9
+
+
+def first_supercritical_head(model: LHBPModel,
+                             k_max: int) -> tuple[int, float] | None:
+    """(k, d_k) for the first k <= k_max whose head M^(k), the mean matrix of
+    types 0..k, has spectral radius >= s = 1 + HEAD_SHIFT; else None.  For
+    the Z-matrix sI - M^(k_max), rho(M^(k)) < s holds exactly when its
+    pivots d_0..d_k are positive (Berman & Plemmons 1994, ch. 6: they are
+    ratios of leading principal minors).  Later heads contain M^(k)."""
+    table = model.moment_table(k_max)
+    # the table holds offsets -width..1, the kernels' band 1..-width
+    band = (-table.mean[::-1]).tolist()
+    band[1] = (1.0 + HEAD_SHIFT - table.mean[table.width]).tolist()
+    pivots, _, _ = eliminate_band(band, [0.0] * (k_max + 1))
+    return next(((k, d) for k, d in enumerate(pivots) if d <= 0.0), None)
 
 
 @dataclass
 class SLSVerdict:
     result: str
     k_used: int | None
-    head_spectral_radius: float | None
+    first_supercritical_head: int | None
+    head_pivot: float | None
     tail_global: GlobalVerdict | None
-    scanned: int = 0
+    scanned: int
 
 
 def sls_verdict(model: LHBPModel, k_budget: int = 64,
@@ -317,49 +322,34 @@ def sls_verdict(model: LHBPModel, k_budget: int = 64,
 
     Finds the first cut level whose head has spectral radius > 1 while the
     relabelled tail passes the partial-extinction x-criterion; strong local
-    survival then holds iff the tail goes globally extinct.  Both tail
-    questions come from one ``global_verdict`` per cut: its
-    ``partial-survival`` rule is the failed x-criterion.  The lower-left
-    coupling block has finitely many positive entries whenever the model
-    bandwidth is finite, which the finite description guarantees.
+    survival then holds iff the tail goes globally extinct.  One elimination
+    finds the first supercritical head k*, and every cut from k* on has one;
+    each tail needs one ``global_verdict``, whose ``partial-survival`` rule
+    is the failed x-criterion (the lower-left coupling block is finite).
 
-    Raises ``ValueError`` when the x-criterion proves qt = 1
-    (``PartialExtinctionCertain``: an invariant bound on every later
-    embedded mean, see ``partial_verdict``), as it does for most qt = 1
-    models with a tail band, e.g. tridiagonal(0.25, 0.25, 0.5), whose heads
-    all have spectral radius < 1.  A head with spectral radius > 1
-    certifies qt < 1 by itself, so this x-recursion runs only when no head
-    up to ``k_budget`` has one; a horizon-limited ``PartialExtinctionLikely``
-    (no tail band, or a band critical to within the bound's margin) then
-    ends the scan Inconclusive.  Every tail of a tridiagonal model with
-    u = 1 is the model itself, so there the first tail that fails the
-    x-criterion ends the scan Inconclusive: no later cut can pass.
+    With no supercritical head up to ``k_budget``, raises ``ValueError``
+    when the x-criterion proves qt = 1 (``PartialExtinctionCertain``, as for
+    tridiagonal(0.25, 0.25, 0.5)) and is Inconclusive otherwise.  Every tail
+    of a tridiagonal model with u = 1 is the model itself, so there the
+    first tail that fails the x-criterion ends the scan Inconclusive.
     """
-    # without upward thinning every tail of a tridiagonal model is the model
-    # itself (its type 0 loses only the down-children type 0 never has)
-    tails_repeat = isinstance(model, TridiagonalModel) and model.u == 1.0
-    examined = False
-    heads = head_matrix(model, k_budget)
-    for k in range(k_budget + 1):
-        sp = spectral_radius(heads[:k + 1, :k + 1])
-        if sp <= 1.0 + 1e-9:
-            continue
-        examined = True
+    head = first_supercritical_head(model, k_budget)
+    if head is None:
+        if partial_verdict(model, K).verdict == VERDICT_CERTAIN:
+            raise ValueError(
+                "strong local survival test needs the qt < 1 regime")
+        return SLSVerdict(INCONCLUSIVE, None, None, None, None, k_budget + 1)
+    for k in range(head[0], k_budget + 1):
         gv = global_verdict(TailModel(model, k), K)
-        if gv.rule == "partial-survival":
-            if tails_repeat:
-                return SLSVerdict(INCONCLUSIVE, None, None, None, scanned=k + 1)
-            continue
-        if gv.verdict == GLOBAL_EXTINCTION:
-            result = SLS
-        elif gv.verdict == GLOBAL_SURVIVAL_POSSIBLE:
-            result = NON_SLS
-        else:
-            result = INCONCLUSIVE
-        return SLSVerdict(result, k, sp, gv, scanned=k + 1)
-    if not examined and partial_verdict(model, K).verdict == VERDICT_CERTAIN:
-        raise ValueError("strong local survival test needs the qt < 1 regime")
-    return SLSVerdict(INCONCLUSIVE, None, None, None, scanned=k_budget + 1)
+        if gv.rule != "partial-survival":
+            result = {GLOBAL_EXTINCTION: SLS,
+                      GLOBAL_SURVIVAL_POSSIBLE: NON_SLS}.get(gv.verdict)
+            return SLSVerdict(result or INCONCLUSIVE, k, *head, gv, k + 1)
+        # without upward thinning every tail of a tridiagonal model is the
+        # model itself (type 0 loses only down-children it never has)
+        if isinstance(model, TridiagonalModel) and model.u == 1.0:
+            return SLSVerdict(INCONCLUSIVE, None, *head, None, k + 1)
+    return SLSVerdict(INCONCLUSIVE, None, *head, None, k_budget + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +389,8 @@ def classify(model: LHBPModel, budget: Budget | None = None) -> Classification:
                                  "K": budget.sls_tail_horizon},
                       "outcome": sls.result,
                       "k_used": sls.k_used,
-                      "head_spectral_radius": sls.head_spectral_radius,
+                      "first_supercritical_head": sls.first_supercritical_head,
+                      "head_pivot": sls.head_pivot,
                       "tail_global_rule": sls.tail_global.rule if sls.tail_global else None})
         if sls.result == SLS:
             return Classification(REGIME_4, certs)

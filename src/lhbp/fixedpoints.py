@@ -27,8 +27,9 @@ class RangeError(ValueError):
     """Target lies outside the reachable interval of a monotone map."""
 
 
-def _invert(f, target: float, tol: float) -> float:
-    """Solve f(x) = target on [0, 1] for a nondecreasing f.
+def _invert(f, target: float, tol: float) -> tuple[float, float]:
+    """Solve f(x) = target on [0, 1] for a nondecreasing f; return x and the
+    residual f(x) - target of the probe at x.
 
     Illinois modified regula falsi (Dowell & Jarratt, BIT 11, 1971): each
     step takes the secant root through the bracket ends, and an end kept
@@ -45,11 +46,11 @@ def _invert(f, target: float, tol: float) -> float:
     flo, fhi = f(lo), f(hi)
     if not (flo - RANGE_SLACK <= target <= fhi + RANGE_SLACK):
         raise RangeError(f"target {target!r} outside [{flo}, {fhi}]")
-    if abs(flo - target) <= tol:
-        return lo
-    if abs(fhi - target) <= tol:
-        return hi
     rlo, rhi = flo - target, fhi - target
+    if abs(rlo) <= tol:
+        return lo, rlo
+    if abs(rhi) <= tol:
+        return hi, rhi
     kept = 0  # 1 or -1 when the last step kept hi or lo
     width1 = width2 = math.inf  # bracket widths one and two steps back
     for _ in range(200):
@@ -61,7 +62,7 @@ def _invert(f, target: float, tol: float) -> float:
         width2, width1 = width1, hi - lo
         r = f(x) - target
         if abs(r) <= tol or hi - lo <= 1e-16:
-            return x
+            return x, r
         if r < 0.0:
             lo, rlo = x, r
             if kept == 1:
@@ -72,7 +73,7 @@ def _invert(f, target: float, tol: float) -> float:
             if kept == -1:
                 rlo *= 0.5
             kept = -1
-    return x
+    return x, r
 
 
 @dataclass
@@ -98,6 +99,8 @@ def curve_from_anchor(model: LHBPModel, s0: float, J: int, tol: float = 1e-12,
     """
     if J < 0:
         raise ValueError(f"curve window J must be >= 0, got {J}")
+    if not 0.0 <= s0 <= 1.0:  # NaN fails too
+        raise ValueError(f"anchor must lie in [0, 1], got {s0!r}")
     if bounds is not None:
         lo, hi = bounds
         if not (lo - ENDPOINT_SLACK <= s0 <= hi + ENDPOINT_SLACK):
@@ -108,11 +111,10 @@ def curve_from_anchor(model: LHBPModel, s0: float, J: int, tol: float = 1e-12,
     buf = [0.0] * (J + 2)
     buf[0] = float(s0)
     failure = None
-    n_vals = 1
     residual = 0.0
     for j in range(J):
         # G_j(s_0..s_j, x) = s_j, solved for x in the next slot of buf; the
-        # law is built once per index and also gives the index's residual
+        # accepted probe's residual is the index's residual
         law = model.law(j)
 
         def coordinate(x: float) -> float:
@@ -120,12 +122,12 @@ def curve_from_anchor(model: LHBPModel, s0: float, J: int, tol: float = 1e-12,
             return law.pgf(buf)
 
         try:
-            buf[j + 1] = _invert(coordinate, buf[j], solve_tol)
+            buf[j + 1], r = _invert(coordinate, buf[j], solve_tol)
         except RangeError:
             failure = j
             break
-        residual = max(residual, abs(law.pgf(buf) - buf[j]))
-        n_vals += 1
+        residual = max(residual, abs(r))
+    n_vals = J + 1 if failure is None else failure + 1
     values = np.array(buf[:n_vals])
     mom = embedded_moments(model, max(n_vals - 2, 0), with_a=False)
     usable = min(n_vals - 1, mom.ok_through + 1)

@@ -217,35 +217,42 @@ def _compiled(model: LHBPModel, k: int):
 # Newton iteration
 
 
+def eliminate_band(band: list, rhs: list):
+    """Elimination without pivoting, in place on lists, of a band in the
+    kernels' layout (``band[1 - d]`` the offset-d diagonal) and of ``rhs``:
+    returns the pivots, the superdiagonal and the reduced rhs.  A zero pivot
+    ends it, leaving the later rows unfinished."""
+    up, diag = band[0], band[1]
+    try:
+        for i in range(1, len(diag)):
+            for t in range(min(len(band) - 2, i), 0, -1):
+                m = band[1 + t][i] / diag[i - t]
+                band[t][i] -= m * up[i - t]
+                rhs[i] -= m * rhs[i - t]
+    except ZeroDivisionError:
+        pass
+    return diag, up, rhs
+
+
 def _solve_band(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (I - J) x = rhs for J given as a kernel's band ``jac``.
 
     Gaussian elimination without pivoting: on the solver's path I - J is a
     nonsingular M-matrix, so every pivot is positive, and the upper factor
     keeps the single superdiagonal of I - J.  Width 1, the common case, goes
-    to ``_solve_tridiagonal``; wider bands run a row-by-row loop in
-    O(n * width).  A zero pivot raises ``ZeroDivisionError``.
+    to ``_solve_tridiagonal``, wider bands to ``eliminate_band``.  A zero
+    pivot raises ``ZeroDivisionError``.
     """
-    width = jac.shape[0] - 2
-    if width == 1:
-        low, up = -jac[2], -jac[0]
-        low[0] = up[-1] = 0.0  # couplings outside the system
+    band = -jac
+    band[1] += 1.0  # the band of I - J
+    if len(band) == 3:  # width 1
+        band[2, 0] = band[0, -1] = 0.0  # couplings outside the system
         # an overflow gives inf, as the loop's Python floats do, for the
         # caller to detect
         with np.errstate(over="ignore", invalid="ignore"):
-            return _solve_tridiagonal(low, 1.0 - jac[1], up, rhs)
-    n = len(rhs)
-    up = (-jac[0]).tolist()
-    # band[t][i] = (I - J)[i, i - t]; band[0] is the diagonal
-    band = [(1.0 - jac[1]).tolist()] + [(-jac[1 + t]).tolist()
-                                        for t in range(1, width + 1)]
-    x = rhs.tolist()
-    for i in range(1, n):
-        for t in range(min(width, i), 0, -1):
-            m = band[t][i] / band[0][i - t]
-            band[t - 1][i] -= m * up[i - t]
-            x[i] -= m * x[i - t]
-    return _back_substitute(band[0], up, x)
+            return _solve_tridiagonal(band[2], band[1], band[0], rhs)
+    # back-substitution divides by every pivot, a zero one too
+    return _back_substitute(*eliminate_band(band.tolist(), rhs.tolist()))
 
 
 def _back_substitute(diag: list, up: list, x: list) -> np.ndarray:

@@ -1,14 +1,17 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lhbp import (Budget, PartialSurvivalRegimeError, agresti_bounds,
-                  classify, default_schedule, embedded_moments, global_verdict,
-                  iterate_to_limit, sls_verdict, spectral_radius,
+from lhbp import (Budget, ExplicitModel, PartialSurvivalRegimeError, TableLaw,
+                  agresti_bounds, classify, default_schedule, embedded_moments,
+                  global_verdict, iterate_to_limit, sls_verdict,
                   tridiagonal_mu_limit, xi_estimate)
-from lhbp.criteria import head_matrix
+from lhbp.criteria import HEAD_SHIFT, first_supercritical_head
 
 from conftest import ex2, tridiag
 
@@ -197,18 +200,129 @@ def test_xi_single_step_exact():
     assert est.values[0] == pytest.approx(1.0, abs=1e-14)
 
 
-def test_spectral_radius_power_iteration():
-    M = np.array([[0.0, 1.0], [1.6, 0.0]])  # period 2
-    assert spectral_radius(M) == pytest.approx(math.sqrt(1.6), abs=1e-9)
-    assert spectral_radius(np.zeros((3, 3))) == 0.0
-    h = head_matrix(ex2(0.8), 1)
-    assert h[1, 0] == pytest.approx(1.6)
-    # a tridiagonal Toeplitz head of n = k+1 types has spectral radius
-    # b + 2 sqrt(ac) cos(pi / (n + 1))
+def _exact_first_head(model, k_max, s=Fraction(1.0 + HEAD_SHIFT)):
+    """First k <= k_max with a non-positive pivot of sI - M^(k_max), and
+    that pivot, from a dense elimination in exact rational arithmetic over
+    the model's mean rows; None when every pivot is positive."""
+    n = k_max + 1
+    table = model.moment_table(k_max)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j, m in table.mean_row(i).items():
+            if j < n:
+                rows[i][j] -= Fraction(m)
+        rows[i][i] += s
+    for k in range(n):
+        pivot = rows[k][k]
+        if pivot <= 0:
+            return k, pivot
+        for i in range(k + 1, n):
+            if rows[i][k]:
+                f = rows[i][k] / pivot
+                for j in range(k, n):
+                    if rows[k][j]:
+                        rows[i][j] -= f * rows[k][j]
+    return None
+
+
+def test_first_supercritical_head_pivot_sign():
+    # ex2(0.8) has the period-2 head [[0, 1], [1.6, 0]] at k = 1, with
+    # spectral radius sqrt(1.6); its pivots are s and s - 1.6 / s
+    s = 1.0 + HEAD_SHIFT
+    assert first_supercritical_head(ex2(0.8), 0) is None
+    k, pivot = first_supercritical_head(ex2(0.8), 1)
+    assert k == 1 and pivot == pytest.approx(s - 1.6 / s, abs=1e-15)
+    # a tridiagonal Toeplitz head of n = k+1 types has the eigenvalues
+    # b + 2 sqrt(ac) cos(j pi / (n + 1)), j = 1..n: the largest is above s
+    # from k = 3 on, and the pivot d_3 is the ratio det(sI - M^(3)) /
+    # det(sI - M^(2)) of products over these eigenvalues
     model = tridiag(0.5, 0.2, 0.5)
-    for k in range(1, 65):
-        want = 0.2 + math.cos(math.pi / (k + 2))
-        assert abs(spectral_radius(head_matrix(model, k)) - want) <= 1e-12
+    for k in range(65):
+        supercritical = 0.2 + math.cos(math.pi / (k + 2)) > s
+        head = first_supercritical_head(model, k)
+        assert (head is not None) == supercritical
+        if supercritical:
+            assert head[0] == 3
+
+    def det(n):
+        return math.prod(s - 0.2 - math.cos(j * math.pi / (n + 1))
+                         for j in range(1, n + 1))
+
+    assert first_supercritical_head(model, 64)[1] == pytest.approx(
+        det(4) / det(3), rel=1e-12)
+
+
+@pytest.mark.parametrize("model", [ex2(0.5), tridiag(0.5, 0.5, 0.5),
+                                   tridiag(0.1, 0.9, 0.1)])
+def test_critical_heads_are_not_supercritical(model):
+    # each head M^(1) has spectral radius 1 up to the rounding of its
+    # entries: at s = 1 its exact pivot d_1 is 0, or -5.6e-17 for
+    # tridiagonal(0.1, 0.9, 0.1), whose float entries 0.1 and 0.9 sum past
+    # 1.  At s = 1 + HEAD_SHIFT the pivots stay positive
+    k, pivot = _exact_first_head(model, 1, Fraction(1))
+    assert k == 1 and abs(pivot) <= 1e-16
+    assert first_supercritical_head(model, 1) is None
+
+
+@st.composite
+def head_models(draw):
+    """A tridiagonal model or an explicit model of up to four head types
+    with children up to three types down."""
+    if draw(st.booleans()):
+        return tridiag(draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 1.5)),
+                       draw(st.floats(0.01, 2.0)))
+    head = []
+    for i in range(draw(st.integers(1, 4))):
+        entries = [(tuple(sorted(draw(st.dictionaries(
+            st.integers(max(0, i - 3), i + 1), st.integers(1, 3),
+            max_size=3)).items())), draw(st.floats(0.01, 1.0)))
+            for _ in range(draw(st.integers(1, 3)))]
+        total = sum(p for _, p in entries)
+        head.append(TableLaw(tuple((c, p / total) for c, p in entries)))
+    return ExplicitModel(head=tuple(head))
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=head_models(), k_max=st.integers(0, 24))
+def test_first_supercritical_head_matches_exact_elimination(model, k_max):
+    # the first non-positive float pivot is the first non-positive exact
+    # one; eigvals is no oracle here, as it misses on non-normal heads.
+    # Only the index is compared: after a pivot near 0 the next one is a
+    # large negative number with few correct digits
+    head = first_supercritical_head(model, k_max)
+    exact = _exact_first_head(model, k_max)
+    assert (head is None) == (exact is None)
+    if head is not None:
+        assert head[0] == exact[0]
+
+
+def test_sls_scan_starts_at_the_closed_form_head():
+    # every head of tridiagonal(1.29, 0.5085, 0.047) has spectral radius
+    # 0.5085 + 2 sqrt(1.29 * 0.047) cos(pi / (k + 2)), above 1 + HEAD_SHIFT
+    # from k = 49 on; dense eigenvalues of these non-normal heads put the
+    # first one at k = 23
+    a, b, c = 1.29, 0.5085, 0.047
+    rho = [b + 2 * math.sqrt(a * c) * math.cos(math.pi / (k + 2))
+           for k in range(65)]
+    first = next(k for k, r in enumerate(rho) if r > 1 + HEAD_SHIFT)
+    assert first == 49
+    r = sls_verdict(tridiag(a, b, c))
+    assert r.first_supercritical_head == first
+    assert r.head_pivot <= 0
+    # its tails repeat the model, whose x-criterion fails
+    assert r.result == "Inconclusive"
+    assert r.scanned == first + 1
+
+
+def test_sls_rejects_qtilde_one_below_non_normal_heads():
+    # every head of tridiagonal(1.132, 0.695, 0.01) has spectral radius
+    # below b + 2 sqrt(ac) = 0.908, and (1 - b)^2 > 4ac gives qt = 1;
+    # dense eigenvalues reported 1.23 at k = 64 and a strong local survival
+    # verdict at k = 46
+    model = tridiag(1.132, 0.695, 0.01)
+    assert first_supercritical_head(model, 64) is None
+    with pytest.raises(ValueError, match="qt < 1"):
+        sls_verdict(model)
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +341,19 @@ def test_sls_requires_partial_survival():
 
 
 def test_sls_rejects_certified_qtilde_one_below_every_head():
-    # every head has spectral radius < b + 2 sqrt(ac) < 1, and the
-    # x-criterion proves qt = 1 with an invariant bound just above mu = 1
+    # every head has spectral radius < b + 2 sqrt(ac) < 1, so every pivot
+    # is positive, and the x-criterion proves qt = 1 with an invariant bound
+    # just above mu = 1
     model = tridiag(0.25, 0.25, 0.5)
-    assert spectral_radius(head_matrix(model, 64)) < 1
+    assert first_supercritical_head(model, 64) is None
     with pytest.raises(ValueError, match="qt < 1"):
         sls_verdict(model)
 
 
 def test_sls_homogeneous_tridiagonal_stops_early():
     # every tail of tridiagonal(0.5, b, 0.5) is the model itself, whose
-    # x-criterion fails: the first examined cut (spectral radius > 1)
-    # decides the whole scan
+    # x-criterion fails: the first examined cut (the first supercritical
+    # head) decides the whole scan
     for b, first in ((0.2, 3), (0.3, 2)):
         model = tridiag(0.5, b, 0.5)
         r = sls_verdict(model)

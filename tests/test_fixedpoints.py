@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,14 +41,14 @@ def _bisect_reference(f, target, tol):
 def test_invert_roundtrip_quartic():
     m = ex2(0.0)
     v = g(m, 1, 0.5)
-    assert _invert(lambda s: g(m, 1, s), v, 1e-12) == \
+    assert _invert(lambda s: g(m, 1, s), v, 1e-12)[0] == \
         pytest.approx(0.5, abs=1e-10)
 
 
 def test_invert_hits_zero_endpoint():
     # g_1(0) = 1/2 for the quartic law, so the preimage of 1/2 is 0
     m = ex2(0.0)
-    assert _invert(lambda s: g(m, 1, s), 0.5, 1e-12) == 0.0
+    assert _invert(lambda s: g(m, 1, s), 0.5, 1e-12)[0] == 0.0
 
 
 def test_invert_range_error():
@@ -62,7 +64,7 @@ def test_invert_range_error():
 @given(st.floats(0.05, 0.95))
 def test_invert_roundtrip_property(s):
     m = tridiag(0.2, 0.1, 0.6)
-    assert _invert(lambda x: g(m, 3, x), g(m, 3, s), 1e-12) == \
+    assert _invert(lambda x: g(m, 3, x), g(m, 3, s), 1e-12)[0] == \
         pytest.approx(s, abs=1e-9)
 
 
@@ -126,9 +128,11 @@ def test_invert_roundtrip_over_laws(law_j, data, tol):
 
     target = f(data.draw(unit))
     probes.clear()
-    x = _invert(f, target, tol)
+    x, r = _invert(f, target, tol)
     assert 0.0 <= x <= 1.0
     assert len(probes) <= 2 + INVERT_STEPS
+    # the residual handed back is that of the probe at x
+    assert r == next(v for p, v in probes if p == x) - target
     lo = max((p for p, v in probes[:-1] if v < target), default=0.0)
     hi = min((p for p, v in probes[:-1] if v >= target), default=1.0)
     assert abs(f(x) - target) <= tol or (hi - lo <= 1e-16 and lo <= x <= hi)
@@ -148,7 +152,7 @@ def test_invert_halves_a_flat_bracket():
 
     target = f(0.3)
     calls = 0
-    x = _invert(f, target, 0.0)
+    x, _ = _invert(f, target, 0.0)
     assert calls <= 2 + INVERT_STEPS
     assert x == pytest.approx(0.3, rel=1e-14)
 
@@ -161,7 +165,7 @@ def test_curve_construction_agrees_with_embedded_inversion(top_level_03):
     curve = curve_from_anchor(model, anchor, 10, bounds=(q[0], qt[0]))
     s = anchor
     for j in range(8):
-        s_next = _invert(lambda x: g(model, j, x), s, 1e-13)
+        s_next, _ = _invert(lambda x: g(model, j, x), s, 1e-13)
         assert curve.values[j + 1] == pytest.approx(s_next, abs=1e-8)
         s = s_next
 
@@ -201,6 +205,18 @@ def test_curve_rejects_outside_anchor(top_level_03):
         curve_from_anchor(ex2(0.3), q[0] - 1e-3, 10, bounds=(q[0], qt[0]))
 
 
+def test_curve_rejects_anchor_outside_unit_interval():
+    # the bounds' ENDPOINT_SLACK lets no anchor past [0, 1] through: the
+    # anchor is a probability, not just a point near the bracket
+    model = tridiag(0.15, 0.25, 0.7)
+    q0 = float(iterate_to_limit(model, 64, 0.0).vector[0])
+    for s0 in (1.0000005, -1e-7, math.nan):
+        with pytest.raises(ValueError, match="anchor"):
+            curve_from_anchor(model, s0, 10, bounds=(q0, 1.0))
+        with pytest.raises(ValueError, match="anchor"):
+            curve_from_anchor(model, s0, 10)
+
+
 @pytest.mark.parametrize("model, s0", [(ex2(0.3), 0.8077), (ex2(0.22), 0.8336),
                                        (tridiag(0.1, 0.3, 1.1), 0.7),
                                        (product_tail_model(), 0.6)])
@@ -216,7 +232,7 @@ def test_curve_matches_per_probe_law_build(model, s0):
             buf[j + 1] = x
             return model.law(j).pgf(buf)
 
-        buf[j + 1] = _invert(coordinate, buf[j], 1e-13)
+        buf[j + 1], _ = _invert(coordinate, buf[j], 1e-13)
     assert buf[:len(curve.values)].tobytes() == curve.values.tobytes()
     values = curve.values
     residual = max((abs(model.law(j).pgf(values) - values[j])
