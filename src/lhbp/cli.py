@@ -23,8 +23,7 @@ from . import __version__
 from .criteria import Budget, agresti_bounds, classify
 from .embedded import embedded_moments, partial_verdict
 from .fixedpoints import curve_from_anchor
-from .generating import (ComputationError, default_schedule, extinction_ladder,
-                         iterate_to_limit)
+from .generating import ComputationError, default_schedule, extinction_ladder
 from .model import Example2Model, LHBPModel, ModelError, load_model, validate
 from .montecarlo import estimate_extinction
 
@@ -174,11 +173,8 @@ def cmd_bounds(args) -> int:
     model = _load(args.model)
     i = args.i
     levels = [k for k in default_schedule(args.k) if k > i]
-    rows = []
-    for b in agresti_bounds(model, i, levels):
-        k = b.level
-        oracle = float(iterate_to_limit(model, k, 0.0, tol=args.tol).vector[i])
-        rows.append((i, k, b.lower, oracle, b.upper))
+    rows = [(i, b.level, b.lower, b.q, b.upper)
+            for b in agresti_bounds(model, i, levels)]
     _write_csv(rows, ("i", "k", "lower", "oracle", "upper"), args.out)
     return EXIT_OK
 
@@ -328,8 +324,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "scheduled level k > i up to --k.  lower and upper "
                     "bracket q_i of the level k-1 truncation (they use the "
                     "embedded means and curvatures g_j''(0) up to k-1); "
-                    "oracle is q_i at level k.")
-    common(sp, tol=True)
+                    "oracle is q_i at level k, from the same warm chain of "
+                    "level solves.")
+    common(sp)
     sp.add_argument("--i", type=int, required=True, help="type index (>= 1)")
     sp.add_argument("--k", type=int, required=True, help="largest level")
     sp.set_defaults(fn=cmd_bounds)

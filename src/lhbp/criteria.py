@@ -183,17 +183,19 @@ class AgrestiBounds:
     level: int
     lower: float
     upper: float
+    q: float  # q_i of the level-k truncation, from the same chain
 
 
 def agresti_bounds(model: LHBPModel, i: int, levels) -> list[AgrestiBounds]:
     """Two-sided bounds on coordinate i of the level-(k-1) global extinction
     vector for each k in ``levels``, valid on the partial-extinction side
-    for 1 <= i < k.
+    for 1 <= i < k, next to coordinate i of the level-k vector itself.
 
     The brackets of level k are built from mu_j and g_j''(0), j = i .. k-1,
-    which describe the level-(k-1) truncation.  One pass solves each level
-    j at s = 0 once, warm-started from level j - 1, and reads g_j''(0) off
-    that solve; ``ComputationError`` if one does not converge.
+    which describe the level-(k-1) truncation.  One chain solves each level
+    j = i .. max(levels) at s = 0 once, warm-started from level j - 1; it
+    reads g_j''(0) and q_i off that solve; ``ComputationError`` if one does
+    not converge.
     """
     levels = list(levels)
     if not levels or not all(1 <= i < k for k in levels):
@@ -216,12 +218,16 @@ def agresti_bounds(model: LHBPModel, i: int, levels) -> list[AgrestiBounds]:
     s_lower = 0.0
     found = {}
     prev = None
-    for j in range(i, top):
+    for j in range(i, top + 1):
         res = iterate_to_limit(model, j, 0.0, start=prev)
         if not res.converged:
             raise ComputationError(
                 f"bounds: level {j} did not converge at boundary 0")
         prev = res.vector
+        if j > i:  # level j's brackets come from step j - 1
+            found[j] = AgrestiBounds(j, lower, upper, float(prev[i]))
+        if j == top:
+            break
         m_prev, m_ij = m_ij, m_ij * mu[j]
         w, scale = min(m_ij, 1.0), max(m_ij, 1.0)
         # rescale the sums from weight min(m_prev, 1) to w
@@ -231,9 +237,8 @@ def agresti_bounds(model: LHBPModel, i: int, levels) -> list[AgrestiBounds]:
         s_lower = (f * s_lower
                    + 0.5 * max(g_second_derivative(model, res), 0.0)
                    / (mu[j] * scale))
-        found[j + 1] = AgrestiBounds(j + 1,
-                                     _bound(w, 1.0 / scale + s_lower),
-                                     _bound(w, 1.0 / scale + s_upper))
+        lower = _bound(w, 1.0 / scale + s_lower)
+        upper = _bound(w, 1.0 / scale + s_upper)
     return [found[k] for k in levels]
 
 

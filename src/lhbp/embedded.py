@@ -17,9 +17,6 @@ import numpy as np
 from .model import LHBPModel, MomentTable
 
 BOUNDARY_TOL = 1e-10
-# rows of the first moment table: most recursions that stop early (x_k >= 1)
-# do so within a few steps, and a table of K rows costs O(K) to build
-FIRST_ROWS = 64
 
 
 @dataclass
@@ -33,7 +30,7 @@ class EmbeddedMoments:
     ok_through: int          # largest k with a defined mu_k; -1 if none
     kind: str                # "ok" | "blowup" | "boundary"
     k_star: int | None
-    table: MomentTable       # the rows the recursions read last
+    table: MomentTable       # rows 0..K that the recursions read
 
     def status_at(self, k: int) -> str:
         if self.kind != "ok" and k >= self.k_star:
@@ -47,18 +44,18 @@ def embedded_moments(model: LHBPModel, K: int, with_a: bool = True) -> EmbeddedM
     Only x_k and mu_k are recursive in a nonlinear way: x_k sums the mean
     row of type k against products of the means before it, and mu_k divides
     the upward mean by 1 - x_k.  The first pass runs them alone, one scalar
-    step at a time, and keeps each step's 1 - x_k.  Its rows come from the
-    model's moment table (``model.moment_table``): one of FIRST_ROWS rows,
-    then one of all K + 1 rows if the recursion gets past it.  It stops at
-    the first k with x_k >= 1 (within BOUNDARY_TOL of 1 counts as the
-    boundary case); entries beyond the stop are undefined and the arrays are
-    truncated accordingly.  Row sums in x_k only span the model bandwidth,
-    so the per-step window products cannot overflow; the cumulative mean m0
-    is tracked in log space alongside its float value.
+    step at a time, and keeps each step's 1 - x_k.  Both passes read rows
+    0..K of one moment table (``model.moment_table(K)``), built before the
+    first step, so a recursion that stops early still pays for all K + 1
+    rows.  It stops at the first k with x_k >= 1 (within BOUNDARY_TOL of 1
+    counts as the boundary case); entries beyond the stop are undefined and
+    the arrays are truncated accordingly.  Row sums in x_k only span the
+    model bandwidth, so the per-step window products cannot overflow; the
+    cumulative mean m0 is tracked in log space alongside its float value.
 
     With ``with_a``, a second pass computes the second factorial moments a_k
-    from the means and the last table (``_second_moments``).  Both passes
-    skip the table's absent (zero) entries.
+    from the means and the table (``_second_moments``).  Both passes skip the
+    table's absent (zero) entries.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
@@ -66,22 +63,16 @@ def embedded_moments(model: LHBPModel, K: int, with_a: bool = True) -> EmbeddedM
     xvals: list[float] = []
     denoms: list[float] = []
     kind, k_star = "ok", None
-    rows = -1  # last row of the current table
+    table = model.moment_table(K)
+    w = table.width
+    up = memoryview(table.mean[w + 1])
+    down = [(t, memoryview(col)) for t, (col, present) in enumerate(
+        zip(table.mean[:-1], table.mean[:-1].any(axis=1))) if present]
+    # win[t] = mu_{k-w+t} * ... * mu_{k-1}, multiplied left to right; slots
+    # of negative types hold junk no entry reads
+    win = [1.0] * (w + 1)
+    slide = range(w)  # built once: a range per step costs more
     for k in range(K + 1):
-        if k > rows:
-            rows = min(K, FIRST_ROWS - 1) if rows < 0 else K
-            table = model.moment_table(rows)
-            w = table.width
-            up = memoryview(table.mean[w + 1])
-            down = [(t, memoryview(col)) for t, (col, present) in enumerate(
-                zip(table.mean[:-1], table.mean[:-1].any(axis=1))) if present]
-            # win[t] = mu_{k-w+t} * ... * mu_{k-1}, multiplied left to right
-            # (the update at the end of each step, replayed over the last w
-            # means); slots of negative types hold junk no entry reads
-            win = [1.0] * (w + 1)
-            for mu in mus[max(k - w, 0):]:
-                win = [p * mu for p in win[1:]] + [1.0]
-            slide = range(w)  # built once: a range per step costs more
         x_k = 0.0
         for t, col in down:
             m = col[k]
@@ -181,8 +172,8 @@ VERDICT_BOUNDARY = "Boundary"
 
 # The certificate's relative outward rounding of the window maximum, X(M)
 # and f(M); the relative step past f(M) while searching for M, and the cap
-# on search steps.  The scan stops for a certificate at these horizons, all
-# inside the first table, where starting over costs little, and at K.
+# on search steps.  The scan stops for a certificate at these short
+# horizons, where starting over costs little, and at K.
 CERT_MARGIN = 1e-12
 CERT_SLACK = 1e-3
 CERT_STEPS = 8

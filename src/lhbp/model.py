@@ -190,9 +190,10 @@ class MomentTable:
                            self.a[:, rows], self.p_double_up[rows])
 
     def tail(self, d: int) -> MomentTable:
-        """Rows of types d, d+1, ... relabelled t -> t - d, with every child
-        of a type below d removed."""
-        out = self.take(np.arange(d, self.mean.shape[1]))
+        """Copies of the rows of types d, d+1, ... relabelled t -> t - d,
+        with every child of a type below d removed."""
+        out = MomentTable(self.width, self.mean[:, d:].copy(), self.pairs,
+                          self.a[:, d:].copy(), self.p_double_up[d:].copy())
         w = self.width
         for o in range(1, w + 1):
             out.mean[w - o, :o] = 0.0

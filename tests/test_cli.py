@@ -12,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from lhbp import TridiagonalModel, embedded_moments
+from lhbp import (Example2Model, TridiagonalModel, embedded_moments,
+                  iterate_to_limit)
 from lhbp.cli import _write_csv, main
 
 EX2 = '{"family": "example2", "gamma": %s}'
@@ -179,6 +180,31 @@ def test_bounds_csv(capsys, model_file):
     big = [r for r in rows if int(r["k"]) >= 8]
     for r in big:
         assert float(r["lower"]) <= float(r["oracle"]) <= float(r["upper"])
+
+
+def test_bounds_oracle_from_the_warm_chain(capsys, model_file, monkeypatch):
+    # levels 1..64 are each solved once, and the oracle column is that
+    # solve's q_1, as close to a cold solve of its level as rounding allows
+    import lhbp.cli
+    import lhbp.criteria
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return iterate_to_limit(*args, **kwargs)
+    for mod in (lhbp.criteria, lhbp.cli):
+        if hasattr(mod, "iterate_to_limit"):
+            monkeypatch.setattr(mod, "iterate_to_limit", counting)
+    code, rows = run_csv(capsys, ["bounds", "--model",
+                                  model_file(EX2 % "0.02"), "--i", "1",
+                                  "--k", "64"])
+    assert code == 0
+    assert sorted(calls) == list(range(1, 65))
+    model = Example2Model(0.02)
+    for r in rows:
+        k = int(r["k"])
+        cold = float(iterate_to_limit(model, k, 0.0).vector[1])
+        assert abs(float(r["oracle"]) - cold) <= 2.2e-16
 
 
 def test_fixedpoints_csv(capsys, model_file):
@@ -441,8 +467,14 @@ def test_usage_error_exit_code(capsys):
         assert e.value.code == 4
         assert "--tol-gamma: must be a positive finite number" in (
             capsys.readouterr().err)
+    # bounds takes its oracle from its own chain of solves: no --tol
+    with pytest.raises(SystemExit) as e:
+        main(["bounds", "--model", "m.json", "--i", "1", "--k", "8",
+              "--tol", "1e-12"])
+    assert e.value.code == 4
+    assert "unrecognized arguments: --tol 1e-12" in capsys.readouterr().err
     # nor would an iteration tolerance of that kind mean anything
-    for cmd in ("extinction", "bounds", "fixedpoints", "sweep"):
+    for cmd in ("extinction", "fixedpoints", "sweep"):
         for tol in ("0", "-1", "nan", "abc"):
             with pytest.raises(SystemExit) as e:
                 main([cmd, "--model", "m.json", "--tol", tol])

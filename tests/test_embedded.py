@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lhbp import (Example2Model, ExplicitModel, LHBPModel, ProductLaw,
                   TableLaw, TridiagonalModel, embedded_moments,
                   iterate_to_limit, partial_verdict)
-from lhbp.embedded import BOUNDARY_TOL, FIRST_ROWS, _certificate
+from lhbp.embedded import BOUNDARY_TOL, _certificate
 from lhbp.model import TailModel
 
 from conftest import (all_die_model, e1_model, ex2, g, product_tail_model,
@@ -218,6 +218,22 @@ def test_partial_verdict_certifies_within_first_table(model, monkeypatch):
     assert sum(rows) <= 64
 
 
+@pytest.mark.parametrize("model", [ex2(0.3),
+                                   TailModel(tridiag(0.5, 0.2, 0.5), 3)])
+def test_one_moment_table_per_recursion(model, monkeypatch):
+    # an early stop (x_k >= 1) too reads rows 0..K of a single table
+    calls = []
+    real = type(model).moment_table
+
+    def counting(self, K):
+        calls.append(K)
+        return real(self, K)
+    monkeypatch.setattr(type(model), "moment_table", counting)
+    mom = embedded_moments(model, 4000)
+    assert calls == [4000]
+    assert mom.table.mean.shape[1] == 4001
+
+
 def test_blowup_implies_qtilde_below_one():
     # status consistency: a blowup at k* shows up in the truncation ladder
     mom = embedded_moments(ex2(0.3), 50, with_a=False)
@@ -316,10 +332,9 @@ def _bits(x):
 
 
 @pytest.mark.parametrize("with_a", (True, False))
-# K = FIRST_ROWS - 1 runs in the first table alone; FIRST_ROWS and
-# FIRST_ROWS + 1 switch to the final table for its last one or two rows
-@pytest.mark.parametrize("K", (0, 3, FIRST_ROWS - 1, FIRST_ROWS,
-                               FIRST_ROWS + 1, 4000))
+# K = 63, 64 and 65 straddle the end of the 64-row first table that the
+# recursion once built before its full one
+@pytest.mark.parametrize("K", (0, 3, 63, 64, 65, 4000))
 @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
 def test_table_recursion_matches_reference(name, K, with_a):
     model = REFERENCE_MODELS[name]

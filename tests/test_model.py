@@ -331,6 +331,22 @@ def test_shift_and_marginalize():
     assert sorted(marg.entries) == [((), 0.7), (((0, 2),), 0.3)]
 
 
+def test_table_tail_copies_rows():
+    # the tail zeroes the children of cut types in its own arrays, never in
+    # the base table's
+    base = wide_band_model().moment_table(12)
+    before = [x.copy() for x in (base.mean, base.a, base.p_double_up)]
+    tail = base.tail(4)
+    for got, whole in zip((tail.mean, tail.a, tail.p_double_up),
+                          (base.mean, base.a, base.p_double_up)):
+        assert not np.shares_memory(got, whole)
+        assert got.flags.c_contiguous
+    for got, want in zip((base.mean, base.a, base.p_double_up), before):
+        assert np.array_equal(got, want)
+    assert np.array_equal(tail.mean[:, 4:], base.mean[:, 8:])
+    assert not tail.mean[:base.width, 0].any()
+
+
 def test_tail_model_moments_match_marginal_laws():
     for base in (ex2(0.3), tridiag(0.1, 0.2, 0.8, u=2.0)):
         tail = TailModel(base, 3)
