@@ -6,8 +6,8 @@ oracle."""
 __version__ = "0.1.0"
 
 from .model import (Example2Model, ExplicitModel, LHBPModel, ModelError,
-                    ProductLaw, TableLaw, TailModel, TridiagonalModel,
-                    load_model, validate)
+                    TableLaw, TailModel, TridiagonalModel, load_model,
+                    product_law, validate)
 from .generating import (ComputationError, ExtinctionLadder, TruncationResult,
                          default_schedule, extinction_ladder, iterate_to_limit)
 from .embedded import (EmbeddedMoments, PartialVerdict, embedded_moments,
@@ -15,7 +15,7 @@ from .embedded import (EmbeddedMoments, PartialVerdict, embedded_moments,
 from .criteria import (Budget, Classification, GlobalVerdict,
                        PartialSurvivalRegimeError, SLSVerdict, agresti_bounds,
                        classify, global_verdict, sls_verdict,
-                       tridiagonal_mu_limit, xi_estimate)
+                       tridiagonal_mu_limit)
 from .fixedpoints import FixedPointCurve, RangeError, curve_from_anchor
 from .montecarlo import (SimBatch, SimConfig, SimEstimate,
                          estimate_embedded_moment, estimate_extinction,

@@ -1,6 +1,6 @@
 """Decision procedures: the global extinction criterion, two-sided truncation
-bounds, mean-growth diagnostics, strong local survival, and the four-way
-classifier q = qt = 1, q < qt = 1, q < qt < 1, q = qt < 1.
+bounds, strong local survival, and the four-way classifier q = qt = 1,
+q < qt = 1, q < qt < 1, q = qt < 1.
 """
 
 from __future__ import annotations
@@ -245,47 +245,6 @@ def agresti_bounds(model: LHBPModel, i: int, levels) -> list[AgrestiBounds]:
 def _bound(w: float, wb: float) -> float:
     """max(0, 1 - 1/B) from wb = w B; 0 also where the bracket B is 0."""
     return 1.0 - w / wb if wb > w else 0.0
-
-
-# ---------------------------------------------------------------------------
-# mean growth diagnostics
-
-
-@dataclass
-class XiEstimate:
-    values: np.ndarray       # n-th root of the expected total population
-    liminf_proxy: np.ndarray  # running minimum from each index to the end
-
-
-def xi_estimate(model: LHBPModel, k: int, n_max: int) -> XiEstimate:
-    """Sequence ((M^(k))^n 1)_0^(1/n), n = 1..n_max, in log space."""
-    if k < 1 or n_max < 1:
-        raise ValueError("need k >= 1 and n_max >= 1")
-    table = model.moment_table(k)
-    wd = table.width
-    # offsets d of present entries, diagonal and up first; row i adds
-    # m_{i,i+d} z_{i+d} for 0 <= i + d <= k
-    offsets = [(d, table.mean[wd + d]) for d in (0, 1, *range(-1, -wd - 1, -1))
-               if table.mean[wd + d].any()]
-    z = np.ones(k + 1)
-    log_scale = 0.0
-    vals = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        w = np.zeros(k + 1)
-        for d, col in offsets:
-            if d >= 0:
-                w[:k + 1 - d] += col[:k + 1 - d] * z[d:]
-            else:
-                w[-d:] += col[-d:] * z[:k + 1 + d]
-        m = float(np.max(w))
-        if m == 0.0:
-            vals[n:] = 0.0
-            break
-        log_scale += math.log(m)
-        z = w / m
-        top = z[0]
-        vals[n - 1] = math.exp((log_scale + math.log(top)) / n) if top > 0 else 0.0
-    return XiEstimate(vals, np.minimum.accumulate(vals[::-1])[::-1])
 
 
 # ---------------------------------------------------------------------------

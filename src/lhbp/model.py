@@ -5,10 +5,12 @@ A lower Hessenberg branching process (LHBP) lives on the type set
 Models here are finitely described, either by explicit head laws plus a
 shift-repeated tail law, or by a parametric family.
 
-An offspring law (``TableLaw`` or ``ProductLaw``) has four methods.  Every
-law moment is read off ``outcomes()``, its positive-probability joint
-outcomes, which the generic sweep and Monte Carlo also consume; ``pgf()`` is
-the generating function as an independent oracle; ``prob_sum()`` and
+Every offspring law is a ``TableLaw``; a law with independent per-type
+counts is expanded into one by ``product_law``.  Every law moment is read
+off ``outcomes()``, its positive-probability joint outcomes, which the
+generic sweep and Monte Carlo also consume; ``pgf()`` is the generating
+function, which the fixed-point curves invert (the tests check the expansion
+against a product of per-coordinate sums); ``prob_sum()`` and
 ``support_types()`` check laws read from outside the program.
 """
 
@@ -36,13 +38,15 @@ class TableLaw:
     """Finite offspring distribution given as support vectors with weights.
 
     ``entries`` is a tuple of ``(counts, prob)`` where ``counts`` is a sorted
-    tuple of ``(type, count)`` pairs with strictly positive counts.  It has
-    the four law methods; its outcomes are its positive entries, in order.
+    tuple of ``(type, count)`` pairs with strictly positive counts.  Counts
+    are whole numbers, as ints or floats; a thinned count may saturate to
+    ``inf`` instead of overflowing.  Its outcomes are its positive entries,
+    in order.
     """
 
-    entries: tuple[tuple[tuple[tuple[int, int], ...], float], ...]
+    entries: tuple[tuple[tuple[tuple[int, float], ...], float], ...]
 
-    def outcomes(self) -> tuple[tuple[tuple[tuple[int, int], ...], float], ...]:
+    def outcomes(self) -> tuple[tuple[tuple[tuple[int, float], ...], float], ...]:
         """``(counts, prob)`` pairs with positive probability."""
         return tuple((counts, p) for counts, p in self.entries if p > 0)
 
@@ -63,93 +67,35 @@ class TableLaw:
         return total
 
 
-@dataclass(frozen=True)
-class ProductLaw:
-    """Offspring law with independent per-type counts.
+def product_law(coords) -> TableLaw:
+    """Law with independent per-type counts, expanded into a table.
 
-    ``coords`` maps each reachable type to a finite pmf given as a tuple of
-    ``(count, prob)`` pairs.  Counts are floats so that astronomically scaled
-    counts saturate to ``inf`` instead of overflowing.  It has the four law
-    methods; its outcomes are the joint expansion of its coordinates.
+    ``coords`` holds ``(type, pmf)`` pairs in type order, each pmf a tuple of
+    ``(count, prob)`` pairs.  The entries are the joint outcomes with the
+    coordinates expanded in order; zero counts are left out of ``counts``
+    and outcomes of probability 0 are dropped.
     """
-
-    coords: tuple[tuple[int, tuple[tuple[float, float], ...]], ...]
-
-    def outcomes(self) -> tuple[tuple[tuple[tuple[int, float], ...], float], ...]:
-        """Joint ``(counts, prob)`` pairs with positive probability; zero
-        counts are left out of ``counts``.  Coordinates expand in order."""
-        out = [((), 1.0)]
-        for t, pmf in self.coords:
-            out = [(counts + ((t, c),) if c else counts, w * p)
-                   for counts, w in out for c, p in pmf]
-        return tuple((counts, p) for counts, p in out if p > 0)
-
-    def prob_sum(self) -> float:
-        # each coordinate must normalise on its own
-        return min((sum(p for _, p in pmf) for _, pmf in self.coords),
-                   default=1.0)
-
-    def support_types(self) -> set[int]:
-        return {t for t, pmf in self.coords
-                if any(c > 0 and p > 0 for c, p in pmf)}
-
-    def pgf(self, u) -> float:
-        """Generating function at ``u``: a product of per-coordinate sums,
-        not an expansion through ``outcomes()``."""
-        val = 1.0
-        for t, pmf in self.coords:
-            val *= sum(p * u[t] ** c for c, p in pmf)
-        return val
+    out = [((), 1.0)]
+    for t, pmf in coords:
+        out = [(counts + ((t, c),) if c else counts, w * p)
+               for counts, w in out for c, p in pmf]
+    return TableLaw(tuple((counts, p) for counts, p in out if p > 0))
 
 
-OffspringLaw = TableLaw | ProductLaw
-
-
-def shift_law(law: OffspringLaw, delta: int) -> OffspringLaw:
+def shift_law(law: TableLaw, delta: int) -> TableLaw:
     """Shift every child type by ``delta`` (tail rule for explicit models)."""
-    if isinstance(law, TableLaw):
-        return TableLaw(tuple(
-            (tuple((t + delta, c) for t, c in counts), p)
-            for counts, p in law.entries))
-    return ProductLaw(tuple((t + delta, pmf) for t, pmf in law.coords))
+    return TableLaw(tuple((tuple((t + delta, c) for t, c in counts), p)
+                          for counts, p in law.entries))
 
 
-def marginalize_law(law: OffspringLaw, cut: int) -> OffspringLaw:
+def marginalize_law(law: TableLaw, cut: int) -> TableLaw:
     """Kill all children of type <= cut and relabel type t to t - cut - 1."""
     d = cut + 1
-    if isinstance(law, TableLaw):
-        merged: dict[tuple, float] = {}
-        for counts, p in law.entries:
-            kept = tuple((t - d, c) for t, c in counts if t > cut)
-            merged[kept] = merged.get(kept, 0.0) + p
-        return TableLaw(tuple(sorted(merged.items())))
-    return ProductLaw(tuple((t - d, pmf) for t, pmf in law.coords if t > cut))
-
-
-def _check_law(law: OffspringLaw, owner: int) -> None:
-    # each test is written so that NaN fails it
-    if not abs(law.prob_sum() - 1.0) <= PROB_TOL:
-        raise ModelError(
-            f"type {owner}: probabilities sum to {law.prob_sum()!r}, not 1")
-    if isinstance(law, TableLaw):
-        for counts, p in law.entries:
-            if not p >= 0:
-                raise ModelError(f"type {owner}: bad probability {p}")
-            for t, c in counts:
-                if t < 0 or not c > 0:
-                    raise ModelError(f"type {owner}: bad count {c} for type {t}")
-    else:
-        for t, pmf in law.coords:
-            if t < 0:
-                raise ModelError(f"type {owner}: negative child type {t}")
-            for c, p in pmf:
-                if not (p >= 0 and c >= 0):
-                    raise ModelError(f"type {owner}: bad pmf entry ({c}, {p})")
-    bad = [t for t in law.support_types() if t > owner + 1]
-    if bad:
-        raise ModelError(
-            f"type {owner}: offspring of type {max(bad)} breaks the "
-            f"lower Hessenberg support rule (max allowed {owner + 1})")
+    merged: dict[tuple, float] = {}
+    for counts, p in law.entries:
+        kept = tuple((t - d, c) for t, c in counts if t > cut)
+        merged[kept] = merged.get(kept, 0.0) + p
+    return TableLaw(tuple(sorted(merged.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +198,7 @@ class LHBPModel:
     bound in closed form.
     """
 
-    def law(self, i: int) -> OffspringLaw:
+    def law(self, i: int) -> TableLaw:
         raise NotImplementedError
 
     def moment_table(self, K: int) -> MomentTable:
@@ -396,14 +342,14 @@ class TridiagonalModel(LHBPModel):
                 pmf[c * s] = pmf.get(c * s, 0.0) + w * p
         return tuple(sorted(pmf.items()))
 
-    def law(self, i: int) -> ProductLaw:
+    def law(self, i: int) -> TableLaw:
         coords = []
         if i >= 1 and self.a:
             coords.append((i - 1, tuple((float(c), p) for c, p in _two_point(self.a))))
         if self.b:
             coords.append((i, tuple((float(c), p) for c, p in _two_point(self.b))))
         coords.append((i + 1, self._up_pmf(i)))
-        return ProductLaw(tuple(coords))
+        return product_law(coords)
 
     def moment_table(self, K: int) -> MomentTable:
         a, b, c = self.a, self.b, self.c
@@ -438,13 +384,13 @@ class ExplicitModel(LHBPModel):
     """Explicit head laws for types 0..T; type i > T reuses the type-T law
     with every child type shifted by i - T."""
 
-    head: tuple[OffspringLaw, ...]
+    head: tuple[TableLaw, ...]
 
     @property
     def tail_from(self) -> int:
         return len(self.head) - 1
 
-    def law(self, i: int) -> OffspringLaw:
+    def law(self, i: int) -> TableLaw:
         t = self.tail_from
         if i <= t:
             return self.head[i]
@@ -473,7 +419,7 @@ class TailModel(LHBPModel):
     base: LHBPModel
     cut: int
 
-    def law(self, j: int) -> OffspringLaw:
+    def law(self, j: int) -> TableLaw:
         return marginalize_law(self.base.law(self.cut + 1 + j), self.cut)
 
     def moment_table(self, K: int) -> MomentTable:
@@ -517,7 +463,12 @@ def load_model(text: str, strict: bool = True):
     return model
 
 
-def _parse_law(doc: dict) -> OffspringLaw:
+def _parse_law(doc: dict, owner: int) -> TableLaw:
+    """The type-``owner`` law of a model document, checked on its input: a
+    table's probabilities, or each product coordinate's before the expansion
+    (which drops outcomes of probability 0, and whose products can cancel,
+    0.5 * 2.0 = 1), are >= 0 and sum to 1; child types and counts are >= 0;
+    no child is above type owner + 1."""
     kind = doc.get("kind")
     if kind == "table":
         entries = []
@@ -526,15 +477,34 @@ def _parse_law(doc: dict) -> OffspringLaw:
                       for t, c in e["counts"].items()]
             entries.append((tuple(sorted((t, c) for t, c in counts if c)),
                             float(e["prob"])))
-        return TableLaw(tuple(entries))
-    if kind == "product":
-        coords = []
-        for t, pmf in doc["coords"].items():
-            coords.append((int(t), tuple(sorted(
-                (float(_whole(c, "count")), float(p))
-                for c, p in pmf.items()))))
-        return ProductLaw(tuple(sorted(coords)))
-    raise ModelError(f"unknown law kind {kind!r}")
+        pmfs = [[p for _, p in entries]]
+        children = [tc for counts, _ in entries for tc in counts]
+    elif kind == "product":
+        coords = sorted((int(t), tuple(sorted(
+            (float(_whole(c, "count")), float(p)) for c, p in pmf.items())))
+            for t, pmf in doc["coords"].items())
+        pmfs = [[p for _, p in pmf] for _, pmf in coords]
+        children = [(t, c) for t, pmf in coords for c, _ in pmf]
+    else:
+        raise ModelError(f"unknown law kind {kind!r}")
+    # each test is written so that NaN fails it
+    for probs in pmfs:
+        if not abs(sum(probs) - 1.0) <= PROB_TOL:
+            raise ModelError(
+                f"type {owner}: probabilities sum to {sum(probs)!r}, not 1")
+        for p in probs:
+            if not p >= 0:
+                raise ModelError(f"type {owner}: bad probability {p}")
+    for t, c in children:
+        if not (t >= 0 and c >= 0):
+            raise ModelError(f"type {owner}: bad count {c} for type {t}")
+    law = TableLaw(tuple(entries)) if kind == "table" else product_law(coords)
+    bad = [t for t in law.support_types() if t > owner + 1]
+    if bad:
+        raise ModelError(
+            f"type {owner}: offspring of type {max(bad)} breaks the "
+            f"lower Hessenberg support rule (max allowed {owner + 1})")
+    return law
 
 
 def _whole(c, what: str) -> int:
@@ -554,22 +524,14 @@ def _parse_explicit(doc: dict) -> ExplicitModel:
     tail_from = _whole(doc.get("tail_from", len(rows) - 1), "tail_from")
     if tail_from != len(rows) - 1:
         raise ModelError("tail_from must equal the largest head type")
-    head = tuple(_parse_law(r["law"]) for r in rows)
-    for i, law in enumerate(head):
-        _check_law(law, i)
-    return ExplicitModel(head=head)
+    return ExplicitModel(head=tuple(_parse_law(r["law"], i)
+                                    for i, r in enumerate(rows)))
 
 
 def _check_upward(model: LHBPModel, horizon: int = 8) -> None:
-    """The standing assumption: every type has a positive upward mean."""
-    if isinstance(model, Example2Model):
-        if model.gamma >= 1.0:
-            raise ModelError("M_{i,i+1} = 0: example2 requires gamma < 1")
-        return
-    if isinstance(model, TridiagonalModel):
-        if model.c <= 0.0:
-            raise ModelError("M_{i,i+1} = 0: tridiagonal requires c > 0")
-        return
+    """The standing assumption: every type has a positive upward mean.  A
+    family's upward means keep one sign from type 1 on; an explicit model's
+    repeat its last head law's."""
     if isinstance(model, ExplicitModel):
         horizon = len(model.head)
     table = model.moment_table(horizon - 1)

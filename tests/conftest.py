@@ -1,7 +1,9 @@
+import json
+
 import pytest
 
-from lhbp import (Example2Model, ExplicitModel, ProductLaw, TableLaw,
-                  TridiagonalModel, extinction_ladder, iterate_to_limit)
+from lhbp import (Example2Model, ExplicitModel, TableLaw, TridiagonalModel,
+                  extinction_ladder, iterate_to_limit, product_law)
 
 LADDER_SCHEDULE = tuple(4 * 2 ** i for i in range(11))  # 4 .. 4096
 
@@ -25,8 +27,8 @@ def g(model, k, s):
 def product_tail_model():
     """Explicit model whose shift-repeated tail law is a product law."""
     head0 = TableLaw(((((1, 2),), 0.5), ((), 0.5)))
-    tail = ProductLaw(((0, ((0.0, 0.25), (1.0, 0.75))),
-                       (2, ((0.0, 0.5), (2.0, 0.5)))))
+    tail = product_law(((0, ((0.0, 0.25), (1.0, 0.75))),
+                        (2, ((0.0, 0.5), (2.0, 0.5)))))
     return ExplicitModel(head=(head0, tail))
 
 
@@ -35,9 +37,27 @@ def e1_model():
     law with a Bernoulli(0.2) child one type down and a Bernoulli(0.7)
     child one type up (q = qtilde = 1)."""
     head0 = TableLaw(((((1, 1),), 0.6), ((), 0.4)))
-    tail = ProductLaw(((0, ((0.0, 0.8), (1.0, 0.2))),
-                       (2, ((0.0, 0.3), (1.0, 0.7)))))
+    tail = product_law(((0, ((0.0, 0.8), (1.0, 0.2))),
+                        (2, ((0.0, 0.3), (1.0, 0.7)))))
     return ExplicitModel(head=(head0, tail))
+
+
+def product_doc(coords):
+    """Model document of E1's table head law and a type-1 product law with
+    the given coordinates (JSON keys and values)."""
+    return json.dumps({"family": "explicit", "head": [
+        {"type": 0, "law": {"kind": "table", "entries": [
+            {"counts": {"1": 1}, "prob": 0.6}, {"counts": {}, "prob": 0.4}]}},
+        {"type": 1, "law": {"kind": "product", "coords": coords}}]})
+
+
+# product coordinates that do not each sum to 1
+UNNORMALISED_COORDS = (
+    # coordinate 2 sums to 1.5, and a minimum of the sums would read 1
+    {"0": {"0": 0.8, "1": 0.2}, "2": {"0": 0.5, "1": 1.0}},
+    # sums 0.5 and 2.0, and the expanded outcomes would sum to 1
+    {"0": {"0": 0.25, "1": 0.25}, "2": {"0": 1.0, "1": 1.0}},
+)
 
 
 def wide_band_model():

@@ -16,6 +16,8 @@ from lhbp import (Example2Model, TridiagonalModel, embedded_moments,
                   iterate_to_limit)
 from lhbp.cli import _write_csv, main
 
+from conftest import UNNORMALISED_COORDS, product_doc
+
 EX2 = '{"family": "example2", "gamma": %s}'
 NAN = float("nan")
 TRI = '{"family": "tridiagonal", "a": %s, "b": %s, "c": %s, "u": %s}'
@@ -570,6 +572,16 @@ def test_malformed_model_exits_2(capsys, tmp_path, argv, doc):
     path.write_text(json.dumps(doc))
     assert main(argv + ["--model", str(path), "--workers", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["extinction", "--k", "64"],
+                                  ["simulate", "--k", "4", "--reps", "1000"]])
+@pytest.mark.parametrize("coords", UNNORMALISED_COORDS)
+def test_unnormalised_product_coordinate_exits_2(capsys, model_file, argv,
+                                                  coords):
+    path = model_file(product_doc(coords))
+    assert main(argv + ["--model", path, "--workers", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: type 1: ")
 
 
 @settings(max_examples=40, deadline=None,

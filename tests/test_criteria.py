@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from lhbp import (Budget, ExplicitModel, PartialSurvivalRegimeError, TableLaw,
                   agresti_bounds, classify, default_schedule, embedded_moments,
                   global_verdict, iterate_to_limit, sls_verdict,
-                  tridiagonal_mu_limit, xi_estimate)
+                  tridiagonal_mu_limit)
 from lhbp.criteria import HEAD_SHIFT, first_supercritical_head
 
 from conftest import ex2, tridiag
@@ -178,26 +178,7 @@ def test_agresti_levels_from_one_pass():
 
 
 # ---------------------------------------------------------------------------
-# growth diagnostics
-
-
-def test_xi_gamma0_tends_to_one():
-    est = xi_estimate(ex2(0.0), 200, 150)
-    # mean population grows linearly, so the n-th roots fall towards one
-    assert np.all(np.diff(est.values[10:]) < 0)
-    assert est.values[-1] == pytest.approx(150 ** (1 / 150), abs=1e-6)
-    assert est.liminf_proxy[0] <= est.values[-1]
-
-
-def test_xi_supercritical_tridiagonal():
-    est = xi_estimate(tridiag(0.1, 0.2, 0.8), 200, 150)
-    assert est.values[-1] > 1.09
-
-
-def test_xi_single_step_exact():
-    est = xi_estimate(ex2(0.0), 1, 1)
-    # (M~ 1)_0 with the level-1 head: row 0 sums to M_{0,1} = 1
-    assert est.values[0] == pytest.approx(1.0, abs=1e-14)
+# supercritical heads
 
 
 def _exact_first_head(model, k_max, s=Fraction(1.0 + HEAD_SHIFT)):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lhbp import (Example2Model, ExplicitModel, LHBPModel, ProductLaw,
-                  TableLaw, TridiagonalModel, embedded_moments,
-                  iterate_to_limit, partial_verdict)
+from lhbp import (Example2Model, ExplicitModel, LHBPModel, TableLaw,
+                  TridiagonalModel, embedded_moments, iterate_to_limit,
+                  partial_verdict, product_law)
 from lhbp.embedded import BOUNDARY_TOL, _certificate
 from lhbp.model import TailModel
 
@@ -154,7 +154,7 @@ def late_blowup_model():
     return ExplicitModel(head=(
         TableLaw(((((1, 2),), 1.0),)),
         TableLaw(((((2, 1),), 0.2), ((), 0.8))),
-        ProductLaw(((1, bern(0.25)), (2, bern(0.2)), (3, bern(0.65))))))
+        product_law(((1, bern(0.25)), (2, bern(0.2)), (3, bern(0.65))))))
 
 
 def test_partial_verdict_late_blowup_after_head_decrease():

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lhbp import (ProductLaw, RangeError, TableLaw, curve_from_anchor,
-                  default_schedule, embedded_moments, extinction_ladder,
-                  iterate_to_limit)
+from lhbp import (RangeError, TableLaw, curve_from_anchor, default_schedule,
+                  embedded_moments, extinction_ladder, iterate_to_limit,
+                  product_law)
 from lhbp.fixedpoints import RANGE_SLACK, _invert
 
 from conftest import ex2, g, product_tail_model, tridiag
@@ -89,7 +89,7 @@ def product_laws(draw, j):
             st.floats(0.01, 1.0)), min_size=1, max_size=3))
         total = sum(p for _, p in pmf)
         coords.append((t, tuple((c, p / total) for c, p in pmf)))
-    return ProductLaw(tuple(sorted(coords)))
+    return product_law(sorted(coords))
 
 
 @st.composite
@@ -142,7 +142,7 @@ def test_invert_halves_a_flat_bracket():
     # f(x) = x^200 is below 1e-60 on [0, 1/2]: the Illinois secant alone
     # only doubles x per step from about the target 0.3^200; the forced
     # midpoint steps halve the bracket every third step and reach 0.3
-    law = ProductLaw(((0, ((200.0, 1.0),)),))
+    law = product_law(((0, ((200.0, 1.0),)),))
     calls = 0
 
     def f(x):

@@ -1,29 +1,25 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lhbp import (ExplicitModel, ModelError, ProductLaw, TableLaw,
-                  load_model, validate)
-from lhbp.model import (LHBPModel, TailModel, _law_table, marginalize_law,
-                        shift_law)
+from lhbp import (ExplicitModel, ModelError, TableLaw, load_model,
+                  product_law, validate)
+from lhbp.model import (PROB_TOL, LHBPModel, TailModel, _law_table,
+                        marginalize_law, shift_law)
 
-from conftest import (all_die_model, e1_model, ex2, product_tail_model,
-                      tridiag, up_only_model, wide_band_model)
+from conftest import (UNNORMALISED_COORDS, all_die_model, e1_model, ex2,
+                      product_doc, product_tail_model, tridiag, up_only_model,
+                      wide_band_model)
 
 
 def enumerate_support(law):
     """Brute-force enumeration of (offspring vector, prob) pairs."""
-    if isinstance(law, TableLaw):
-        return [(dict(counts), p) for counts, p in law.entries]
-    out = [({}, 1.0)]
-    for t, pmf in law.coords:
-        out = [({**vec, t: int(c)} if c else vec, w * p)
-               for vec, w in out for c, p in pmf]
-    return out
+    return [(dict(counts), p) for counts, p in law.entries]
 
 
 def brute_means(law):
@@ -79,6 +75,21 @@ def test_load_hessenberg_violation():
                                          {"counts": {}, "prob": 0.5}]}}]}
     with pytest.raises(ModelError, match="Hessenberg"):
         load_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("coords", UNNORMALISED_COORDS)
+def test_load_product_coordinates_each_sum_to_one(coords):
+    with pytest.raises(ModelError, match="^type 1: probabilities sum to"):
+        load_model(product_doc(coords))
+
+
+def test_load_product_checks_coordinates_not_the_expansion():
+    # each coordinate is within PROB_TOL of 1, their product is not
+    p = 0.2 + 0.8e-12
+    coords = {"0": {"0": 0.8, "1": p}, "2": {"0": 0.3, "1": 0.5 + p}}
+    law = load_model(product_doc(coords)).law(1)
+    assert abs(law.prob_sum() - 1.0) > PROB_TOL
+    assert law.support_types() == {0, 2}
 
 
 def test_load_parse_error():
@@ -260,8 +271,8 @@ def test_tridiagonal_saturated_scale_has_no_nan_count():
     # ceil(2^i) overflows to inf at i = 1024; the scaled branch then has
     # probability 0 and must not leave a 0 * inf count behind
     model = tridiag(0.1, 0.2, 0.8, u=2.0)
-    assert all(not np.isnan(c) for _, pmf in model.law(1100).coords
-               for c, _ in pmf)
+    assert all(not np.isnan(c) for counts, _ in model.law(1100).entries
+               for _, c in counts)
     assert np.isfinite(model.law(1100).pgf(np.full(1102, 0.5)))
 
 
@@ -286,7 +297,9 @@ def test_explicit_json_roundtrip_product():
                                    "coords": {"0": {"0": 0.8, "1": 0.2},
                                               "2": {"0": 0.5, "1": 0.3, "2": 0.2}}}}]}
     m = load_model(json.dumps(doc))
-    assert isinstance(m.law(1), ProductLaw)
+    assert m.law(1).outcomes() == product_law(
+        ((0, ((0.0, 0.8), (1.0, 0.2))),
+         (2, ((0.0, 0.5), (1.0, 0.3), (2.0, 0.2))))).outcomes()
     table = m.moment_table(4)
     assert table.mean_row(1) == pytest.approx({0: 0.2, 2: 0.7})
     assert table.mean_row(4) == pytest.approx({3: 0.2, 5: 0.7})
@@ -405,6 +418,8 @@ def test_law_moment_identities(law):
 
 @st.composite
 def product_laws(draw, owner=2):
+    """Coordinates ``(type, pmf)`` of a normalised product law of type
+    ``owner``, in type order."""
     types = draw(st.lists(st.integers(0, owner + 1), min_size=1, max_size=3,
                           unique=True))
     coords = []
@@ -416,16 +431,16 @@ def product_laws(draw, owner=2):
         total = sum(weights)
         coords.append((t, tuple((float(c), w / total)
                                 for c, w in sorted(zip(counts, weights)))))
-    return ProductLaw(tuple(coords))
+    return tuple(coords)
 
 
 @settings(max_examples=60, deadline=None)
 @given(product_laws())
-def test_product_law_rows_match_coordinate_formulas(law):
+def test_product_law_rows_match_coordinate_formulas(coords):
     # the rows sum over the joint expansion; independence of the coordinates
     # gives the same moments coordinate by coordinate
-    _, means, seconds, dbl = law_row(law)
-    pmfs = dict(law.coords)
+    _, means, seconds, dbl = law_row(product_law(coords))
+    pmfs = dict(coords)
     mu = {t: sum(c * p for c, p in pmf) for t, pmf in pmfs.items()}
     want_means = {t: v for t, v in mu.items() if v}
     want_seconds = {}
@@ -478,3 +493,32 @@ def test_table_law_rows_bit_identical_to_entry_sums(laws):
 def test_table_model_rows_bit_identical_to_entry_sums(model):
     laws = [model.law(i) for i in range(12)]
     assert_rows_bit_identical(laws, LHBPModel.moment_table(model, 11))
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_laws(), st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+def test_product_law_pgf_is_the_product_of_coordinate_sums(coords, u):
+    # the oracle never expands: G(u) = prod_t sum_c p u_t^c.  Both sides add
+    # non-negative terms, so their rounding errors stay relative and small
+    want = 1.0
+    for t, pmf in coords:
+        want *= sum(p * u[t] ** c for c, p in pmf)
+    assert abs(product_law(coords).pgf(u) - want) <= 16 * math.ulp(want)
+
+
+def test_product_law_outcomes_are_pinned():
+    # the joint expansion in coordinate order, zero counts left out, as the
+    # kernels, Monte Carlo and the moment tables read it
+    assert e1_model().head[1].outcomes() == (
+        ((), 0.24), (((2, 1.0),), 0.5599999999999999),
+        (((0, 1.0),), 0.06), (((0, 1.0), (2, 1.0)), 0.13999999999999999))
+    # u = 2 thins the type-4 count of a type-3 parent by ceil(2^3) = 8
+    assert tridiag(0.1, 0.2, 0.8, u=2.0).law(3).outcomes() == (
+        ((), 0.6480000000000001),
+        (((4, 8.0),), 0.07200000000000001),
+        (((3, 1.0),), 0.16200000000000003),
+        (((3, 1.0), (4, 8.0)), 0.018000000000000002),
+        (((2, 1.0),), 0.07200000000000002),
+        (((2, 1.0), (4, 8.0)), 0.008000000000000002),
+        (((2, 1.0), (3, 1.0)), 0.018000000000000006),
+        (((2, 1.0), (3, 1.0), (4, 8.0)), 0.0020000000000000005))
