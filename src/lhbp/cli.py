@@ -5,7 +5,7 @@ results are JSON.  Floats are written with 17 significant digits so that
 re-parsing reproduces them exactly.
 
 Exit codes: 0 success, 2 validation failure or unreadable model file, 3
-non-convergence in a gating computation, 4 usage error.
+non-convergence in a gating computation, 4 usage error or unallocatable size.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ EXIT_USAGE = 4
 # exit code of each error a command may raise: the first matching class wins
 EXIT_CODES = {ModelError: EXIT_VALIDATION, OSError: EXIT_VALIDATION,
               ComputationError: EXIT_NONCONVERGED,
-              argparse.ArgumentTypeError: EXIT_USAGE, ValueError: EXIT_USAGE}
+              argparse.ArgumentTypeError: EXIT_USAGE, ValueError: EXIT_USAGE,
+              MemoryError: EXIT_USAGE}
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -199,8 +200,6 @@ def cmd_fixedpoints(args) -> int:
         rows.append((idx, curve.values[idx], d, qv[idx], qtv[idx]))
     _write_csv(rows, ("index", "s", "one_minus_s_times_m0", "q_window",
                       "qtilde_window"), args.out)
-    if not curve.ok:
-        return EXIT_NONCONVERGED
     return EXIT_OK
 
 

@@ -15,7 +15,8 @@ banded elimination: for the common tridiagonal band, odd-even cyclic
 reduction in whole-array steps down to a small system, which a Thomas loop
 solves.  V is monotone and concave; Newton started above the
 target (v = 1 - start for a start below the minimal u-solution and below its
-own image) decreases monotonically to it.
+own image) decreases monotonically to it.  The fixed-point curves solve the
+same system with the boundary as one more unknown, fixed by coordinate 0.
 """
 
 from __future__ import annotations
@@ -382,6 +383,63 @@ def iterate_to_limit(model: LHBPModel, k: int, s: float, tol: float = 1e-12,
     return TruncationResult(k, s, u, n, residual, converged)
 
 
+def _tangent(jac: np.ndarray, k: int) -> np.ndarray:
+    """w = (I - J)^-1 dV/dv_{k+1} for a kernel's band ``jac``: the tangent of
+    the level-k solution path in its boundary, one band solve."""
+    rhs = np.zeros(k + 1)
+    rhs[k] = jac[0, k]  # only type k bears type-(k+1) children
+    return _solve_band(jac, rhs)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _anchored_solve(model: LHBPModel, k: int, v0: float,
+                    tol: float) -> tuple[np.ndarray, float]:
+    """Level-k survival vector with v_0 = v0 and its boundary t = v_{k+1} in
+    [0, 1] as one more unknown; returns (v_0..v_k, t) and max |V(v) - v|.
+
+    Each Newton step takes d = (I - J)^-1 (V(v) - v) and the tangent w, and
+    moves t by the dt that lands v_0 + d_0 + w_0 dt on v0 (t stays once v0
+    is met within rounding); where w_0 is 0 in floats, as on the flat
+    stretch of a thinned or slow-front model, it squares the distance from t
+    to the end that moves v_0 towards v0.  v moves by d + w dt; both are
+    clipped to [0, 1], so a v0 out of reach leaves t at the nearer end.  The
+    start v = 1 lies above the target; for v0 = 0 the start v = 0 is the
+    solution, since every type bears type-(i+1) children.  Stops once a step
+    moves no entry by more than ``tol`` times the largest entry, so tails
+    near s = 1 keep their digits.  Raises ``ComputationError`` on a zero
+    pivot, a step that is not finite, or after k + 100 steps.
+    """
+    kernel = _compiled(model, k)
+    x = np.full(k + 2, 1.0 if v0 > 0.0 else 0.0)
+    x[k + 1] = v0
+    head = x[:k + 1]
+    rel = max(tol, EPS_FLOOR)
+    val, jac = kernel(x)
+    for _ in range(k + 100):
+        try:
+            d = _solve_band(jac, val - head)
+            w = _tangent(jac, k)
+        except ZeroDivisionError:
+            break
+        t = t_new = float(x[k + 1])
+        gap = v0 - float(head[0] + d[0])  # the miss at fixed t
+        if abs(gap) > EPS_FLOOR * v0:
+            t_new = (t + gap / w[0] if w[0] > 0.0 else
+                     1.0 - (1.0 - t) ** 2 if gap > 0.0 else t * t)
+            t_new = min(max(t_new, 0.0), 1.0)
+        step = d + w * (t_new - t)
+        size = max(float(np.max(np.abs(step))), abs(t_new - t))
+        if not math.isfinite(size):
+            break
+        np.clip(head + step, 0.0, 1.0, out=head)
+        x[k + 1] = t_new
+        val, jac = kernel(x)
+        if size <= rel * float(np.max(x)):
+            return x, float(np.max(np.abs(val - head)))
+    raise ComputationError(f"level-{k} anchored solve failed: zero pivot, "
+                           f"step not finite or {k + 100} steps")
+
+
 def g_second_derivative(model: LHBPModel, result: TruncationResult) -> float:
     """g_k''(s) of the embedded generating function, read off a converged
     level-k result with boundary s < 1.
@@ -394,19 +452,12 @@ def g_second_derivative(model: LHBPModel, result: TruncationResult) -> float:
     """
     k = result.level
     kernel = _compiled(model, k)
-
-    def tangent(x):
-        _, jac = kernel(x)
-        rhs = np.zeros(k + 1)
-        rhs[k] = jac[0, k]  # only type k bears type-(k+1) children
-        return _solve_band(jac, rhs)
-
     x = 1.0 - result.vector
-    w = tangent(x)
+    w = _tangent(kernel(x)[1], k)
     line = np.append(w, 1.0)
 
     def quotient(h):
-        return (w[k] - tangent(x - h * line)[k]) / h
+        return (w[k] - _tangent(kernel(x - h * line)[1], k)[k]) / h
 
     h = 1e-5  # O(h^2) truncation and eps / h rounding errors near 1e-10
     return quotient(h) - 2.0 * quotient(h / 2)

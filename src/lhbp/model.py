@@ -8,9 +8,9 @@ shift-repeated tail law, or by a parametric family.
 Every offspring law is a ``TableLaw``; a law with independent per-type
 counts is expanded into one by ``product_law``.  Every law moment is read
 off ``outcomes()``, its positive-probability joint outcomes, which the
-generic sweep and Monte Carlo also consume; ``pgf()`` is the generating
-function, which the fixed-point curves invert (the tests check the expansion
-against a product of per-coordinate sums); ``prob_sum()`` and
+generic sweep and Monte Carlo also consume; ``pgf()``, the generating
+function, is the tests' reference only (for the curves, and against a
+product of per-coordinate sums); ``prob_sum()`` and
 ``support_types()`` check laws read from outside the program.
 """
 
@@ -57,7 +57,7 @@ class TableLaw:
         return {t for counts, _ in self.entries for t, _ in counts}
 
     def pgf(self, u) -> float:
-        """Generating function at ``u`` (indexed by child type)."""
+        """Generating function at ``u`` (by child type); tests only."""
         total = 0.0
         for counts, p in self.entries:
             term = p

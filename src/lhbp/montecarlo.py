@@ -90,17 +90,17 @@ def _sim_tables(model: LHBPModel, k: int):
     for i in range(k + 1):
         outs = model.law(i).outcomes()
         pvals = np.array([p for _, p in outs])
-        counts = np.zeros((len(outs), k + 2), dtype=np.int64)
-        overflow = np.zeros(len(outs), dtype=bool)
-        for j, (entry, _) in enumerate(outs):
-            if any(not (0 <= c <= _COUNT_LIMIT) for _, c in entry):
-                overflow[j] = True
-                continue
-            for t, c in entry:
-                counts[j, t] += int(c)
-        used = np.flatnonzero(counts.any(axis=0))
-        cols = slice(used[0], used[-1] + 1) if used.size else slice(0, 0)
-        tables.append((pvals / pvals.sum(), cols, counts[:, cols], overflow))
+        overflow = np.array([any(not (0 <= c <= _COUNT_LIMIT)
+                                 for _, c in entry) for entry, _ in outs])
+        births = [(j, t, int(c)) for j, (entry, _) in enumerate(outs)
+                  if not overflow[j] for t, c in entry if int(c)]
+        lo = min((t for _, t, _ in births), default=0)
+        hi = max((t + 1 for _, t, _ in births), default=0)
+        # only the used columns: a (k + 2)-column matrix per type is O(k^2)
+        counts = np.zeros((len(outs), hi - lo), dtype=np.int64)
+        for j, t, c in births:
+            counts[j, t - lo] += c
+        tables.append((pvals / pvals.sum(), slice(lo, hi), counts, overflow))
     return tables
 
 

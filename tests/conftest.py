@@ -25,7 +25,8 @@ def g(model, k, s):
 
 
 def product_tail_model():
-    """Explicit model whose shift-repeated tail law is a product law."""
+    """Explicit model whose shift-repeated tail law is a product law:
+    perfbench's E3, with q = qtilde < 1."""
     head0 = TableLaw(((((1, 2),), 0.5), ((), 0.5)))
     tail = product_law(((0, ((0.0, 0.25), (1.0, 0.75))),
                         (2, ((0.0, 0.5), (2.0, 0.5)))))

@@ -99,6 +99,16 @@ def test_moments_csv(capsys, model_file):
     assert float(rows[1]["mu"]) == pytest.approx(3.5)
 
 
+def test_moments_horizon_too_large_to_allocate(capsys, model_file):
+    # 10**15 rows of 8 bytes exceed any x86-64 address space, so the
+    # allocation fails at once: a usage error, not a traceback
+    assert main(["moments", "--model", model_file(EX2 % "0.3"),
+                 "--K", str(10 ** 15)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_moments_csv_reparses_exactly(capsys, model_file):
     code, rows = run_csv(capsys, ["moments", "--model",
                                   model_file(TRI % ("0.1", "0.2", "0.8", "1")),
@@ -219,6 +229,18 @@ def test_fixedpoints_csv(capsys, model_file):
     q = np.array([float(r["q_window"]) for r in rows])
     qt = np.array([float(r["qtilde_window"]) for r in rows])
     assert np.all(s >= q - 1e-6) and np.all(s <= qt + 1e-6)
+
+
+def test_fixedpoints_where_every_fixed_point_is_one(capsys, model_file):
+    # tridiagonal(0.1, 0.2, 0.8, u = 2) has q = qtilde = 1: the curve through
+    # the anchor 1 is 1 at every index, also past type 43, whose upward
+    # count is thinned by 2^43 so that its pgf at s_44 = 0 is 1 - 9e-14
+    code, rows = run_csv(capsys, ["fixedpoints", "--model",
+                                  model_file(TRI % ("0.1", "0.2", "0.8", "2")),
+                                  "--k", "1024", "--J", "200"])
+    assert code == 0
+    assert len(rows) == 201
+    assert all(float(r["s"]) == 1.0 for r in rows)
 
 
 def test_fixedpoints_rejects_bad_anchor_and_window_before_solving(

@@ -1,18 +1,18 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lhbp.generating
 from lhbp import (RangeError, TableLaw, curve_from_anchor, default_schedule,
-                  embedded_moments, extinction_ladder, iterate_to_limit,
-                  product_law)
-from lhbp.fixedpoints import RANGE_SLACK, _invert
+                  embedded_moments, extinction_ladder, iterate_to_limit)
 
 from conftest import ex2, g, product_tail_model, tridiag
 
-INVERT_STEPS = 200  # _invert's loop cap, after its two endpoint probes
+RANGE_SLACK = 1e-12  # how far outside [f(0), f(1)] a bisection target may lie
 
 
 def _bisect_reference(f, target, tol):
@@ -38,134 +38,80 @@ def _bisect_reference(f, target, tol):
     return 0.5 * (lo + hi)
 
 
+def _composed(model, k, s):
+    """g_0(g_1(... g_k(s))): coordinate 0 of the level-k limit with boundary
+    s, the anchor whose curve over indices 0..k+1 ends at s."""
+    res = iterate_to_limit(model, k, s, tol=1e-13)
+    assert res.converged
+    return float(res.vector[0])
+
+
 def test_invert_roundtrip_quartic():
+    # the curve inverts the composed generating function: its last
+    # coordinate is the boundary that the anchor came from
     m = ex2(0.0)
-    v = g(m, 1, 0.5)
-    assert _invert(lambda s: g(m, 1, s), v, 1e-12)[0] == \
-        pytest.approx(0.5, abs=1e-10)
+    curve = curve_from_anchor(m, _composed(m, 1, 0.5), 2)
+    assert curve.values[2] == pytest.approx(0.5, abs=1e-10)
 
 
 def test_invert_hits_zero_endpoint():
-    # g_1(0) = 1/2 for the quartic law, so the preimage of 1/2 is 0
+    # the anchor g_0(g_1(0)) of the level-1 global extinction vector has the
+    # boundary s_2 = 0 at the end of its range; g_1(s) = 1/2 + s^4/2 is flat
+    # there to fourth order, so rounding leaves s_2 free by about eps^(1/4)
     m = ex2(0.0)
-    assert _invert(lambda s: g(m, 1, s), 0.5, 1e-12)[0] == 0.0
+    anchor = _composed(m, 1, 0.0)
+    curve = curve_from_anchor(m, anchor, 2)
+    assert curve.values[0] == pytest.approx(anchor, abs=1e-15)
+    assert 0.0 <= curve.values[2] <= 1e-3
 
 
 def test_invert_range_error():
+    # no boundary in [0, 1] reaches an anchor below g_0(g_1(0)), and no
+    # anchor lies above 1
     m = ex2(0.0)
-    g0 = g(m, 1, 0.0)
     with pytest.raises(RangeError):
-        _invert(lambda s: g(m, 1, s), g0 - 0.01, 1e-12)
-    with pytest.raises(RangeError):
-        _invert(lambda s: g(m, 1, s), 1.01, 1e-12)
+        curve_from_anchor(m, _composed(m, 1, 0.0) - 0.01, 2)
+    with pytest.raises(ValueError):
+        curve_from_anchor(m, 1.01, 2)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.floats(0.05, 0.95))
 def test_invert_roundtrip_property(s):
     m = tridiag(0.2, 0.1, 0.6)
-    assert _invert(lambda x: g(m, 3, x), g(m, 3, s), 1e-12)[0] == \
-        pytest.approx(s, abs=1e-9)
-
-
-unit = st.floats(0.0, 1.0)
-
-
-@st.composite
-def table_laws(draw, j):
-    entries = [(tuple(sorted(draw(st.dictionaries(
-        st.integers(0, j + 1), st.integers(1, 6), max_size=3)).items())),
-        draw(st.floats(0.01, 1.0))) for _ in range(draw(st.integers(1, 4)))]
-    total = sum(p for _, p in entries)
-    return TableLaw(tuple((counts, p / total) for counts, p in entries))
-
-
-@st.composite
-def product_laws(draw, j):
-    coords = []
-    for t in draw(st.sets(st.integers(0, j + 1), min_size=1)):
-        pmf = draw(st.lists(st.tuples(
-            st.sampled_from([0.0, 1.0, 2.0, 5.0, 100.0, 2.0 ** 60]),
-            st.floats(0.01, 1.0)), min_size=1, max_size=3))
-        total = sum(p for _, p in pmf)
-        coords.append((t, tuple((c, p / total) for c, p in pmf)))
-    return product_law(sorted(coords))
-
-
-@st.composite
-def laws_with_index(draw):
-    """A type-j offspring law; its last child type j + 1 is the unknown."""
-    kind = draw(st.sampled_from(["example2", "tridiagonal", "table",
-                                 "product"]))
-    if kind == "example2":
-        j = draw(st.integers(0, 60))
-        return ex2(draw(unit)).law(j), j
-    if kind == "tridiagonal":
-        # u = 2 thins the type-(j+1) count by ceil(2^j): up to 2^1023
-        j = draw(st.integers(0, 1100))
-        return tridiag(draw(st.floats(0, 2)), draw(st.floats(0, 2)),
-                       draw(st.floats(0.01, 2)),
-                       draw(st.floats(1, 2))).law(j), j
-    j = draw(st.integers(0, 3))
-    laws = table_laws if kind == "table" else product_laws
-    return draw(laws(j)), j
-
-
-@settings(max_examples=100, deadline=None)
-@given(law_j=laws_with_index(), data=st.data(),
-       tol=st.sampled_from([1e-12, 1e-13, 1e-15]))
-def test_invert_roundtrip_over_laws(law_j, data, tol):
-    # either stop of the contract holds when _invert returns: the residual
-    # is within tol, or the bracket its probes left is at most 1e-16 wide
-    law, j = law_j
-    buf = [data.draw(unit) for _ in range(j + 1)] + [0.0]
-    probes = []
-
-    def f(x):
-        buf[-1] = x
-        probes.append((x, law.pgf(buf)))
-        return probes[-1][1]
-
-    target = f(data.draw(unit))
-    probes.clear()
-    x, r = _invert(f, target, tol)
-    assert 0.0 <= x <= 1.0
-    assert len(probes) <= 2 + INVERT_STEPS
-    # the residual handed back is that of the probe at x
-    assert r == next(v for p, v in probes if p == x) - target
-    lo = max((p for p, v in probes[:-1] if v < target), default=0.0)
-    hi = min((p for p, v in probes[:-1] if v >= target), default=1.0)
-    assert abs(f(x) - target) <= tol or (hi - lo <= 1e-16 and lo <= x <= hi)
+    curve = curve_from_anchor(m, _composed(m, 3, s), 4)
+    assert curve.values[4] == pytest.approx(s, abs=1e-9)
 
 
 def test_invert_halves_a_flat_bracket():
-    # f(x) = x^200 is below 1e-60 on [0, 1/2]: the Illinois secant alone
-    # only doubles x per step from about the target 0.3^200; the forced
-    # midpoint steps halve the bracket every third step and reach 0.3
-    law = product_law(((0, ((200.0, 1.0),)),))
-    calls = 0
-
-    def f(x):
-        nonlocal calls
-        calls += 1
-        return law.pgf([x])
-
-    target = f(0.3)
-    calls = 0
-    x, _ = _invert(f, target, 0.0)
-    assert calls <= 2 + INVERT_STEPS
-    assert x == pytest.approx(0.3, rel=1e-14)
+    # the thinned upward counts of type 12 (ceil(u^12) = 2813) make s_0
+    # flat in the boundary survival t = 1 - s_13 away from t = 0: at the
+    # start t = 1 - s0 < 1/2 the tangent w_0 is 0 in floats, so the solve
+    # squares t, which at least halves it, until the boundary steers s_0
+    # again, and then meets the anchor
+    m = tridiag(0.10562250967506781, 0.18243616688779896, 1.6279810464423206,
+                1.9383336529303758)
+    s0 = 0.5181193695660549
+    kernel = lhbp.generating._compiled(m, 12)
+    start = np.ones(14)
+    start[13] = 1.0 - s0
+    assert lhbp.generating._tangent(kernel(start)[1], 12)[0] == 0.0
+    curve = curve_from_anchor(m, s0, 13)
+    assert curve.values[0] == pytest.approx(s0, abs=1e-12)
+    assert curve.residual <= 1e-12
+    assert s0 < curve.values[13] < 1.0
 
 
 def test_curve_construction_agrees_with_embedded_inversion(top_level_03):
-    # stepping with the scalar coordinate solve reproduces g_j inversion
+    # the curve's coordinates invert the embedded generating functions one
+    # index at a time: s_{j+1} = g_j^-1(s_j), here by the tests' bisection
     model = ex2(0.3)
     q, qt = top_level_03
     anchor = 0.5 * (q[0] + qt[0])
     curve = curve_from_anchor(model, anchor, 10, bounds=(q[0], qt[0]))
     s = anchor
     for j in range(8):
-        s_next, _ = _invert(lambda x: g(model, j, x), s, 1e-13)
+        s_next = _bisect_reference(lambda x: g(model, j, x), s, 1e-13)
         assert curve.values[j + 1] == pytest.approx(s_next, abs=1e-8)
         s = s_next
 
@@ -176,7 +122,7 @@ def test_curve_at_extinction_anchor(top_level_03):
     for anchor, window in ((q[0], q), (qt[0], qt)):
         curve = curve_from_anchor(model, float(anchor), 60,
                                   bounds=(q[0], qt[0]))
-        assert curve.ok
+        assert len(curve.values) == 61
         assert curve.residual <= 1e-8
         assert np.allclose(curve.values, window[:61], atol=2e-5)
 
@@ -188,7 +134,7 @@ def test_curve_membership_and_ordering(top_level_03):
     curves = [curve_from_anchor(model, float(a), 120, bounds=(q[0], qt[0]))
               for a in anchors]
     for c in curves:
-        assert c.ok
+        assert len(c.values) == 121
         assert c.residual <= 1e-10
         n = len(c.values)
         assert np.all(c.values >= q[:n] - 1e-6)
@@ -219,25 +165,19 @@ def test_curve_rejects_anchor_outside_unit_interval():
 
 @pytest.mark.parametrize("model, s0", [(ex2(0.3), 0.8077), (ex2(0.22), 0.8336),
                                        (tridiag(0.1, 0.3, 1.1), 0.7),
-                                       (product_tail_model(), 0.6)])
+                                       (product_tail_model(),
+                                        0.5658512532070958)])
 def test_curve_matches_per_probe_law_build(model, s0):
-    # the curve builds each index's law once on a buffer of Python floats; an
-    # inversion that rebuilds the law on every probe of a numpy buffer gives
-    # the same bits, and so does the residual taken over the finished curve
+    # the curve comes from the compiled survival kernels; each index's law,
+    # built on its own and evaluated by its pgf, holds on it, and the
+    # residual the curve reports agrees with the pgf residual
     curve = curve_from_anchor(model, s0, 60)
-    buf = np.zeros(62)
-    buf[0] = s0
-    for j in range(len(curve.values) - 1):
-        def coordinate(x):
-            buf[j + 1] = x
-            return model.law(j).pgf(buf)
-
-        buf[j + 1], _ = _invert(coordinate, buf[j], 1e-13)
-    assert buf[:len(curve.values)].tobytes() == curve.values.tobytes()
     values = curve.values
-    residual = max((abs(model.law(j).pgf(values) - values[j])
-                    for j in range(len(values) - 1)), default=0.0)
-    assert curve.residual == residual
+    assert len(values) == 61 and values[0] == pytest.approx(s0, abs=1e-12)
+    residual = max(abs(model.law(j).pgf(values) - values[j])
+                   for j in range(60))
+    assert residual <= 1e-12
+    assert abs(curve.residual - residual) <= 1e-15
 
 
 POOL_GAMMAS = (0.22, 0.24, 0.3)
@@ -263,7 +203,7 @@ def test_curve_matches_bisection_reference(pool_bounds, gamma):
     q0, qt0 = pool_bounds[gamma]
     anchor = 0.5 * (q0 + qt0)
     curve = curve_from_anchor(model, anchor, 200, bounds=(q0, qt0))
-    assert curve.ok and len(curve.values) == 201
+    assert len(curve.values) == 201
     ref = [anchor] + [0.0] * 201
     for j in range(200):
         law = model.law(j)
@@ -276,32 +216,113 @@ def test_curve_matches_bisection_reference(pool_bounds, gamma):
     assert np.max(np.abs(curve.values - ref[:201])) <= 1e-9
 
 
-@pytest.mark.parametrize("gamma", (0.22, 0.3))
+@pytest.mark.parametrize("gamma", POOL_GAMMAS)
 def test_curve_pgf_calls_per_index(monkeypatch, pool_bounds, gamma):
-    # the inversion's cost as a count of pgf calls: bisection made about 43
-    # per index (two endpoint probes, about 40 steps and the residual)
+    # the curve is one Newton solve: no pgf call (pgf is the tests'
+    # reference) and one survival-kernel call per step
     q0, qt0 = pool_bounds[gamma]
+    calls = {"pgf": 0, "kernel": 0}
     pgf = TableLaw.pgf
-    calls = 0
+    compiled = lhbp.generating._compiled
 
-    def counted(law, u):
-        nonlocal calls
-        calls += 1
+    def counted_pgf(law, u):
+        calls["pgf"] += 1
         return pgf(law, u)
 
-    monkeypatch.setattr(TableLaw, "pgf", counted)
+    def counted_compiled(model, k):
+        kernel = compiled(model, k)
+
+        def counted(v):
+            calls["kernel"] += 1
+            return kernel(v)
+        return counted
+
+    monkeypatch.setattr(TableLaw, "pgf", counted_pgf)
+    monkeypatch.setattr(lhbp.generating, "_compiled", counted_compiled)
     curve = curve_from_anchor(ex2(gamma), 0.5 * (q0 + qt0), 200,
                               bounds=(q0, qt0))
     assert len(curve.values) == 201
     assert curve.residual <= 1e-10
-    assert calls / 200 <= 10
+    assert calls["pgf"] == 0
+    assert calls["kernel"] <= 30
+
+
+def _survival_oracle(model, v0, J, digits=40):
+    """Survival values v_0..v_J of the curve through v_0 = v0, extended one
+    index at a time in ``digits``-digit decimal arithmetic: v_{j+1} solves
+    V_j(v_0, ..., v_{j+1}) = v_j, with V_j(v) = sum_o p_o (1 - prod_t
+    (1 - v_t)^c_t), by bisection to a width relative to its upper end.  The
+    survival form keeps the tail's digits, and it does not rely on the
+    law's probabilities summing to 1, which they do only within 1e-16."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        one, v = Decimal(1), [Decimal(v0)]
+        for j in range(J):
+            outcomes = [(Decimal(p), counts)
+                        for counts, p in model.law(j).outcomes() if counts]
+
+            def V(x):
+                total = Decimal(0)
+                for p, counts in outcomes:
+                    prod = one
+                    for t, c in counts:
+                        prod *= (one - (x if t == j + 1 else v[t])) ** int(c)
+                    total += p * (one - prod)
+                return total
+
+            lo, hi = Decimal(0), one
+            while hi - lo > hi.scaleb(2 - digits):
+                mid = (lo + hi) / 2
+                if V(mid) < v[j]:
+                    lo = mid
+                else:
+                    hi = mid
+            v.append((lo + hi) / 2)
+    return np.array([float(x) for x in v])
+
+
+@pytest.mark.parametrize("share", (0.5, 0.99))
+def test_curve_tail_matches_decimal_oracle(pool_bounds, share):
+    # 1 - s_j within 1e-11 relative of a 40-digit oracle over j <= 200, at
+    # the midpoint anchor and near qtilde_0, where 1 - s_200 is 3e-8, so a
+    # stop absolute in s would lose its digits: in survival space, and in
+    # the printed s up to its rounding to a float near 1
+    model = ex2(0.3)
+    q0, qt0 = pool_bounds[0.3]
+    anchor = q0 + share * (qt0 - q0)
+    oracle = _survival_oracle(model, 1.0 - anchor, 200)
+    curve = curve_from_anchor(model, anchor, 200, bounds=(q0, qt0))
+    assert np.all(np.abs((1.0 - curve.values) - oracle)
+                  <= 1e-11 * oracle + 2.0 ** -53)
+    v, _ = lhbp.generating._anchored_solve(model, 199, 1.0 - anchor, 1e-12)
+    assert np.max(np.abs(v / oracle - 1.0)) <= 1e-11
+
+
+@pytest.mark.parametrize("model, J", [
+    (product_tail_model(), 200), (ex2(0.8), 100),
+    (tridiag(0.4744670523110819, 0.6678908507387222, 0.1464228002654068,
+             2.398390067080819), 100)])
+def test_curve_follows_q_where_q_equals_qtilde(model, J):
+    # q = qtilde: the anchor cannot move the boundary, and the midpoint
+    # curve is the level-(J-1) truncation, whose first half follows q.  On
+    # the thinned tridiagonal model q_1..q_3 lie below q_0, so a start of
+    # 1 - s0 at every type lies below the curve in survival terms, and
+    # Newton from there falls to the trivial fixed point s = 1
+    ladder = extinction_ladder(model, default_schedule(256))
+    q0 = float(ladder.q_results[-1].vector[0])
+    qt0 = float(ladder.qtilde_results[-1].vector[0])
+    curve = curve_from_anchor(model, 0.5 * (q0 + qt0), J, bounds=(q0, qt0))
+    q = iterate_to_limit(model, 1024, 0.0).vector
+    assert len(curve.values) == J + 1
+    assert np.max(np.abs(curve.values[:J // 2 + 1] - q[:J // 2 + 1])) <= 1e-12
 
 
 def test_curve_truncates_below_q():
-    # an anchor below the global extinction value cannot extend far
+    # an anchor below the global extinction value lies below the reach of
+    # the level-39 truncation: even the boundary s_40 = 0 gives a larger s_0
     model = ex2(0.3)
-    curve = curve_from_anchor(model, 0.5, 40)
-    assert curve.failure_index is not None
+    with pytest.raises(RangeError, match="outside the reach"):
+        curve_from_anchor(model, 0.5, 40)
 
 
 def _last_quarter(seq):

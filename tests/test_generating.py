@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lhbp import (ExplicitModel, TableLaw, default_schedule,
-                  extinction_ladder, iterate_to_limit)
+from lhbp import (ComputationError, ExplicitModel, TableLaw,
+                  curve_from_anchor, default_schedule, extinction_ladder,
+                  iterate_to_limit)
 from lhbp.generating import g_second_derivative
 
 from conftest import (all_die_model, e1_model, ex2, g, product_tail_model,
@@ -355,6 +356,9 @@ def test_singular_newton_step_not_converged():
         assert not r.converged
         assert r.iterations == 1
         assert np.all(np.isfinite(r.vector))
+        # the anchored curve solve meets the same zero pivot
+        with pytest.raises(ComputationError):
+            curve_from_anchor(model, 0.5, k + 1)
 
 
 def test_qtilde_trap_reaches_one():

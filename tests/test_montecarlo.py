@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lhbp import (ExplicitModel, SimConfig, TableLaw, estimate_embedded_moment,
                   estimate_extinction, iterate_to_limit, montecarlo,
                   simulate_truncated)
-from lhbp.montecarlo import OUTCOME_CAP, OUTCOME_EXTINCT, OUTCOME_SURVIVED
+from lhbp.montecarlo import (OUTCOME_CAP, OUTCOME_EXTINCT, OUTCOME_SURVIVED,
+                             _sim_tables)
 
 from conftest import all_die_model, ex2, tridiag
 
@@ -41,6 +44,19 @@ def _reference_replication(rng, model, cfg, record):
         if sum(pop) > cfg.population_cap:
             return OUTCOME_CAP, cum_up, traj
     return OUTCOME_SURVIVED, cum_up, traj
+
+
+def test_draw_tables_hold_only_their_columns():
+    # each type's table holds the columns its children reach, not all k + 2,
+    # which would take O(k^2) memory: 46.6 MiB at k = 1000
+    tracemalloc.start()
+    try:
+        tables = _sim_tables(ex2(0.3), 1000)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(counts.base is None for _, _, counts, _ in tables)
+    assert held < 2 * 2 ** 20
 
 
 def test_all_die_extinct_immediately():
