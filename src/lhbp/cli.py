@@ -187,9 +187,9 @@ def cmd_fixedpoints(args) -> int:
             f"curve window J must be >= 0, got {args.J}")
     if args.J > args.k:
         raise argparse.ArgumentTypeError("curve window J must not exceed k")
-    ladder = extinction_ladder(model, default_schedule(args.k), tol=args.tol)
-    qv = ladder.q_results[-1].vector
-    qtv = ladder.qtilde_results[-1].vector
+    ladder = extinction_ladder(model, (args.k,), tol=args.tol)
+    qv = ladder.q_results[0].vector
+    qtv = ladder.qtilde_results[0].vector
     q0, qt0 = float(qv[0]), float(qtv[0])
     anchor = args.anchor if args.anchor is not None else 0.5 * (q0 + qt0)
     curve = curve_from_anchor(model, anchor, args.J, tol=args.tol,

@@ -61,6 +61,8 @@ class TruncationResult:
 # u = 1 - v rounds to 1 for tiny v, where a thinned count c ~ u^-i still
 # makes u ** c vanish.  Such counts may overflow c * log1p(-v) to -inf,
 # which is the intended u ** c = 0, so the kernels silence that warning.
+# A thinning scale S saturated to inf weighs 1/S = 0 on the same path as
+# every other type, with S = 1 in its place so that no 0 * inf forms.
 
 
 def _log_u(v):
@@ -163,21 +165,20 @@ class _TridiagonalSweep:
 
     def __init__(self, model: TridiagonalModel, k: int):
         self.k = k
-        # scale factors for the upward coordinate of types 0..k
-        self.scale = model._scales(k)
-        self.w = np.where(np.isinf(self.scale), 0.0, 1.0 / self.scale)
+        scale = model._scales(k)  # of the upward coordinate of types 0..k
+        self.w = 1.0 / scale
+        self.scale = np.where(self.w > 0.0, scale, 1.0)
         self.pmfs = [tuple((c, p) for c, p in _two_point(mean) if c)
                      for mean in (model.a, model.b, model.c)]
 
     @staticmethod
     def _factor(pmf, log_u, scale=1.0):
         """Complement 1 - f and slope f' of f(x) = sum p x^(c * scale)."""
-        comp = np.zeros(len(log_u))
-        slope = np.zeros(len(log_u))
+        comp = slope = 0.0
         for c, p in pmf:
             cs = c * scale
-            comp -= p * np.expm1(cs * log_u)
-            slope += p * cs * np.exp((cs - 1) * log_u)
+            comp = comp - p * np.expm1(cs * log_u)
+            slope = slope + p * cs * np.exp((cs - 1) * log_u)
         return comp, slope
 
     @np.errstate(divide="ignore", over="ignore")
@@ -189,12 +190,8 @@ class _TridiagonalSweep:
         s_dn = np.zeros(k + 1)
         comp_dn[1:], s_dn[1:] = self._factor(down, log_u[0:k])
         comp_sm, s_sm = self._factor(same, log_u[0:k + 1])
-        fin = self.w > 0.0  # a saturated scale leaves the up factor at 1
-        comp_up = np.zeros(k + 1)
-        s_up = np.zeros(k + 1)
-        comp, slope = self._factor(up, log_u[1:k + 2][fin], self.scale[fin])
-        comp_up[fin] = self.w[fin] * comp
-        s_up[fin] = self.w[fin] * slope
+        comp, slope = self._factor(up, log_u[1:k + 2], self.scale)
+        comp_up, s_up = self.w * comp, self.w * slope
         val = -np.expm1(np.log1p(-comp_dn) + np.log1p(-comp_sm)
                         + np.log1p(-comp_up))
         f_dn, f_sm, f_up = 1.0 - comp_dn, 1.0 - comp_sm, 1.0 - comp_up

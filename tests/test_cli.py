@@ -243,6 +243,24 @@ def test_fixedpoints_where_every_fixed_point_is_one(capsys, model_file):
     assert all(float(r["s"]) == 1.0 for r in rows)
 
 
+def test_fixedpoints_solves_only_the_level_it_prints(capsys, model_file,
+                                                    monkeypatch):
+    # one q and one qtilde solve at level k, not a ladder of 11 levels
+    import lhbp.generating
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return iterate_to_limit(*args, **kwargs)
+    monkeypatch.setattr(lhbp.generating, "iterate_to_limit", counting)
+    code, rows = run_csv(capsys, ["fixedpoints", "--model",
+                                  model_file(EX2 % "0.3"), "--k", "1024",
+                                  "--J", "200"])
+    assert code == 0
+    assert len(rows) == 201
+    assert calls == [(1024, 0.0), (1024, 1.0)]
+
+
 def test_fixedpoints_rejects_bad_anchor_and_window_before_solving(
         capsys, monkeypatch, model_file):
     # qtilde_0 = 1 on tridiagonal(0.15, 0.25, 0.7): an anchor just above 1

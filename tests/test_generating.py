@@ -270,6 +270,32 @@ def test_family_sweeps_match_generic_sweep():
                 assert np.allclose(dense[:, j], central, atol=1e-7)
 
 
+def test_tridiagonal_sweep_matches_generic_sweep_past_saturation():
+    # past the type where ceil(u^i) overflows to inf the up factor has
+    # weight 0: the family kernel takes its one path there and must agree
+    # with the law-table kernel, whose laws drop the thinned branch, also
+    # at survival entries of exactly 0 and 1
+    from lhbp.generating import _GenericSweep, _TridiagonalSweep
+    rng = np.random.default_rng(20)
+    for model, k in ((tridiag(0.1, 0.2, 0.8, u=2.0), 1100),
+                     (tridiag(0.3, 0.3, 0.5, u=1.5), 2000)):
+        scale = model._scales(k)
+        saturated = np.flatnonzero(np.isinf(scale))
+        assert 0 < len(saturated) < k + 1
+        fast, generic = _TridiagonalSweep(model, k), _GenericSweep(model, k)
+        for _ in range(3):
+            v = 10.0 ** rng.uniform(-30.0, 0.0, k + 2)
+            v[rng.integers(0, k + 2, 40)] = 0.0
+            v[rng.integers(0, k + 2, 40)] = 1.0
+            a, jac_a = fast(v)
+            b, jac_b = generic(v)
+            assert np.all(np.isfinite(a)) and np.all(np.isfinite(jac_a))
+            assert np.max(np.abs(a - b)) <= 1e-15
+            assert jac_a.shape == jac_b.shape
+            assert np.max(np.abs(jac_a - jac_b)) <= 1e-15
+            assert np.all(jac_a[0, saturated] == 0.0)
+
+
 def _random_band(rng, width, n):
     """A Jacobian band with row sums below 1, so I - J is an M-matrix."""
     jac = rng.uniform(0.0, 0.9 / (width + 2), (width + 2, n))
