@@ -344,7 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "simulate", help="Monte Carlo extinction estimate",
-        description="JSON: estimate, half_width, n, censored, seed.")
+        description="JSON: estimate, half_width, n, censored, unreliable, "
+                    "seed.")
     common(sp)
     sp.add_argument("--k", type=int, required=True, help="truncation level")
     sp.add_argument("--i0", type=int, default=0, help="initial type")

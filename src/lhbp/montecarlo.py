@@ -22,10 +22,6 @@ OUTCOME_EXTINCT = 0
 OUTCOME_SURVIVED = 1
 OUTCOME_CAP = 2
 
-OUTCOME_NAMES = {OUTCOME_EXTINCT: "extinct",
-                 OUTCOME_SURVIVED: "survived-to-cap",
-                 OUTCOME_CAP: "population-cap-hit"}
-
 _COUNT_LIMIT = 10 ** 9  # larger single-birth counts force a cap-hit
 BLOCK_SIZE = 4096      # replications per block (and per substream)
 
@@ -71,11 +67,6 @@ class SimBatch:
     config: SimConfig
     outcomes: np.ndarray        # int8 outcome codes per replication
     upward_totals: np.ndarray   # total type-(k+1) births per replication
-    trajectories: list | None   # per replication: generations x (k+2) counts
-
-    def tally(self) -> dict[str, int]:
-        return {name: int(np.sum(self.outcomes == code))
-                for code, name in OUTCOME_NAMES.items()}
 
 
 def _sim_tables(model: LHBPModel, k: int):
@@ -104,31 +95,26 @@ def _sim_tables(model: LHBPModel, k: int):
     return tables
 
 
-def _simulate_block(rng, tables, config: SimConfig, rows: int,
-                    record: bool):
-    """Run ``rows`` replications as one count matrix, a generation at a time.
-
-    Returns (outcomes, upward_totals, trajectories or None).  Every row
-    follows the rules of one replication: extinct when its whole population
-    is 0; immortal and not recording, decided as survived once a type-(k+1)
+def _simulate_block(rng, tables, config: SimConfig, rows: int):
+    """Run ``rows`` replications as one count matrix, a generation at a
+    time, and return their (outcomes, upward_totals).  A row ends extinct
+    when its whole population is 0; immortal, survived once a type-(k+1)
     individual exists; a cap hit when it draws an overflow outcome (that
     generation's births are dropped) or its population exceeds the cap;
-    survived at the generation cap.  Finished rows leave the matrix.
+    else survived at the generation cap.  Finished rows leave the matrix.
     """
     k = config.truncation
-    immortal = config.variant == "immortal"
     outcomes = np.full(rows, OUTCOME_SURVIVED, dtype=np.int8)
     ups = np.zeros(rows, dtype=np.int64)
     ids = np.arange(rows)               # replication of each active row
     pop = np.zeros((rows, k + 2), dtype=np.int64)
     pop[:, config.initial_type] = 1
-    seen = [(ids, pop)] if record else None
     for _ in range(config.max_generations):
         stop = ~pop.any(axis=1)
         outcomes[ids[stop]] = OUTCOME_EXTINCT
-        if immortal and not record:
+        if config.variant == "immortal":
             # an immortal line persists forever: the outcome is decided
-            stop |= (ups[ids] > 0) | (pop[:, k + 1] > 0)
+            stop |= pop[:, k + 1] > 0
         ids, pop = ids[~stop], pop[~stop]
         if not ids.size:
             break
@@ -144,38 +130,24 @@ def _simulate_block(rng, tables, config: SimConfig, rows: int,
                 capped |= picks[:, overflow].any(axis=1)
         # a row that drew an overflow outcome ends before its births count
         ups[ids] += np.where(capped, 0, new[:, k + 1])
-        if immortal:
-            new[:, k + 1] += pop[:, k + 1]
-        if record:
-            seen.append((ids[~capped], new[~capped]))
         capped |= new.sum(axis=1) > config.population_cap
         outcomes[ids[capped]] = OUTCOME_CAP
         ids, pop = ids[~capped], new[~capped]
-    if not record:
-        return outcomes, ups, None
-    # split the per-generation matrices into per-replication trajectories
-    owner = np.concatenate([rep for rep, _ in seen])
-    order = np.argsort(owner, kind="stable")
-    lengths = np.bincount(owner, minlength=rows)
-    trajs = np.split(np.concatenate([p for _, p in seen])[order],
-                     np.cumsum(lengths)[:-1])
-    return outcomes, ups, trajs
+    return outcomes, ups
 
 
-def simulate_truncated(model: LHBPModel, config: SimConfig,
-                       record_population: bool = False) -> SimBatch:
+def simulate_truncated(model: LHBPModel, config: SimConfig) -> SimBatch:
     """Run all replications of the truncated process at level k.
 
     Sterile: types above k produce nothing (they still appear for the one
-    generation they are born in).  Immortal: the type-(k+1) slot persists
-    from generation to generation.  Replications run in blocks of
-    ``BLOCK_SIZE``; block b draws from the Philox substream keyed by
-    (seed, b), so a run's full blocks repeat bit for bit in any run with
-    the same seed and more replications.  Both variants draw offspring
-    only for types <= k, so runs sharing a seed are coupled on those
-    coordinates as long as no row of a block stops in one variant while
-    its types <= k still have individuals in the other (a cap hit, or the
-    immortal early decision when not recording).
+    generation they are born in).  Immortal: a type-(k+1) individual never
+    dies, so a replication is decided as survived once one exists.
+    Replications run in blocks of ``BLOCK_SIZE``; block b draws from the
+    Philox substream keyed by (seed, b), so a run's full blocks repeat bit
+    for bit in any run with the same seed and more replications.  Both
+    variants draw offspring only for types <= k, so two runs with one seed
+    are coupled per replication (a block of one) up to the immortal
+    decision, and across a larger block only while no row has stopped.
     """
     tables = _sim_tables(model, config.truncation)
     n = config.replications
@@ -184,12 +156,9 @@ def simulate_truncated(model: LHBPModel, config: SimConfig,
         rng = np.random.Generator(
             np.random.Philox(key=(config.seed << 64) + block))
         parts.append(_simulate_block(rng, tables, config,
-                                     min(BLOCK_SIZE, n - start),
-                                     record_population))
-    outcomes = np.concatenate([p[0] for p in parts])
-    ups = np.concatenate([p[1] for p in parts])
-    trajs = ([t for p in parts for t in p[2]] if record_population else None)
-    return SimBatch(config, outcomes, ups, trajs)
+                                     min(BLOCK_SIZE, n - start)))
+    outcomes, ups = map(np.concatenate, zip(*parts))
+    return SimBatch(config, outcomes, ups)
 
 
 def estimate_extinction(model: LHBPModel, k: int, i0: int, variant: str,

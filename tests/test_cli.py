@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -293,6 +294,34 @@ def test_simulate_json(capsys, model_file):
     assert set(doc) == {"estimate", "half_width", "n", "censored",
                         "unreliable", "seed"}
     assert doc["n"] == 500
+
+
+def test_descriptions_name_the_emitted_columns_and_keys(capsys, model_file):
+    # "CSV columns: a, b (note), c." must be the header, "JSON: a, b." the
+    # keys of the document, in order
+    import lhbp.cli
+    m = ["--model", model_file(EX2 % "0.0")]
+    argv = {"extinction": m + ["--k", "4"], "moments": m + ["--K", "5"],
+            "bounds": m + ["--i", "1", "--k", "8"],
+            "fixedpoints": m + ["--k", "8", "--J", "3"],
+            "simulate": m + ["--k", "1", "--reps", "100"],
+            "sweep": m + ["--grid", "0:0.5:0.5", "--k", "4", "--workers", "1"],
+            "gammastar": ["--K", "50", "--tol-gamma", "0.25"]}
+    choices = lhbp.cli._build_parser()._subparsers._group_actions[0].choices
+    documented = {}
+    for name, sp in choices.items():
+        found = re.search(r"(CSV columns|JSON): ([^.;]*)", sp.description or "")
+        if found:
+            documented[name] = (found.group(1),
+                                [re.sub(r"\s*\(.*\)", "", c)
+                                 for c in found.group(2).split(", ")])
+    assert set(documented) == set(argv)
+    for name, (kind, names) in documented.items():
+        assert main([name] + argv[name]) == 0, name
+        out = capsys.readouterr().out
+        emitted = (out.splitlines()[0].split(",") if kind == "CSV columns"
+                   else list(json.loads(out)))
+        assert names == emitted, name
 
 
 def test_sweep_csv(capsys, model_file):

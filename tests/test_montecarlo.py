@@ -12,18 +12,18 @@ from lhbp.montecarlo import (OUTCOME_CAP, OUTCOME_EXTINCT, OUTCOME_SURVIVED,
 from conftest import all_die_model, ex2, tridiag
 
 
-def _reference_replication(rng, model, cfg, record):
+def _reference_replication(rng, model, cfg):
     """One replication as a plain loop over generations and types: the
     rules that simulate_truncated applies to each row of a block."""
     k = cfg.truncation
     pop = [0] * (k + 2)
     pop[cfg.initial_type] = 1
-    traj, cum_up = [list(pop)], 0
+    cum_up = 0
     for _ in range(cfg.max_generations):
         if sum(pop) == 0:
-            return OUTCOME_EXTINCT, cum_up, traj
-        if cfg.variant == "immortal" and not record and (cum_up or pop[k + 1]):
-            return OUTCOME_SURVIVED, cum_up, traj
+            return OUTCOME_EXTINCT, cum_up
+        if cfg.variant == "immortal" and (cum_up or pop[k + 1]):
+            return OUTCOME_SURVIVED, cum_up
         new = [0] * (k + 2)
         for i in range(k + 1):
             if pop[i] == 0:
@@ -33,17 +33,16 @@ def _reference_replication(rng, model, cfg, record):
             picks = rng.multinomial(pop[i], pvals / pvals.sum())
             for ne, (counts, _) in zip(picks, outs):
                 if ne and any(not 0 <= c <= 10 ** 9 for _, c in counts):
-                    return OUTCOME_CAP, cum_up, traj
+                    return OUTCOME_CAP, cum_up
                 for t, c in counts:
                     new[t] += int(ne) * int(c)
         cum_up += new[k + 1]
         if cfg.variant == "immortal":
             new[k + 1] += pop[k + 1]
         pop = new
-        traj.append(list(pop))
         if sum(pop) > cfg.population_cap:
-            return OUTCOME_CAP, cum_up, traj
-    return OUTCOME_SURVIVED, cum_up, traj
+            return OUTCOME_CAP, cum_up
+    return OUTCOME_SURVIVED, cum_up
 
 
 def test_draw_tables_hold_only_their_columns():
@@ -75,32 +74,34 @@ def test_determinism_bitwise():
     b2 = simulate_truncated(ex2(0.0), cfg)
     assert np.array_equal(b1.outcomes, b2.outcomes)
     assert np.array_equal(b1.upward_totals, b2.upward_totals)
-    assert b1.tally() == b2.tally()
 
 
 def test_quartic_support_multiples_of_four():
     # with gamma = 0 every birth event makes four same-type children, so the
-    # per-generation type-1 counts in the level-1 sterile run are 0, 4, 8, ...
-    batch = simulate_truncated(ex2(0.0), SimConfig(1, "sterile", 0, 100, 5),
-                               record_population=True)
-    for traj in batch.trajectories:
-        born1 = sum(int(pop[1]) for pop in traj)
-        assert born1 % 4 == 0
-        for pop in traj[1:]:
-            assert pop[1] % 4 == 0
-    assert any(sum(int(p[1]) for p in t) > 0 for t in batch.trajectories)
+    # total births of the upward type k + 1 (type 1 at k = 0) are 0, 4, 8, ...
+    for k in (0, 1):
+        batch = simulate_truncated(ex2(0.0),
+                                   SimConfig(k, "sterile", 0, 100, 5))
+        assert np.all(batch.upward_totals % 4 == 0)
+        assert batch.upward_totals.any()
 
 
-def test_sterile_immortal_coupling():
-    # shared substreams keep the two variants identical on types <= k
-    bs = simulate_truncated(ex2(0.2), SimConfig(2, "sterile", 0, 60, 77),
-                            record_population=True)
-    bi = simulate_truncated(ex2(0.2), SimConfig(2, "immortal", 0, 60, 77),
-                            record_population=True)
-    assert np.array_equal(bs.upward_totals, bi.upward_totals)
-    for ts, ti in zip(bs.trajectories, bi.trajectories):
-        for gs, gi in zip(ts, ti):
-            assert np.array_equal(gs[:3], gi[:3])
+def test_sterile_immortal_coupling(monkeypatch):
+    # one replication per block: the two variants draw from the same
+    # substream, so each replication follows one path in both runs until
+    # the immortal run decides it at its first type-(k+1) birth
+    monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 1)
+    bs = simulate_truncated(ex2(0.2), SimConfig(2, "sterile", 0, 60, 77))
+    bi = simulate_truncated(ex2(0.2), SimConfig(2, "immortal", 0, 60, 77))
+    extinct = bi.outcomes == OUTCOME_EXTINCT
+    survived = bi.outcomes == OUTCOME_SURVIVED
+    assert extinct.any() and survived.any()
+    assert np.array_equal(extinct, (bs.outcomes == OUTCOME_EXTINCT)
+                          & (bs.upward_totals == 0))
+    assert np.array_equal(survived, bs.upward_totals > 0)
+    up_i, up_s = bi.upward_totals, bs.upward_totals
+    either = (up_i > 0) | (up_s > 0)
+    assert np.all((0 < up_i[either]) & (up_i[either] <= up_s[either]))
 
 
 def test_immortal_estimate_matches_iteration():
@@ -199,17 +200,14 @@ def test_block_of_one_matches_reference_loop(monkeypatch):
     configs.append((tridiag(0.3, 0.3, 0.5),
                     SimConfig(3, "immortal", 1, 80, 7, 30)))
     for model, cfg in configs:
-        for record in (False, True):
-            batch = simulate_truncated(model, cfg, record_population=record)
-            for rep in range(cfg.replications):
-                rng = np.random.Generator(
-                    np.random.Philox(key=(cfg.seed << 64) + rep))
-                out, up, traj = _reference_replication(rng, model, cfg, record)
-                assert batch.outcomes[rep] == out
-                assert batch.upward_totals[rep] == up
-                if record:
-                    assert batch.trajectories[rep].tolist() == traj
-            assert len(set(batch.outcomes.tolist())) > 1
+        batch = simulate_truncated(model, cfg)
+        for rep in range(cfg.replications):
+            rng = np.random.Generator(
+                np.random.Philox(key=(cfg.seed << 64) + rep))
+            out, up = _reference_replication(rng, model, cfg)
+            assert batch.outcomes[rep] == out
+            assert batch.upward_totals[rep] == up
+        assert len(set(batch.outcomes.tolist())) > 1
 
 
 def test_prefix_stable_across_replication_counts():
@@ -225,21 +223,10 @@ def test_prefix_stable_across_replication_counts():
         assert short.upward_totals.any()
 
 
-def test_record_mode_on_block_path():
-    # one block of 300 rows; each row's trajectory ends where that row ended
-    k, cfg = 3, SimConfig(3, "sterile", 1, 300, 13, max_generations=12,
-                          population_cap=40)
-    batch = simulate_truncated(ex2(0.5), cfg, record_population=True)
-    assert min(batch.tally().values()) > 0
-    for traj, out, up in zip(batch.trajectories, batch.outcomes,
-                             batch.upward_totals):
-        assert traj[0].tolist() == [0, 1, 0, 0, 0]
-        assert traj[:-1].any(axis=1).all()
-        assert up == traj[1:, k + 1].sum()  # sterile: each generation's births
-        if out == OUTCOME_EXTINCT:
-            assert not traj[-1].any()
-        elif out == OUTCOME_CAP:
-            assert traj[-1].sum() > cfg.population_cap
-        else:
-            assert len(traj) == cfg.max_generations + 1
-    assert len({len(t) for t in batch.trajectories}) > 2
+def test_all_outcomes_on_block_path():
+    # one block of 300 rows, with caps low enough that rows end extinct, at
+    # the population cap and at the generation cap
+    cfg = SimConfig(3, "sterile", 1, 300, 13, max_generations=12,
+                    population_cap=40)
+    batch = simulate_truncated(ex2(0.5), cfg)
+    assert np.bincount(batch.outcomes, minlength=3).min() > 0
