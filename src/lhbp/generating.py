@@ -12,11 +12,18 @@ numbers close to 1, so coordinates near 1 keep their digits.  A type-i
 parent only bears children of types <= i+1, so the Jacobian of V is banded
 (lower width the model bandwidth, upper width 1) and each Newton step is one
 banded elimination: for the common tridiagonal band, odd-even cyclic
-reduction in whole-array steps down to a small system, which a Thomas loop
-solves.  V is monotone and concave; Newton started above the
+reduction in whole-array steps down to a small system, which the scalar
+elimination loop solves.  V is monotone and concave; Newton started above the
 target (v = 1 - start for a start below the minimal u-solution and below its
 own image) decreases monotonically to it.  The fixed-point curves solve the
 same system with the boundary as one more unknown, fixed by coordinate 0.
+
+Levels solved together share one Newton loop on a stack of survival
+vectors: each row holds one level, padded past its boundary, and the
+kernels and band solves work on all rows at once, which replaces many small
+solves, each a fixed cost of numpy calls, by a few larger ones.  Each row
+stops on its own, so a level's result does not depend on the levels it is
+stacked with; a single level is the one-row case.
 """
 
 from __future__ import annotations
@@ -57,12 +64,13 @@ class TruncationResult:
 # (val, jac): val[i] = V_i(v) for i = 0..k, and the Jacobian band
 # jac[d, i] = dV_i / dv_{i+1-d}, d = 0..width+1 (row 0 is the superdiagonal,
 # row 1 the diagonal, row 1+t the t-th subdiagonal; entries whose column
-# falls below 0 are zero).  Powers u ** c are taken as exp(c * log1p(-v)):
-# u = 1 - v rounds to 1 for tiny v, where a thinned count c ~ u^-i still
-# makes u ** c vanish.  Such counts may overflow c * log1p(-v) to -inf,
-# which is the intended u ** c = 0, so the kernels silence that warning.
-# A thinning scale S saturated to inf weighs 1/S = 0 on the same path as
-# every other type, with S = 1 in its place so that no 0 * inf forms.
+# falls below 0 are zero).  A stack of survival vectors, shape (..., k+2),
+# maps to val (..., k+1) and jac (..., width+2, k+1) row by row, on the same
+# element-wise path as a single vector.  Powers u ** c are taken as
+# exp(c * log1p(-v)): u = 1 - v rounds to 1 for tiny v, where a thinned
+# count c ~ u^-i still makes u ** c vanish.  Such counts may overflow
+# c * log1p(-v) to -inf, which is the intended u ** c = 0, so the kernels
+# silence that warning.  A thinning scale S saturated to inf weighs 1/S = 0.
 
 
 def _log_u(v):
@@ -106,24 +114,26 @@ class _GenericSweep:
     @np.errstate(divide="ignore", over="ignore")
     def __call__(self, v):
         log_u = _log_u(v)
-        val = np.empty(self.k + 1)
-        jac = np.zeros((self.width + 2, self.k + 1))
+        rows = v.shape[:-1]
+        val = np.empty(rows + (self.k + 1,))
+        jac = np.zeros(rows + (self.width + 2, self.k + 1))
         for lo, hi, entries in self.blocks:
-            acc = np.zeros(hi - lo)
+            acc = np.zeros(rows + (hi - lo,))
             for p, factors in entries:
-                logs = [cnt * log_u[lo + off:hi + off] for off, cnt in factors]
+                logs = [cnt * log_u[..., lo + off:hi + off]
+                        for off, cnt in factors]
                 acc -= p * np.expm1(sum(logs))
                 powers = [np.exp(x) for x in logs] if len(logs) > 1 else ()
                 for f, (off, cnt) in enumerate(factors):
                     slope = p * cnt
                     if cnt != 1.0:
-                        lu = log_u[lo + off:hi + off]
+                        lu = log_u[..., lo + off:hi + off]
                         slope = slope * np.exp((cnt - 1) * lu)
                     for g, pw in enumerate(powers):
                         if g != f:
                             slope = slope * pw
-                    jac[1 - off, lo:hi] += slope
-            val[lo:hi] = acc
+                    jac[..., 1 - off, lo:hi] += slope
+            val[..., lo:hi] = acc
         return val, jac
 
 
@@ -143,15 +153,15 @@ class _Example2Sweep:
 
     def __call__(self, v):
         k, g = self.k, self.gamma
-        t = np.empty(k + 1)
-        t[0] = v[1]
-        t[1:] = g * v[0:k] + (1 - g) * v[2:k + 2]
+        t = np.empty(v.shape[:-1] + (k + 1,))
+        t[..., 0] = v[..., 1]
+        t[..., 1:] = g * v[..., 0:k] + (1 - g) * v[..., 2:k + 2]
         val = self.c * t * (4.0 - t * (6.0 - t * (4.0 - t)))
         slope = 4.0 * self.c * (1.0 - t) ** 3
-        jac = np.zeros((3, k + 1))
-        jac[0] = (1 - g) * slope
-        jac[0, 0] = slope[0]
-        jac[2, 1:] = g * slope[1:]
+        jac = np.zeros(v.shape[:-1] + (3, k + 1))
+        jac[..., 0, :] = (1 - g) * slope
+        jac[..., 0, 0] = slope[..., 0]
+        jac[..., 2, 1:] = g * slope[..., 1:]
         return val, jac
 
 
@@ -159,6 +169,9 @@ class _TridiagonalSweep:
     """Product of three independent count pgfs (down, same, up), combined
     as V_i = -expm1(sum log1p(-W)) from each factor's complement W = 1 - f.
     The up factor is thinned: w f_c(x^S) + 1 - w with S = ceil(u^i), w = 1/S.
+    Past the first type whose S saturates to inf, all later ones saturate
+    too and weigh w = 0, so the up factor is formed on types 0..m-1 only,
+    m the number of finite scales, and is 1 on the rest.
     """
 
     width = 1
@@ -166,8 +179,8 @@ class _TridiagonalSweep:
     def __init__(self, model: TridiagonalModel, k: int):
         self.k = k
         scale = model._scales(k)  # of the upward coordinate of types 0..k
-        self.w = 1.0 / scale
-        self.scale = np.where(self.w > 0.0, scale, 1.0)
+        self.scale = scale[np.isfinite(scale)]
+        self.w = 1.0 / self.scale
         self.pmfs = [tuple((c, p) for c, p in _two_point(mean) if c)
                      for mean in (model.a, model.b, model.c)]
 
@@ -183,22 +196,24 @@ class _TridiagonalSweep:
 
     @np.errstate(divide="ignore", over="ignore")
     def __call__(self, v):
-        k = self.k
+        k, m = self.k, len(self.scale)
         log_u = _log_u(v)
         down, same, up = self.pmfs
-        comp_dn = np.zeros(k + 1)
-        s_dn = np.zeros(k + 1)
-        comp_dn[1:], s_dn[1:] = self._factor(down, log_u[0:k])
-        comp_sm, s_sm = self._factor(same, log_u[0:k + 1])
-        comp, slope = self._factor(up, log_u[1:k + 2], self.scale)
-        comp_up, s_up = self.w * comp, self.w * slope
+        shape = v.shape[:-1] + (k + 1,)
+        comp_dn, s_dn = np.zeros(shape), np.zeros(shape)
+        comp_dn[..., 1:], s_dn[..., 1:] = self._factor(down, log_u[..., 0:k])
+        comp_sm, s_sm = self._factor(same, log_u[..., 0:k + 1])
+        comp, slope = self._factor(up, log_u[..., 1:m + 1], self.scale)
+        comp_up, s_up = np.zeros(shape), np.zeros(shape)
+        np.multiply(self.w, comp, out=comp_up[..., :m])
+        np.multiply(self.w, slope, out=s_up[..., :m])
         val = -np.expm1(np.log1p(-comp_dn) + np.log1p(-comp_sm)
                         + np.log1p(-comp_up))
         f_dn, f_sm, f_up = 1.0 - comp_dn, 1.0 - comp_sm, 1.0 - comp_up
-        jac = np.empty((3, k + 1))
-        jac[0] = s_up * f_dn * f_sm
-        jac[1] = s_sm * f_dn * f_up
-        jac[2] = s_dn * f_sm * f_up
+        jac = np.empty(v.shape[:-1] + (3, k + 1))
+        jac[..., 0, :] = s_up * f_dn * f_sm
+        jac[..., 1, :] = s_sm * f_dn * f_up
+        jac[..., 2, :] = s_dn * f_sm * f_up
         return val, jac
 
 
@@ -221,36 +236,55 @@ def eliminate_band(band: list, rhs: list):
     returns the pivots, the superdiagonal and the reduced rhs.  A zero pivot
     ends it, leaving the later rows unfinished."""
     up, diag = band[0], band[1]
+    if len(band) == 2:  # no subdiagonal: nothing to eliminate
+        return diag, up, rhs
+    low = band[2]
+    # row i subtracts rows i - t, t = width..1, that lie in the band; the
+    # subdiagonals past the first come first
+    far = [(t, band[t], band[1 + t]) for t in range(len(band) - 2, 1, -1)]
     try:
         for i in range(1, len(diag)):
-            for t in range(min(len(band) - 2, i), 0, -1):
-                m = band[1 + t][i] / diag[i - t]
-                band[t][i] -= m * up[i - t]
-                rhs[i] -= m * rhs[i - t]
+            for t, row, sub in far:
+                if t <= i:
+                    m = sub[i] / diag[i - t]
+                    row[i] -= m * up[i - t]
+                    rhs[i] -= m * rhs[i - t]
+            m = low[i] / diag[i - 1]
+            diag[i] -= m * up[i - 1]
+            rhs[i] -= m * rhs[i - 1]
     except ZeroDivisionError:
         pass
     return diag, up, rhs
 
 
 def _solve_band(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - J) x = rhs for J given as a kernel's band ``jac``.
+    """Solve (I - J) x = rhs for J given as a kernel's band ``jac``, or for
+    each row of a stack of bands (..., width + 2, n) and of ``rhs`` (..., n).
 
     Gaussian elimination without pivoting: on the solver's path I - J is a
     nonsingular M-matrix, so every pivot is positive, and the upper factor
     keeps the single superdiagonal of I - J.  Width 1, the common case, goes
-    to ``_solve_tridiagonal``, wider bands to ``eliminate_band``.  A zero
-    pivot raises ``ZeroDivisionError``.
+    to ``_solve_tridiagonal``; wider bands go row by row to
+    ``eliminate_band``.  A zero pivot in any row raises
+    ``ZeroDivisionError``.
     """
     band = -jac
-    band[1] += 1.0  # the band of I - J
-    if len(band) == 3:  # width 1
-        band[2, 0] = band[0, -1] = 0.0  # couplings outside the system
-        # an overflow gives inf, as the loop's Python floats do, for the
-        # caller to detect
+    band[..., 1, :] += 1.0  # the band of I - J
+    n = rhs.shape[-1]
+    if band.shape[-2] == 3:  # width 1
+        # couplings outside the system
+        band[..., 2, 0] = band[..., 0, -1] = 0.0
+        # the transposes hold each system along their first axis; an
+        # overflow gives inf, as the loop's Python floats do, for the caller
+        # to detect
         with np.errstate(over="ignore", invalid="ignore"):
-            return _solve_tridiagonal(band[2], band[1], band[0], rhs)
+            return _solve_tridiagonal(band[..., 2, :].T, band[..., 1, :].T,
+                                      band[..., 0, :].T, rhs.T).T
     # back-substitution divides by every pivot, a zero one too
-    return _back_substitute(*eliminate_band(band.tolist(), rhs.tolist()))
+    rows = zip(band.reshape(-1, band.shape[-2], n).tolist(),
+               rhs.reshape(-1, n).tolist())
+    return np.reshape([_back_substitute(*eliminate_band(b, r))
+                       for b, r in rows], rhs.shape)
 
 
 def _back_substitute(diag: list, up: list, x: list) -> np.ndarray:
@@ -262,34 +296,39 @@ def _back_substitute(diag: list, up: list, x: list) -> np.ndarray:
     return np.array(x)
 
 
-# Below this size the Thomas loop beats a cyclic-reduction level, whose
-# thirty-odd numpy calls cost a fixed time.  Ladder times were flat for
-# crossovers from 128 to 512 and 6-15 % slower at 64 and 32.
+# Below this size a single system goes to the scalar elimination loop,
+# which beats a cyclic-reduction level, whose thirty-odd numpy calls cost a
+# fixed time.  Ladder times were flat for crossovers from 128 to 512 and
+# 6-15 % slower at 64 and 32.
 CYCLIC_CROSSOVER = 128
 
 
 def _solve_tridiagonal(low: np.ndarray, diag: np.ndarray, up: np.ndarray,
                        rhs: np.ndarray) -> np.ndarray:
-    """Solve low[i] x[i-1] + diag[i] x[i] + up[i] x[i+1] = rhs[i].
+    """Solve low[i] x[i-1] + diag[i] x[i] + up[i] x[i+1] = rhs[i] for arrays
+    (n, ...) that hold one system along their first axis for each index of
+    the others.
 
-    ``low[0]`` and ``up[-1]`` must be 0.  Above ``CYCLIC_CROSSOVER`` rows,
-    one level of odd-even cyclic reduction eliminates the odd unknowns with
-    whole-array operations, which leaves a tridiagonal system in the even
-    unknowns; that system is solved by recursion and the odd unknowns are
-    recovered from it.  This is Gaussian elimination on a symmetric
-    permutation of the matrix, so an M-matrix keeps positive pivots.  The
-    Thomas loop solves the last, small system.  A zero pivot raises
-    ``ZeroDivisionError``.
+    ``low[0]`` and ``up[-1]`` must be 0.  A single system of at most
+    ``CYCLIC_CROSSOVER`` unknowns goes to the scalar elimination loop.
+    Otherwise one level of odd-even cyclic reduction eliminates the odd
+    unknowns of every system with whole-array operations, which leaves a
+    tridiagonal system in the even unknowns; that system is solved by
+    recursion and the odd unknowns are recovered from it.  This is Gaussian
+    elimination on a symmetric permutation of the matrix, so an M-matrix
+    keeps positive pivots.  A stack of systems is reduced down to one
+    unknown.  A zero pivot raises ``ZeroDivisionError``.
     """
     n = len(rhs)
-    if n <= CYCLIC_CROSSOVER:
-        diag_l, up_l, x = diag.tolist(), up.tolist(), rhs.tolist()
-        low_l = low.tolist()
-        for i in range(1, n):
-            m = low_l[i] / diag_l[i - 1]
-            diag_l[i] -= m * up_l[i - 1]
-            x[i] -= m * x[i - 1]
-        return _back_substitute(diag_l, up_l, x)
+    if rhs.size == n <= CYCLIC_CROSSOVER:  # a single system
+        band = [up.ravel().tolist(), diag.ravel().tolist(),
+                low.ravel().tolist()]
+        x = _back_substitute(*eliminate_band(band, rhs.ravel().tolist()))
+        return x.reshape(rhs.shape)
+    if n == 1:
+        if not diag.all():
+            raise ZeroDivisionError("zero pivot in cyclic reduction")
+        return rhs / diag
     # odd rows are the pivots of this level
     lo, do, uo, ro = low[1::2], diag[1::2], up[1::2], rhs[1::2]
     if not do.all():
@@ -304,27 +343,115 @@ def _solve_tridiagonal(low: np.ndarray, diag: np.ndarray, up: np.ndarray,
     rhs_e = rhs[0::2].copy()
     rhs_e[1:] -= alpha * ro[:ne - 1]
     rhs_e[:no] -= gamma * ro
-    low_e = np.zeros(ne)
+    low_e = np.zeros(rhs_e.shape)
     low_e[1:] = -alpha * lo[:ne - 1]
-    up_e = np.zeros(ne)
+    up_e = np.zeros(rhs_e.shape)
     up_e[:no] = -gamma * uo
     x_e = _solve_tridiagonal(low_e, diag_e, up_e, rhs_e)
-    x = np.empty(n)
+    x = np.empty(rhs.shape)
     x[0::2] = x_e
     # odd row 2m+1 couples x[2m] and x[2m+2]; uo[-1] is 0 when n is even
-    right = np.append(x_e[1:], 0.0)[:no]
+    right = np.zeros(ro.shape)
+    right[:ne - 1] = x_e[1:]
     x[1::2] = (ro - lo * x_e[:no] - uo * right) / do
     return x
 
 
-def iterate_to_limit(model: LHBPModel, k: int, s: float, tol: float = 1e-12,
-                     max_iter: int | None = None,
-                     start: np.ndarray | None = None) -> TruncationResult:
-    """Solve the level-k truncated generating system with boundary s.
+class _Stack:
+    """Layout of a stack of survival vectors (..., k + 2): the row of level
+    j holds its unknowns in columns 0..j, its boundary in column j + 1 and
+    padding after that.  A type-i parent bears only children of types
+    <= i + 1, so a row's unknowns never read its padding.  The solves treat
+    the boundary and padding columns as identity rows with a zero
+    right-hand side; their solution is 0, so the coupling of a row's last
+    unknown to its boundary adds nothing and needs no cut."""
+
+    def __init__(self, levels, jac: np.ndarray):
+        """``levels`` of the rows, and their kernels' band ``jac``."""
+        self.at = np.asarray(levels)[..., None]  # each row's last unknown
+        self.live = np.arange(jac.shape[-1]) <= self.at
+        self.padded = not self.live.all()
+
+    def unknowns(self, x: np.ndarray) -> np.ndarray:
+        """``x`` (..., k + 1) with 0 past each row's unknowns."""
+        return np.where(self.live, x, 0.0) if self.padded else x
+
+    def solve(self, jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """(I - J) x = rhs on each row's unknowns, for an ``rhs`` that is 0
+        past them; x is 0 there."""
+        if self.padded:
+            jac = np.where(self.live[..., None, :], jac, 0.0)
+        return _solve_band(jac, rhs)
+
+    def last(self, x: np.ndarray) -> np.ndarray:
+        """Entry j of each row of level j."""
+        return np.take_along_axis(x, self.at, -1)[..., 0]
+
+    def tangent(self, jac: np.ndarray) -> np.ndarray:
+        """w = (I - J)^-1 dV/dv_{j+1} for each row's band: the tangent of
+        the level-j solution path in its boundary, one band solve."""
+        rhs = np.zeros(self.live.shape)
+        # only type j bears type-(j+1) children
+        np.put_along_axis(rhs, self.at, self.last(jac[..., 0, :])[..., None],
+                          -1)
+        return self.solve(jac, rhs)
+
+
+def _newton(kernel, v: np.ndarray, levels: np.ndarray, tol: float,
+            caps: list):
+    """Newton steps in place on the survival vectors ``v`` stacked by
+    ``levels`` (see ``_Stack``).
+
+    Each row stops on its own: after a step that moves none of its
+    coordinates by more than ``tol``, at an exact fixed point, after its
+    entry of ``caps`` in steps, or at a step that is not finite; a stopped
+    row keeps its vector while the others go on.  A zero pivot stops every
+    row that has not stopped.  Returns the rows' residuals V(v) - v (0 past
+    their unknowns), step counts and convergence flags.
+    """
+    head = v[..., :-1]
+    val, jac = kernel(v)
+    stack = _Stack(levels, jac)
+    steps = [0] * len(caps)
+    converged = [False] * len(caps)
+    active = [c > 0 for c in caps]
+    while True:
+        resid = stack.unknowns(val - head)
+        for r, moving in enumerate(resid.any(-1).reshape(-1).tolist()):
+            if active[r] and not moving:  # a fixed point below the start
+                active[r], converged[r] = False, True
+        if not any(active):
+            break
+        steps = [n + a for n, a in zip(steps, active)]
+        try:
+            step = stack.solve(jac, resid)
+        except ZeroDivisionError:
+            break
+        if not all(active):
+            step[~np.reshape(active, levels.shape)] = 0.0
+        np.clip(head + step, 0.0, 1.0, out=head)
+        val, jac = kernel(v)
+        for r, size in enumerate(abs(step).max(-1).reshape(-1).tolist()):
+            if not active[r]:
+                continue
+            if size <= tol or size <= EPS_FLOOR:
+                active[r], converged[r] = False, True
+            elif not math.isfinite(size) or steps[r] >= caps[r]:
+                active[r] = False
+    return resid, steps, converged
+
+
+def iterate_levels(model: LHBPModel, levels, s: float, tol: float = 1e-12,
+                   max_iter: int | None = None,
+                   start: np.ndarray | None = None) -> list[TruncationResult]:
+    """Solve the level-k truncated generating system with boundary s for
+    one level k, on one survival vector, or for each k in a sequence
+    ``levels``, as one stack (see ``_Stack``); returns a result per level.
 
     Newton steps on v = V(v) in survival space, from v = 1 - start (the
     start defaults to (0, ..., 0, s)).  A supplied start must lie below the
-    target fixed point and below its own image.  Warm starts from other
+    target fixed point of every level and below its own image, and be no
+    longer than k + 2 for the lowest level k.  Warm starts from other
     levels do: the result of a lower level, padded with zeros; for s = 1
     the converged s = 1 result of a deeper level, cut to its first k + 2
     entries; and the elementwise maximum of two such starts.  The last
@@ -332,60 +459,48 @@ def iterate_to_limit(model: LHBPModel, k: int, s: float, tol: float = 1e-12,
     sub-solution, so the target lies above it; this function holds the
     returned u at or above the start on the start's other entries, which
     rounding in the last ulp would otherwise break.
-    The iteration stops once a step moves no coordinate by more than
-    ``tol``.  ``max_iter`` defaults to k + 100 steps: from a start far
-    below the target a step carries the boundary's influence only a few
-    types inward (about 5 for qtilde of tridiagonal(0.15, 0.25, 0.7)
-    started from its q vector).
+    Each level stops once a step moves none of its coordinates by more than
+    ``tol``, whichever levels share the stack.  ``max_iter`` defaults to
+    k + 100 steps for level k: from a start far below the target a step
+    carries the boundary's influence only a few types inward (about 5 for
+    qtilde of tridiagonal(0.15, 0.25, 0.7) started from its q vector).
     ``iterations`` counts Newton steps and ``residual`` is max |V(v) - v| at
     the returned vector, which is given in u = 1 - v.
     """
     if not (0.0 <= s <= 1.0):
         raise ValueError(f"boundary must lie in [0, 1], got {s}")
-    kernel = _compiled(model, k)
-    v = np.ones(k + 2)
+    levels = np.asarray(levels)
+    flat = levels.reshape(-1).tolist()
+    top = max(flat)
+    v = np.ones(levels.shape + (top + 2,))
     if start is not None:
         start = np.asarray(start, dtype=float)
-        v[:len(start) - 1] = 1.0 - start[:-1]
-    v[k + 1] = 1.0 - s
-    head = v[:k + 1]
-    cap = k + 100 if max_iter is None else max_iter
-    val, jac = kernel(v)
-    n = 0
-    converged = False
-    while n < cap:
-        resid = val - head
-        if not resid.any():  # an exact fixed point below the start
-            converged = True
-            break
-        n += 1
-        try:
-            step = _solve_band(jac, resid)
-        except ZeroDivisionError:
-            break
-        np.clip(head + step, 0.0, 1.0, out=head)
-        val, jac = kernel(v)
-        size = float(np.max(np.abs(step)))
-        if not math.isfinite(size):
-            break
-        if size <= tol or size <= EPS_FLOOR:
-            converged = True
-            break
+        v[..., :len(start) - 1] = 1.0 - start[:-1]
+    for row, k in zip(v.reshape(-1, top + 2), flat):
+        row[k + 1] = 1.0 - s
+    caps = [k + 100 if max_iter is None else max_iter for k in flat]
+    resid, steps, converged = _newton(_compiled(model, top), v, levels, tol,
+                                      caps)
     u = 1.0 - v
-    u[k + 1] = s
-    residual = float(np.max(np.abs(val - head)))
     if start is not None:
-        held = u[:len(start) - 1]
+        held = u[..., :len(start) - 1]
         np.maximum(held, start[:-1], out=held)
-    return TruncationResult(k, s, u, n, residual, converged)
+    results = []
+    for k, row, *rest in zip(flat, u.reshape(-1, top + 2), steps,
+                             abs(resid).max(-1).reshape(-1).tolist(),
+                             converged):
+        row[k + 1] = s
+        results.append(TruncationResult(k, s, row[:k + 2], *rest))
+    return results
 
 
-def _tangent(jac: np.ndarray, k: int) -> np.ndarray:
-    """w = (I - J)^-1 dV/dv_{k+1} for a kernel's band ``jac``: the tangent of
-    the level-k solution path in its boundary, one band solve."""
-    rhs = np.zeros(k + 1)
-    rhs[k] = jac[0, k]  # only type k bears type-(k+1) children
-    return _solve_band(jac, rhs)
+def iterate_to_limit(model: LHBPModel, k: int, s: float, tol: float = 1e-12,
+                     max_iter: int | None = None,
+                     start: np.ndarray | None = None) -> TruncationResult:
+    """Solve the level-k truncated generating system with boundary s: the
+    one-level case of ``iterate_levels``, which documents the start,
+    ``tol`` and ``max_iter``."""
+    return iterate_levels(model, k, s, tol, max_iter, start)[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -412,10 +527,11 @@ def _anchored_solve(model: LHBPModel, k: int, v0: float,
     head = x[:k + 1]
     rel = max(tol, EPS_FLOOR)
     val, jac = kernel(x)
+    stack = _Stack(k, jac)
     for _ in range(k + 100):
         try:
             d = _solve_band(jac, val - head)
-            w = _tangent(jac, k)
+            w = stack.tangent(jac)
         except ZeroDivisionError:
             break
         t = t_new = float(x[k + 1])
@@ -437,27 +553,41 @@ def _anchored_solve(model: LHBPModel, k: int, v0: float,
                            f"step not finite or {k + 100} steps")
 
 
-def g_second_derivative(model: LHBPModel, result: TruncationResult) -> float:
-    """g_k''(s) of the embedded generating function, read off a converged
-    level-k result with boundary s < 1.
+def g_second_derivatives(model: LHBPModel, results) -> np.ndarray:
+    """g_k''(s) of the embedded generating function for each converged
+    level-k result with boundary s < 1 in ``results``, as one stack.
 
     With t = v_{k+1} = 1 - s, the solution path v(t) has the tangent
     w = (I - J)^-1 dV/dv_{k+1}, one band solve, and g_k(s) = 1 - v_k(t)
     gives g_k''(s) = -dw_k/dt: the change of w_k along the tangent line
     x - h (w, 1), x = (v, t).  The one-sided quotient D(h) has an O(h)
-    error, which 2 D(h/2) - D(h) removes.
+    error, which 2 D(h/2) - D(h) removes.  Each of the three tangents and
+    the two kernel calls of the quotients is one call on the whole stack.
     """
-    k = result.level
-    kernel = _compiled(model, k)
-    x = 1.0 - result.vector
-    w = _tangent(kernel(x)[1], k)
-    line = np.append(w, 1.0)
+    levels = [r.level for r in results]
+    kernel = _compiled(model, max(levels))
+    x = np.ones((len(levels), max(levels) + 2))
+    for row, r in zip(x, results):
+        row[:r.level + 2] = 1.0 - r.vector
+    jac = kernel(x)[1]
+    stack = _Stack(levels, jac)
+    w = stack.tangent(jac)
+    line = np.zeros(x.shape)
+    line[:, :-1] = w
+    np.put_along_axis(line, stack.at + 1, 1.0, -1)
+    w_k = stack.last(w)
 
     def quotient(h):
-        return (w[k] - _tangent(kernel(x - h * line)[1], k)[k]) / h
+        return (w_k - stack.last(stack.tangent(kernel(x - h * line)[1]))) / h
 
     h = 1e-5  # O(h^2) truncation and eps / h rounding errors near 1e-10
     return quotient(h) - 2.0 * quotient(h / 2)
+
+
+def g_second_derivative(model: LHBPModel, result: TruncationResult) -> float:
+    """g_k''(s) read off one converged level-k result with boundary s < 1:
+    the one-row case of ``g_second_derivatives``."""
+    return float(g_second_derivatives(model, [result])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -200,14 +200,21 @@ def test_bounds_oracle_from_the_warm_chain(capsys, model_file, monkeypatch):
     # solve's q_1, as close to a cold solve of its level as rounding allows
     import lhbp.cli
     import lhbp.criteria
+    from lhbp.generating import iterate_levels
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return iterate_to_limit(*args, **kwargs)
+
+    def counting_levels(model, levels, *args, **kwargs):
+        calls.extend(np.atleast_1d(levels).tolist())
+        return iterate_levels(model, levels, *args, **kwargs)
     for mod in (lhbp.criteria, lhbp.cli):
-        if hasattr(mod, "iterate_to_limit"):
-            monkeypatch.setattr(mod, "iterate_to_limit", counting)
+        for name, fn in (("iterate_to_limit", counting),
+                         ("iterate_levels", counting_levels)):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, fn)
     code, rows = run_csv(capsys, ["bounds", "--model",
                                   model_file(EX2 % "0.02"), "--i", "1",
                                   "--k", "64"])
@@ -456,12 +463,13 @@ def test_nonconvergence_exit_code(capsys, model_file, monkeypatch):
     import dataclasses
 
     import lhbp.criteria
-    solve = lhbp.criteria.iterate_to_limit
+    solve = lhbp.criteria.iterate_levels
 
     def unconverged(*args, **kwargs):
-        return dataclasses.replace(solve(*args, **kwargs), converged=False)
+        return [dataclasses.replace(r, converged=False)
+                for r in solve(*args, **kwargs)]
 
-    monkeypatch.setattr(lhbp.criteria, "iterate_to_limit", unconverged)
+    monkeypatch.setattr(lhbp.criteria, "iterate_levels", unconverged)
     code = main(["bounds", "--model", model_file(EX2 % "0.0"),
                  "--i", "1", "--k", "8"])
     assert code == 3

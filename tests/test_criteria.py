@@ -13,7 +13,7 @@ from lhbp import (Budget, ExplicitModel, PartialSurvivalRegimeError, TableLaw,
                   tridiagonal_mu_limit)
 from lhbp.criteria import HEAD_SHIFT, first_supercritical_head
 
-from conftest import ex2, tridiag
+from conftest import e1_model, ex2, tridiag
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +175,33 @@ def test_agresti_levels_from_one_pass():
     both = agresti_bounds(m, 1, [40, 12])
     assert [b.level for b in both] == [40, 12]
     assert both == agresti_bounds(m, 1, [40]) + agresti_bounds(m, 1, [12])
+
+
+@pytest.mark.parametrize("model, i, top", [
+    (ex2(0.03), 1, 64), (tridiag(0.1, 0.3, 1.1), 1, 48),
+    (tridiag(0.7149, 0.7149, 0.01, u=2.7069), 3, 300), (e1_model(), 1, 64)])
+def test_agresti_stacks_match_the_level_chain(monkeypatch, model, i, top):
+    # a budget of 0 cells makes every stack one level, warm-started from
+    # the level below: the chain of one-level solves (iterate_to_limit, bit
+    # for bit) and one-row g''(0) values that the stacks replace
+    import lhbp.criteria
+    levels = [k for k in default_schedule(top) if k > i]
+    stacked = agresti_bounds(model, i, levels)
+    with monkeypatch.context() as m:
+        m.setattr(lhbp.criteria, "BATCH_CELLS", 0)
+        chain = agresti_bounds(model, i, levels)
+    prev, q = None, {}
+    for j in range(i, top + 1):
+        prev = iterate_to_limit(model, j, 0.0, start=prev).vector
+        q[j] = float(prev[i])
+    assert [b.q for b in chain] == [q[k] for k in levels]
+    for b, want in zip(stacked, chain):
+        assert b.level == want.level
+        assert abs(b.q - want.q) <= 1e-15
+        assert abs(b.lower - want.lower) <= 1e-10
+        assert b.upper == want.upper
+    # the deep thinned chain spans several stacks
+    assert (len(list(lhbp.criteria._batches(i, top))) > 1) == (top == 300)
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,8 @@ def test_invert_halves_a_flat_bracket():
     kernel = lhbp.generating._compiled(m, 12)
     start = np.ones(14)
     start[13] = 1.0 - s0
-    assert lhbp.generating._tangent(kernel(start)[1], 12)[0] == 0.0
+    jac = kernel(start)[1]
+    assert lhbp.generating._Stack(12, jac).tangent(jac)[0] == 0.0
     curve = curve_from_anchor(m, s0, 13)
     assert curve.values[0] == pytest.approx(s0, abs=1e-12)
     assert curve.residual <= 1e-12

@@ -253,8 +253,10 @@ def test_family_sweeps_match_generic_sweep():
                   up_only_model()):
         k = 11
         fast, generic = _compiled(model, k), _GenericSweep(model, k)
-        for _ in range(3):
-            v = rng.uniform(0.01, 0.99, k + 2)
+        stack = rng.uniform(0.01, 0.99, (2, 3, k + 2))
+        assert_rows_match_single_calls(fast, stack)
+        assert_rows_match_single_calls(generic, stack)
+        for v in stack[0]:
             a, jac_a = fast(v)
             b, jac_b = generic(v)
             assert np.allclose(a, b, atol=1e-13)
@@ -270,11 +272,21 @@ def test_family_sweeps_match_generic_sweep():
                 assert np.allclose(dense[:, j], central, atol=1e-7)
 
 
+def assert_rows_match_single_calls(kernel, stack):
+    """A kernel on a stack (..., k + 2) gives, row by row, the bits of its
+    call on that row alone."""
+    val, jac = kernel(stack)
+    for idx in np.ndindex(stack.shape[:-1]):
+        a, jac_a = kernel(stack[idx].copy())
+        assert np.array_equal(val[idx], a)
+        assert np.array_equal(jac[idx], jac_a)
+
+
 def test_tridiagonal_sweep_matches_generic_sweep_past_saturation():
     # past the type where ceil(u^i) overflows to inf the up factor has
-    # weight 0: the family kernel takes its one path there and must agree
-    # with the law-table kernel, whose laws drop the thinned branch, also
-    # at survival entries of exactly 0 and 1
+    # weight 0: the family kernel stops that factor at the first such type
+    # and must agree with the law-table kernel, whose laws drop the thinned
+    # branch, also at survival entries of exactly 0 and 1, and on a stack
     from lhbp.generating import _GenericSweep, _TridiagonalSweep
     rng = np.random.default_rng(20)
     for model, k in ((tridiag(0.1, 0.2, 0.8, u=2.0), 1100),
@@ -294,6 +306,7 @@ def test_tridiagonal_sweep_matches_generic_sweep_past_saturation():
             assert jac_a.shape == jac_b.shape
             assert np.max(np.abs(jac_a - jac_b)) <= 1e-15
             assert np.all(jac_a[0, saturated] == 0.0)
+        assert_rows_match_single_calls(fast, np.stack([v, 1.0 - v, v ** 2]))
 
 
 def _random_band(rng, width, n):
@@ -326,6 +339,31 @@ def test_band_solve_matches_scipy():
         want = linalg.solve_banded((width, 1), ab, rhs)
         assert np.allclose(_solve_band(jac, rhs), want, rtol=1e-12,
                            atol=1e-12), (width, n)
+    # a stack of systems of different lengths, each padded to the longest
+    # with identity rows and a zero right-hand side, and cut off from its
+    # padding; every row must solve its own system
+    for width in (1, 2):
+        lengths = (1, 2, 5, C - 1, C + 2, 2 * C + 1, 700)
+        n = max(lengths)
+        jac = np.zeros((len(lengths), width + 2, n))
+        rhs = np.zeros((len(lengths), n))
+        for row, m in enumerate(lengths):
+            jac[row, :, :m] = _random_band(rng, width, m)
+            jac[row, 0, m - 1] = 0.0
+            rhs[row, :m] = rng.normal(size=m)
+        x = _solve_band(jac, rhs)
+        for row, m in enumerate(lengths):
+            assert np.all(x[row, m:] == 0.0)
+            assert np.allclose(x[row, :m], _solve_band(jac[row, :, :m],
+                                                       rhs[row, :m]),
+                               rtol=1e-12, atol=1e-12), (width, m)
+            ab = np.zeros((width + 2, m))
+            ab[0, 1:] = -jac[row, 0, :m - 1]
+            ab[1] = 1.0 - jac[row, 1, :m]
+            for t in range(1, width + 1):
+                ab[1 + t, :m - t] = -jac[row, 1 + t, t:m]
+            want = linalg.solve_banded((width, 1), ab, rhs[row, :m])
+            assert np.allclose(x[row, :m], want, rtol=1e-12, atol=1e-12)
 
 
 def test_band_solve_matches_thomas_on_kernel_bands(monkeypatch):
@@ -359,6 +397,39 @@ def test_band_solve_zero_pivot_raises():
         jac[:, j] = (0.0, 1.0, 0.0)
         with pytest.raises(ZeroDivisionError):
             _solve_band(jac, rng.normal(size=n))
+
+
+def test_stacked_levels_stop_on_their_own():
+    # each level of a stack takes the steps its solve takes alone and
+    # reaches the same vector; a step cap leaves the deeper levels
+    # unconverged while the shallow one has stopped, as alone
+    from lhbp.generating import iterate_levels
+    for model, s in ((ex2(0.3), 0.0), (tridiag(0.15, 0.25, 0.7), 1.0),
+                     (e1_model(), 0.5)):
+        for max_iter in (None, 6):
+            stacked = iterate_levels(model, [2, 9, 200], s,
+                                     max_iter=max_iter)
+            for r in stacked:
+                alone = iterate_to_limit(model, r.level, s,
+                                         max_iter=max_iter)
+                assert r.iterations == alone.iterations
+                assert r.converged == alone.converged
+                assert np.max(np.abs(r.vector - alone.vector)) <= 1e-14
+            flags = [r.converged for r in stacked]
+            assert all(flags) if max_iter is None else (
+                flags[0] and not flags[-1])
+
+
+def test_stacked_band_solve_zero_pivot_raises():
+    # one row of a stack with a vanishing row of I - J stops the whole
+    # solve, in cyclic reduction at any level down to a single unknown
+    from lhbp.generating import _solve_band
+    rng = np.random.default_rng(4)
+    for n, j in ((40, 21), (40, 0), (301, 201), (301, 200), (1, 0)):
+        jac = np.stack([_random_band(rng, 1, n) for _ in range(3)])
+        jac[1, :, j] = (0.0, 1.0, 0.0)
+        with pytest.raises(ZeroDivisionError):
+            _solve_band(jac, rng.normal(size=(3, n)))
 
 
 def stuck_model(j):
