@@ -66,15 +66,34 @@ class TruncationResult:
 # row 1 the diagonal, row 1+t the t-th subdiagonal; entries whose column
 # falls below 0 are zero).  A stack of survival vectors, shape (..., k+2),
 # maps to val (..., k+1) and jac (..., width+2, k+1) row by row, on the same
-# element-wise path as a single vector.  Powers u ** c are taken as
-# exp(c * log1p(-v)): u = 1 - v rounds to 1 for tiny v, where a thinned
-# count c ~ u^-i still makes u ** c vanish.  Such counts may overflow
-# c * log1p(-v) to -inf, which is the intended u ** c = 0, so the kernels
-# silence that warning.  A thinning scale S saturated to inf weighs 1/S = 0.
+# element-wise path as a single vector.  Complements 1 - prod f_t of a
+# product of factors f_t = u_t ** c_t are formed from the factors'
+# complements W_t as W_1 + (1 - W_1)(W_2 + (1 - W_2)(W_3 + ...)), a sum of
+# nonnegative terms, so no digits cancel near v = 0.  A factor of exponent 1
+# has the complement v_t and the slope 1 and costs no transcendental.  Other
+# powers u ** c are taken as exp(c * log1p(-v)): u = 1 - v rounds to 1 for
+# tiny v, where a thinned count c ~ u^-i still makes u ** c vanish.  Such
+# counts may overflow c * log1p(-v) to -inf, which is the intended
+# u ** c = 0, so the kernels silence that warning.  A thinning scale S
+# saturated to inf weighs 1/S = 0.
 
 
 def _log_u(v):
     return np.maximum(np.log1p(-v), LOG_ZERO)
+
+
+def _total(terms):
+    """Sum of a list of arrays or floats, 0.0 for none."""
+    return sum(terms[1:], terms[0]) if terms else 0.0
+
+
+def _combine(comps, pows):
+    """1 - prod f_t from the complements W_t = 1 - f_t and the factors f_t:
+    W_1 + f_1 (W_2 + f_2 (... + f_{n-1} W_n))."""
+    out = comps[-1]
+    for t in range(len(comps) - 2, -1, -1):
+        out = comps[t] + pows[t] * out
+    return out
 
 
 class _GenericSweep:
@@ -82,10 +101,12 @@ class _GenericSweep:
 
     Types are grouped into blocks of consecutive types sharing an outcome
     pattern.  An outcome with probability p and child counts c_t adds
-    p (1 - prod u_t^c_t) = -p expm1(sum c_t log1p(-v_t)) to V_i, and
-    p c_t u_t^(c_t - 1) prod_{t' != t} u_t'^c_t' to dV_i/dv_t.  An outcome
-    without children adds nothing, and a count of 1 has the slope factor
-    u_t^0 = 1, so neither is computed.
+    p (1 - prod u_t^c_t) to V_i, combined from the complements
+    W_t = 1 - u_t^c_t (v_t for a count of 1, -expm1(c_t log1p(-v_t))
+    otherwise), and p c_t u_t^(c_t - 1) prod_{t' != t} u_t'^c_t' to
+    dV_i/dv_t.  An outcome without children adds nothing, and a count of 1
+    has the slope factor u_t^0 = 1, so neither is computed; a model whose
+    counts are all 1 takes no logarithm.
     """
 
     def __init__(self, model: LHBPModel, k: int):
@@ -113,23 +134,34 @@ class _GenericSweep:
 
     @np.errstate(divide="ignore", over="ignore")
     def __call__(self, v):
-        log_u = _log_u(v)
+        log_u = None  # taken at the first count other than 1
         rows = v.shape[:-1]
         val = np.empty(rows + (self.k + 1,))
         jac = np.zeros(rows + (self.width + 2, self.k + 1))
         for lo, hi, entries in self.blocks:
             acc = np.zeros(rows + (hi - lo,))
             for p, factors in entries:
-                logs = [cnt * log_u[..., lo + off:hi + off]
-                        for off, cnt in factors]
-                acc -= p * np.expm1(sum(logs))
-                powers = [np.exp(x) for x in logs] if len(logs) > 1 else ()
+                # each factor's complement W_t and exponent c_t log u_t
+                comps, exps, pows = [], [], []
+                for off, cnt in factors:
+                    if cnt == 1.0:
+                        comps.append(v[..., lo + off:hi + off])
+                        exps.append(None)
+                    else:
+                        if log_u is None:
+                            log_u = _log_u(v)
+                        exps.append(cnt * log_u[..., lo + off:hi + off])
+                        comps.append(-np.expm1(exps[-1]))
+                if len(factors) > 1:  # the factors u_t^c_t themselves
+                    pows = [1.0 - w if x is None else np.exp(x)
+                            for w, x in zip(comps, exps)]
+                acc += p * _combine(comps, pows)
                 for f, (off, cnt) in enumerate(factors):
                     slope = p * cnt
                     if cnt != 1.0:
                         lu = log_u[..., lo + off:hi + off]
                         slope = slope * np.exp((cnt - 1) * lu)
-                    for g, pw in enumerate(powers):
+                    for g, pw in enumerate(pows):
                         if g != f:
                             slope = slope * pw
                     jac[..., 1 - off, lo:hi] += slope
@@ -167,11 +199,13 @@ class _Example2Sweep:
 
 class _TridiagonalSweep:
     """Product of three independent count pgfs (down, same, up), combined
-    as V_i = -expm1(sum log1p(-W)) from each factor's complement W = 1 - f.
-    The up factor is thinned: w f_c(x^S) + 1 - w with S = ceil(u^i), w = 1/S.
-    Past the first type whose S saturates to inf, all later ones saturate
-    too and weigh w = 0, so the up factor is formed on types 0..m-1 only,
-    m the number of finite scales, and is 1 on the rest.
+    as V_i = W_dn + (1 - W_dn)(W_sm + (1 - W_sm) W_up) from each factor's
+    complement W = 1 - f.  The up factor is thinned: w f_c(x^S) + 1 - w with
+    S = ceil(u^i), w = 1/S.  Past the first type whose S saturates to inf,
+    all later ones saturate too and weigh w = 0, so the up factor is formed
+    on types 0..m-1 only, m the number of finite scales, and is 1 on the
+    rest.  A count of 1 at scale 1 contributes p v to its complement and p
+    to its slope; only thinned scales (u > 1) and counts of 2 take logs.
     """
 
     width = 1
@@ -181,39 +215,53 @@ class _TridiagonalSweep:
         scale = model._scales(k)  # of the upward coordinate of types 0..k
         self.scale = scale[np.isfinite(scale)]
         self.w = 1.0 / self.scale
+        self.thinned = model.u != 1.0
         self.pmfs = [tuple((c, p) for c, p in _two_point(mean) if c)
                      for mean in (model.a, model.b, model.c)]
 
     @staticmethod
-    def _factor(pmf, log_u, scale=1.0):
-        """Complement 1 - f and slope f' of f(x) = sum p x^(c * scale)."""
-        comp = slope = 0.0
+    def _factor(pmf, v, scale=None):
+        """Complement 1 - f and slope f' of f(x) = sum p x^(c * scale) at
+        x = 1 - v; log1p(-v) is taken only for a scale or a count above 1."""
+        if scale is not None or any(c != 1 for c, _ in pmf):
+            log_u = _log_u(v)
+        comp, slope = [], []
         for c, p in pmf:
-            cs = c * scale
-            comp = comp - p * np.expm1(cs * log_u)
-            slope = slope + p * cs * np.exp((cs - 1) * log_u)
-        return comp, slope
+            if scale is None and c == 1:
+                comp.append(p * v)
+                slope.append(p)
+            else:
+                cs = c if scale is None else c * scale
+                comp.append(-p * np.expm1(cs * log_u))
+                slope.append(p * cs * np.exp((cs - 1) * log_u))
+        return _total(comp), _total(slope)
 
     @np.errstate(divide="ignore", over="ignore")
     def __call__(self, v):
         k, m = self.k, len(self.scale)
-        log_u = _log_u(v)
         down, same, up = self.pmfs
         shape = v.shape[:-1] + (k + 1,)
-        comp_dn, s_dn = np.zeros(shape), np.zeros(shape)
-        comp_dn[..., 1:], s_dn[..., 1:] = self._factor(down, log_u[..., 0:k])
-        comp_sm, s_sm = self._factor(same, log_u[..., 0:k + 1])
-        comp, slope = self._factor(up, log_u[..., 1:m + 1], self.scale)
-        comp_up, s_up = np.zeros(shape), np.zeros(shape)
-        np.multiply(self.w, comp, out=comp_up[..., :m])
-        np.multiply(self.w, slope, out=s_up[..., :m])
-        val = -np.expm1(np.log1p(-comp_dn) + np.log1p(-comp_sm)
-                        + np.log1p(-comp_up))
+        comp_dn = np.zeros(shape)
+        comp_dn[..., 1:], s_dn = self._factor(down, v[..., 0:k])
+        comp_sm, s_sm = self._factor(same, v[..., 0:k + 1])
+        if self.thinned:
+            comp, slope = self._factor(up, v[..., 1:m + 1], self.scale)
+            comp_up, s_up = np.zeros(shape), np.zeros(shape)
+            np.multiply(self.w, comp, out=comp_up[..., :m])
+            np.multiply(self.w, slope, out=s_up[..., :m])
+        else:
+            comp_up, s_up = self._factor(up, v[..., 1:k + 2])
         f_dn, f_sm, f_up = 1.0 - comp_dn, 1.0 - comp_sm, 1.0 - comp_up
+        val = _combine((comp_dn, comp_sm, comp_up), (f_dn, f_sm))
         jac = np.empty(v.shape[:-1] + (3, k + 1))
-        jac[..., 0, :] = s_up * f_dn * f_sm
-        jac[..., 1, :] = s_sm * f_dn * f_up
-        jac[..., 2, :] = s_dn * f_sm * f_up
+        above, diag, below = jac[..., 0, :], jac[..., 1, :], jac[..., 2, :]
+        np.multiply(s_up, f_dn, out=above)
+        above *= f_sm
+        np.multiply(s_sm, f_dn, out=diag)
+        diag *= f_up
+        np.multiply(f_sm, f_up, out=below)
+        below[..., 0] = 0.0
+        below[..., 1:] *= s_dn
         return val, jac
 
 
@@ -407,16 +455,17 @@ def _newton(kernel, v: np.ndarray, levels: np.ndarray, tol: float,
     entry of ``caps`` in steps, or at a step that is not finite; a stopped
     row keeps its vector while the others go on.  A zero pivot stops every
     row that has not stopped.  Returns the rows' residuals V(v) - v (0 past
-    their unknowns), step counts and convergence flags.
+    their unknowns), step counts and convergence flags.  A single vector is
+    one row that needs no padding.
     """
     head = v[..., :-1]
     val, jac = kernel(v)
-    stack = _Stack(levels, jac)
+    stack = None if v.ndim == 1 else _Stack(levels, jac)
     steps = [0] * len(caps)
     converged = [False] * len(caps)
     active = [c > 0 for c in caps]
     while True:
-        resid = stack.unknowns(val - head)
+        resid = val - head if stack is None else stack.unknowns(val - head)
         for r, moving in enumerate(resid.any(-1).reshape(-1).tolist()):
             if active[r] and not moving:  # a fixed point below the start
                 active[r], converged[r] = False, True
@@ -424,12 +473,13 @@ def _newton(kernel, v: np.ndarray, levels: np.ndarray, tol: float,
             break
         steps = [n + a for n, a in zip(steps, active)]
         try:
-            step = stack.solve(jac, resid)
+            step = (_solve_band(jac, resid) if stack is None
+                    else stack.solve(jac, resid))
         except ZeroDivisionError:
             break
         if not all(active):
             step[~np.reshape(active, levels.shape)] = 0.0
-        np.clip(head + step, 0.0, 1.0, out=head)
+        np.minimum(np.maximum(head + step, 0.0), 1.0, out=head)
         val, jac = kernel(v)
         for r, size in enumerate(abs(step).max(-1).reshape(-1).tolist()):
             if not active[r]:

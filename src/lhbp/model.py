@@ -319,16 +319,15 @@ class TridiagonalModel(LHBPModel):
         return math.ceil(v) if v < 2 ** 53 else v
 
     def _scales(self, K: int) -> np.ndarray:
-        """_scale(i) for i = 0..K; once one saturates to inf, so do the rest."""
+        """_scale(i) for i = 0..K in one whole-array pass; once one
+        saturates to inf, so do the rest.  ``float_power`` takes each power
+        with the C library's pow, as ``u ** i`` does (``np.power`` may take
+        a vector path that differs in the last bit)."""
         if self.u == 1.0:
             return np.ones(K + 1)
-        out = []
-        for i in range(K + 1):
-            s = self._scale(i)
-            if s == math.inf:
-                break
-            out.append(s)
-        return np.concatenate([out, np.full(K + 1 - len(out), math.inf)])
+        with np.errstate(over="ignore"):
+            power = np.float_power(self.u, np.arange(K + 1))
+        return np.where(power < 2 ** 53, np.ceil(power), power)
 
     def _up_pmf(self, i: int) -> tuple[tuple[float, float], ...]:
         base = _two_point(self.c)

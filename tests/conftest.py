@@ -43,6 +43,15 @@ def e1_model():
     return ExplicitModel(head=(head0, tail))
 
 
+def e4_model():
+    """perfbench's explicit model E4: a table head law, then a table tail
+    law with a count-1 child one type down and one type up (probability
+    0.5), or three children one type up (0.25), or none (q = qtilde < 1)."""
+    head0 = TableLaw(((((1, 1),), 0.5), ((), 0.5)))
+    tail = TableLaw(((((0, 1), (2, 1)), 0.5), ((), 0.25), (((2, 3),), 0.25)))
+    return ExplicitModel(head=(head0, tail))
+
+
 def product_doc(coords):
     """Model document of E1's table head law and a type-1 product law with
     the given coordinates (JSON keys and values)."""

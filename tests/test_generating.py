@@ -8,8 +8,9 @@ from lhbp import (ComputationError, ExplicitModel, TableLaw,
                   iterate_to_limit)
 from lhbp.generating import g_second_derivative
 
-from conftest import (all_die_model, e1_model, ex2, g, product_tail_model,
-                      tridiag, up_only_model, wide_band_model)
+from conftest import (all_die_model, e1_model, e4_model, ex2, g,
+                      product_tail_model, tridiag, up_only_model,
+                      wide_band_model)
 
 
 def naive_iteration(model, k, s, sweeps):
@@ -176,6 +177,17 @@ def test_top_down_skips_unconverged_deeper_level():
     assert np.all(low.vector == 1.0)
 
 
+def test_q_ladder_warm_starts_converge_at_every_level():
+    # a cold level-4096 q solve of this supercritical thinned model stops
+    # unconverged (survival values underflow to 0 behind its front, where
+    # the band is the mean matrix, and its fifth step overflows); the
+    # ladder's bottom-up warm starts converge at every level
+    model = tridiag(0.05, 0.1, 1.2, u=1.1)
+    ladder = extinction_ladder(model, default_schedule(4096))
+    assert all(r.converged for r in ladder.q_results)
+    assert abs(ladder.q_results[-1].vector[0] - 0.598137462172226) <= 1e-15
+
+
 def test_ladder_default_window_is_the_largest_allowed():
     # the smallest level k reports all of its k + 2 entries
     assert extinction_ladder(ex2(0.3), default_schedule(8)).window == 3
@@ -307,6 +319,78 @@ def test_tridiagonal_sweep_matches_generic_sweep_past_saturation():
             assert np.max(np.abs(jac_a - jac_b)) <= 1e-15
             assert np.all(jac_a[0, saturated] == 0.0)
         assert_rows_match_single_calls(fast, np.stack([v, 1.0 - v, v ** 2]))
+
+
+def _decimal_survival(model, v, k):
+    """1 - F_i(1 - v) for i = 0..k at 50 digits: each outcome adds
+    p (1 - prod (1 - v_t)^c_t) = -p expm1(sum c_t log(1 - v_t)), with the
+    logarithm and expm1 summed as series near 0."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        tiny = Decimal("1e-55")
+
+        def series(first, ratio):
+            # sum of first * prod ratio(n) until a term stops counting
+            total = term = first
+            n = 1
+            while abs(term) > tiny * abs(total):
+                term = term * ratio(n)
+                total += term
+                n += 1
+            return total
+
+        def log1m(x):  # log(1 - x), None at x = 1
+            if x == 1:
+                return None
+            if x < Decimal("0.01"):
+                return -series(x, lambda n: x * n / (n + 1))
+            return (1 - x).ln()
+
+        def expm1(y):
+            if abs(y) < Decimal("0.01"):
+                return series(y, lambda n: y / (n + 1))
+            return y.exp() - 1
+
+        logs = [log1m(Decimal(float(x))) for x in v]
+        out = []
+        for i in range(k + 1):
+            total = Decimal(0)
+            for counts, p in model.law(i).outcomes():
+                terms = [logs[t] for t, _ in counts]
+                if not counts:
+                    continue
+                if None in terms:  # a child type that surely survives
+                    comp = Decimal(1)
+                else:
+                    comp = -expm1(sum(Decimal(float(c)) * x for (_, c), x
+                                      in zip(counts, terms)))
+                total += Decimal(p) * comp
+            out.append(float(total))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("model", [
+    ex2(0.3), tridiag(0.15, 0.25, 0.7), tridiag(0.3, 0.3, 0.5, u=1.5),
+    e4_model()], ids=["ex2", "trap", "thinned", "e4"])
+def test_kernel_values_keep_relative_accuracy_near_zero(model):
+    # near v = 0 the kernels avoid forming 1 - u^c by subtraction; each
+    # V_i must be within 8 eps of the 50-digit value relative to itself,
+    # for survival entries from 1e-300 to 0.1, exact 0s and 1s
+    from lhbp.generating import _compiled
+    rng = np.random.default_rng(23)
+    k = 60
+    kernel = _compiled(model, k)
+    for _ in range(4):
+        v = 10.0 ** rng.uniform(-300.0, -1.0, k + 2)
+        v[rng.integers(0, k + 2, 6)] = 0.0
+        v[rng.integers(0, k + 2, 6)] = 1.0
+        want = _decimal_survival(model, v, k)
+        got = kernel(v)[0]
+        err = np.abs(got - want)
+        assert np.all(err <= 8 * np.finfo(float).eps * np.abs(want)), (
+            np.max(err / np.where(want > 0, want, 1.0)))
 
 
 def _random_band(rng, width, n):

@@ -260,11 +260,13 @@ def test_table_rows_hold_no_negative_types():
 
 
 def test_scale_vector_matches_scalar_scale():
-    # the vector stops calling the scalar once it saturates to inf
-    for u in (1.0, 1.1, 2.0, 3.0):
+    # the whole-array scales equal the scalar ones bit for bit, also past
+    # the type where u^i saturates to inf (7448 for u = 1.1, 1024 for 2)
+    for u in (1.0, 1.1, 1.5, 2.0, 3.0):
         m = tridiag(0.1, 0.2, 0.8, u=u)
-        want = [m._scale(i) for i in range(1201)]
-        assert np.array_equal(m._scales(1200), np.array(want, dtype=float))
+        want = np.array([m._scale(i) for i in range(7601)], dtype=float)
+        assert np.array_equal(m._scales(7600), want)
+        assert u == 1.0 or np.isinf(want[-1])
 
 
 def test_tridiagonal_saturated_scale_has_no_nan_count():
