@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -44,14 +45,20 @@ def embedded_moments(model: LHBPModel, K: int, with_a: bool = True) -> EmbeddedM
     Only x_k and mu_k are recursive in a nonlinear way: x_k sums the mean
     row of type k against products of the means before it, and mu_k divides
     the upward mean by 1 - x_k.  The first pass runs them alone, one scalar
-    step at a time, and keeps each step's 1 - x_k.  Both passes read rows
-    0..K of one moment table (``model.moment_table(K)``), built before the
-    first step, so a recursion that stops early still pays for all K + 1
-    rows.  It stops at the first k with x_k >= 1 (within BOUNDARY_TOL of 1
-    counts as the boundary case); entries beyond the stop are undefined and
-    the arrays are truncated accordingly.  Row sums in x_k only span the
-    model bandwidth, so the per-step window products cannot overflow; the
-    cumulative mean m0 is tracked in log space alongside its float value.
+    step at a time.  Both passes read rows 0..K of one moment table
+    (``model.moment_table(K)``), built before the first step, so a recursion
+    that stops early still pays for all K + 1 rows.  It stops at the first k
+    with x_k >= 1 (within BOUNDARY_TOL of 1 counts as the boundary case);
+    entries beyond the stop are undefined and the arrays are truncated
+    accordingly.  Row sums in x_k only span the model bandwidth, so the
+    per-step window products cannot overflow; the cumulative mean m0 is
+    tracked in log space alongside its float value.
+
+    A table of width <= 1 (every family, and explicit models whose children
+    reach at most one type down) takes ``_scalar_pass``, a loop over its
+    columns; a wider one takes ``_general_pass``.  Both take the same
+    float operations in the same order, so either gives bitwise the same
+    numbers.
 
     With ``with_a``, a second pass computes the second factorial moments a_k
     from the means and the table (``_second_moments``).  Both passes skip the
@@ -59,11 +66,73 @@ def embedded_moments(model: LHBPModel, K: int, with_a: bool = True) -> EmbeddedM
     """
     if K < 0:
         raise ValueError("K must be >= 0")
+    table = model.moment_table(K)
+    mus, xvals = (_scalar_pass if table.width <= 1 else _general_pass)(table, K)
+    kind, k_star = "ok", None
+    if len(xvals) > len(mus):  # stopped at x_k >= 1
+        k_star = len(mus)
+        kind = "boundary" if abs(xvals[-1] - 1.0) <= BOUNDARY_TOL else "blowup"
+    mu = np.array(mus)
+    x = np.array(xvals)
+    # math.log, not np.log, which differs from it in the last bit at times
+    logs = (map(math.log, mus) if (mu > 0).all()
+            else (math.log(m) if m > 0 else -math.inf for m in mus))
+    log_arr = np.fromiter(logs, float, len(mus)).cumsum()
+    with np.errstate(over="ignore"):
+        m0 = np.exp(log_arr)
+    return EmbeddedMoments(
+        horizon=K,
+        mu=mu,
+        a=_second_moments(table, mu, 1.0 - x[:len(mus)]) if with_a else None,
+        x=x,
+        m0=m0,
+        log_m0=log_arr,
+        ok_through=len(mus) - 1,
+        kind=kind,
+        k_star=k_star,
+        table=table,
+    )
+
+
+# the scalar loops read their columns this many rows at a time, so that a
+# recursion that stops early converts only the rows it reaches
+_CHUNK = 4096
+
+
+def _scalar_pass(table: MomentTable, K: int) -> tuple[list[float], list[float]]:
+    """mu_k and x_k up to K, or up to the first x_k >= 1 - BOUNDARY_TOL
+    (whose mu_k is left out), for a table of width <= 1.
+
+    x_k = m_{k,k-1} mu_{k-1} + m_{k,k}, each term skipped when its mean is
+    absent; a width-0 table has no m_{k,k-1}.
+    """
     mus: list[float] = []
     xvals: list[float] = []
-    denoms: list[float] = []
-    kind, k_star = "ok", None
-    table = model.moment_table(K)
+    mu = 1.0  # mu_{k-1}; at k = 0 no child is one type down
+    pad = [repeat(0.0)] * (1 - table.width)
+    for lo in range(0, K + 1, _CHUNK):
+        hi = min(lo + _CHUNK, K + 1)
+        cols = pad + [c[lo:hi].tolist() for c in table.mean]
+        for m_down, m_same, m_up in zip(*cols):
+            x = 0.0
+            if m_down:
+                x += m_down * mu
+            if m_same:
+                x += m_same
+            xvals.append(x)
+            # a boundary or a blowup; the caller tells which (NaN goes on)
+            if x - 1.0 >= -BOUNDARY_TOL:
+                return mus, xvals
+            mu = m_up / (1.0 - x)
+            mus.append(mu)
+    return mus, xvals
+
+
+def _general_pass(table: MomentTable, K: int) -> tuple[list[float], list[float]]:
+    """``_scalar_pass`` for a table of any width w: x_k sums m_{k,k-w+t}
+    times the window mu_{k-w+t} * ... * mu_{k-1}, for t = 0..w."""
+    mus: list[float] = []
+    xvals: list[float] = []
     w = table.width
     up = memoryview(table.mean[w + 1])
     down = [(t, memoryview(col)) for t, (col, present) in enumerate(
@@ -79,48 +148,27 @@ def embedded_moments(model: LHBPModel, K: int, with_a: bool = True) -> EmbeddedM
             if m:
                 x_k += m * win[t]
         xvals.append(x_k)
-        if abs(x_k - 1.0) <= BOUNDARY_TOL:
-            kind, k_star = "boundary", k
+        if x_k - 1.0 >= -BOUNDARY_TOL:
             break
-        if x_k > 1.0:
-            kind, k_star = "blowup", k
-            break
-        denom = 1.0 - x_k
-        mu_k = up[k] / denom
+        mu_k = up[k] / (1.0 - x_k)
         mus.append(mu_k)
-        denoms.append(denom)
         for t in slide:  # slide the window one type up
             win[t] = win[t + 1] * mu_k
-    log_arr = np.array([math.log(m) if m > 0 else -math.inf for m in mus],
-                       dtype=float).cumsum()
-    with np.errstate(over="ignore"):
-        m0 = np.exp(log_arr)
-    mu = np.array(mus)
-    return EmbeddedMoments(
-        horizon=K,
-        mu=mu,
-        a=_second_moments(table, mu, denoms) if with_a else None,
-        x=np.array(xvals),
-        m0=m0,
-        log_m0=log_arr,
-        ok_through=len(mus) - 1,
-        kind=kind,
-        k_star=k_star,
-        table=table,
-    )
+    return mus, xvals
 
 
 def _second_moments(table: MomentTable, mu: np.ndarray,
-                    denoms: list[float]) -> np.ndarray:
+                    denoms: np.ndarray) -> np.ndarray:
     """a_0..a_{n-1} for the n means ``mu`` and their 1 - x_k ``denoms``.
 
     a_k = (term1_k + term2_k) / (1 - x_k).  term2_k pairs the second
     factorial moments of row k with the reach of each child type, and needs
     only the means, so it is computed for all k at once.  term1_k carries
     the a_l of the w types below k and is linear in them; it runs as one
-    scalar sweep over precomputed lists.  Every product and sum is taken in
-    the order of the one-step recursion, so the results are bitwise those of
-    stepping it.
+    scalar sweep over precomputed lists, ``_scalar_sweep`` for a table of
+    width <= 1 and ``_general_sweep`` for a wider one.  Every product and
+    sum is taken in the order of the one-step recursion, so the results are
+    bitwise those of stepping it.
     """
     n, w = len(mu), table.width
     # win[t, k] = mu_{k-w+t} * ... * mu_{k-1} and reach[t, k] = win[t, k] *
@@ -139,6 +187,35 @@ def _second_moments(table: MomentTable, mu: np.ndarray,
             v = col[:n]
             np.add(term2, reach[w + d1] * reach[w + d2] * v
                    * (1.0 if d1 == d2 else 2.0), out=term2, where=v != 0)
+    if w <= 1:
+        avals = _scalar_sweep(table, mu, term2, denoms)
+    else:
+        avals = _general_sweep(table, win, reach, term2, denoms)
+    return np.array(avals, dtype=float)
+
+
+def _scalar_sweep(table: MomentTable, mu: np.ndarray, term2: np.ndarray,
+                  denoms: np.ndarray) -> list[float]:
+    """The a_k of a table of width <= 1: term1_k = m_{k,k-1} * a_{k-1} *
+    mu_k^2, the window before mu_k being empty."""
+    n = len(mu)
+    ms = table.mean[0, :n].tolist() if table.width else repeat(0.0)
+    avals: list[float] = []
+    a = 0.0  # a_{k-1}; at k = 0 no child is one type down
+    for m, r, t2, denom in zip(ms, mu.tolist(), term2.tolist(),
+                               denoms.tolist()):
+        # both sums start at 0.0, as in _general_sweep
+        term1 = 0.0 + m * (0.0 + a * r * r) if m else 0.0
+        a = (term1 + t2) / denom
+        avals.append(a)
+    return avals
+
+
+def _general_sweep(table: MomentTable, win: np.ndarray, reach: np.ndarray,
+                   term2: np.ndarray, denoms: np.ndarray) -> list[float]:
+    """The a_k of a table of any width w, with the window products ``win``
+    and ``reach`` of ``_second_moments``."""
+    n, w = len(term2), table.width
     # term1_k = sum over the back slots t of m_{k,i} (i = k - w + t) times
     # the sum over l in [i, k) of a_l * win[w - l + i, l] * reach[l+1-k+w, k]^2
     back = [(col[:n].tolist(),
@@ -146,7 +223,7 @@ def _second_moments(table: MomentTable, mu: np.ndarray,
               for j in range(w - t)])
             for t, col in enumerate(table.mean[:w]) if col[:n].any()]
     avals: list[float] = []
-    for k, (t2, denom) in enumerate(zip(term2.tolist(), denoms)):
+    for k, (t2, denom) in enumerate(zip(term2.tolist(), denoms.tolist())):
         term1 = 0.0
         for ms, parts in back:
             m = ms[k]
@@ -158,7 +235,7 @@ def _second_moments(table: MomentTable, mu: np.ndarray,
                     s += avals[l] * run[l] * r * r
                 term1 += m * s
         avals.append((term1 + t2) / denom)
-    return np.array(avals, dtype=float)
+    return avals
 
 
 # ---------------------------------------------------------------------------

@@ -121,15 +121,6 @@ class MomentTable:
     a: np.ndarray
     p_double_up: np.ndarray
 
-    def mean_row(self, k: int) -> dict[int, float]:
-        return {k + d: float(m)
-                for d, m in zip(range(-self.width, 2), self.mean[:, k]) if m}
-
-    def a_entries(self, k: int) -> dict[tuple[int, int], float]:
-        """Second factorial moments of row k, canonical (i <= j) keys."""
-        return {(k + d1, k + d2): float(v)
-                for (d1, d2), v in zip(self.pairs, self.a[:, k]) if v}
-
     def take(self, rows) -> MomentTable:
         """A table of copies of the given rows (an index array), in order."""
         return MomentTable(self.width, self.mean[:, rows], self.pairs,

@@ -8,6 +8,19 @@ from lhbp import (Example2Model, ExplicitModel, TableLaw, TridiagonalModel,
 LADDER_SCHEDULE = tuple(4 * 2 ** i for i in range(11))  # 4 .. 4096
 
 
+def mean_row(table, k):
+    """Present means of row k of a moment table, keyed by child type."""
+    return {k + d: float(m)
+            for d, m in zip(range(-table.width, 2), table.mean[:, k]) if m}
+
+
+def a_entries(table, k):
+    """Present second factorial moments of row k of a moment table, keyed by
+    the child-type pair (i, j) with i <= j."""
+    return {(k + d1, k + d2): float(v)
+            for (d1, d2), v in zip(table.pairs, table.a[:, k]) if v}
+
+
 def ex2(gamma):
     return Example2Model(gamma=gamma)
 

@@ -13,7 +13,7 @@ from lhbp import (Budget, ExplicitModel, PartialSurvivalRegimeError, TableLaw,
                   tridiagonal_mu_limit)
 from lhbp.criteria import HEAD_SHIFT, first_supercritical_head
 
-from conftest import e1_model, ex2, tridiag
+from conftest import e1_model, ex2, mean_row, tridiag
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,7 @@ def _exact_first_head(model, k_max, s=Fraction(1.0 + HEAD_SHIFT)):
     table = model.moment_table(k_max)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
-        for j, m in table.mean_row(i).items():
+        for j, m in mean_row(table, i).items():
             if j < n:
                 rows[i][j] -= Fraction(m)
         rows[i][i] += s

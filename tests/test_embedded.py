@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from lhbp import (Example2Model, ExplicitModel, LHBPModel, TableLaw,
                   TridiagonalModel, embedded_moments, iterate_to_limit,
                   partial_verdict, product_law)
+from lhbp import embedded
 from lhbp.embedded import BOUNDARY_TOL, _certificate
-from lhbp.model import TailModel
+from lhbp.model import MomentTable, TailModel
 
-from conftest import (all_die_model, e1_model, ex2, g, product_tail_model,
-                      tridiag, up_only_model, wide_band_model)
+from conftest import (a_entries, all_die_model, e1_model, ex2, g, mean_row,
+                      product_tail_model, tridiag, up_only_model,
+                      wide_band_model)
 
 
 def test_gamma0_moments_exact():
@@ -66,7 +68,7 @@ def test_eval_g_derivative_matches_mu():
 def brute_first_returns(model, k, max_len=30, prune=1e-16):
     """DFS over first-return paths to k in the sterile mean graph (types <= k)."""
     table = model.moment_table(k)
-    rows = {i: {j: m for j, m in table.mean_row(i).items() if j <= k}
+    rows = {i: {j: m for j, m in mean_row(table, i).items() if j <= k}
             for i in range(k + 1)}
     total = 0.0
     stack = [(j, w, 1) for j, w in rows[k].items()]
@@ -260,7 +262,7 @@ def reference_moments(model, K, with_a=True):
     mus, avals, xvals, log_m0 = [], [], [], []
     kind, k_star = "ok", None
     for k in range(K + 1):
-        row = table.mean_row(k)
+        row = mean_row(table, k)
         x_k = 0.0
         for j, m in row.items():
             if j <= k:
@@ -276,7 +278,7 @@ def reference_moments(model, K, with_a=True):
         mu_k = row.get(k + 1, 0.0) / denom
         if with_a:
             term2 = 0.0
-            for (i, j), v in table.a_entries(k).items():
+            for (i, j), v in a_entries(table, k).items():
                 mi = _window_prod(mus, i, k) * mu_k if i <= k else 1.0
                 mj = _window_prod(mus, j, k) * mu_k if j <= k else 1.0
                 term2 += mi * mj * v * (2.0 if i != j else 1.0)
@@ -324,6 +326,8 @@ REFERENCE_MODELS = {
     "tail(ex2(0.3), 2)": TailModel(ex2(0.3), 2),
     "tail(tri(0.5, 0.2, 0.5, u=1.3), 2)": TailModel(
         tridiag(0.5, 0.2, 0.5, u=1.3), 2),
+    "up_only": up_only_model(),  # width 0
+    "all_die": all_die_model(),  # width 0, every mean 0
 }
 
 
@@ -355,3 +359,55 @@ def test_reference_models_cover_the_hard_cases():
     assert not np.any(np.isnan(mom.a))
     mom = embedded_moments(REFERENCE_MODELS["tri(0.25, 1, 0.5)"], 10)
     assert (mom.kind, mom.k_star) == ("boundary", 0)
+
+
+def _refuse(*args):
+    raise AssertionError("wrong loop for this table width")
+
+
+@pytest.mark.parametrize("model", [
+    ex2(0.03), tridiag(0.05, 0.3, 1.2), tridiag(0.0, 0.3, 1.6),
+    TailModel(ex2(0.03), 2), e1_model()],
+    ids=["ex2", "tri", "tri_no_down", "tail", "e1"])
+def test_narrow_tables_take_the_scalar_loops(model, monkeypatch):
+    # a fallback to the general loops would match the reference bit for bit
+    # and only show as lost speed; tri_no_down has no down column, ex2 and
+    # e1 no diagonal one
+    monkeypatch.setattr(embedded, "_general_pass", _refuse)
+    monkeypatch.setattr(embedded, "_general_sweep", _refuse)
+    mom = embedded_moments(model, 4000)
+    assert mom.table.width == 1
+    assert mom.kind == "ok" and len(mom.a) == 4001
+
+
+@pytest.mark.parametrize("model", [wide_band_model(), deep_band_model()],
+                         ids=["wide_band", "deep_band"])
+def test_wide_tables_take_the_general_loops(model, monkeypatch):
+    monkeypatch.setattr(embedded, "_scalar_pass", _refuse)
+    monkeypatch.setattr(embedded, "_scalar_sweep", _refuse)
+    mom = embedded_moments(model, 4000)
+    assert mom.table.width == 2 and len(mom.a) == len(mom.mu) > 0
+
+
+@pytest.mark.parametrize("model", [
+    ex2(0.03), tridiag(0.25, 0.25, 0.5), e1_model(), up_only_model(),
+    ex2(0.3)], ids=["ex2", "tri", "e1", "up_only", "ex2_blowup"])
+def test_scalar_loops_match_general_loops_across_chunks(model, monkeypatch):
+    # empty rows for the offsets below -width up to -2 send a table to the
+    # general loops and change no number; K runs three column chunks
+    K = 2 * embedded._CHUNK + 1
+    want = embedded_moments(model, K)
+    real = type(model).moment_table
+
+    def padded(self, K):
+        t = real(self, K)
+        pad = np.zeros((2 - t.width, K + 1))
+        return MomentTable(2, np.vstack([pad, t.mean]), t.pairs, t.a,
+                           t.p_double_up)
+    monkeypatch.setattr(type(model), "moment_table", padded)
+    monkeypatch.setattr(embedded, "_scalar_pass", _refuse)
+    monkeypatch.setattr(embedded, "_scalar_sweep", _refuse)
+    got = embedded_moments(model, K)
+    for name in ("mu", "a", "x", "m0", "log_m0"):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name))
+    assert (got.kind, got.k_star) == (want.kind, want.k_star)

@@ -12,9 +12,9 @@ from lhbp import (ExplicitModel, ModelError, TableLaw, load_model,
 from lhbp.model import (PROB_TOL, LHBPModel, TailModel, _law_table,
                         marginalize_law, shift_law)
 
-from conftest import (UNNORMALISED_COORDS, all_die_model, e1_model, ex2,
-                      product_doc, product_tail_model, tridiag, up_only_model,
-                      wide_band_model)
+from conftest import (UNNORMALISED_COORDS, a_entries, all_die_model,
+                      e1_model, ex2, mean_row, product_doc, product_tail_model,
+                      tridiag, up_only_model, wide_band_model)
 
 
 def enumerate_support(law):
@@ -53,7 +53,7 @@ def brute_p_at_least_two(law, t):
 
 def test_load_example2_means():
     m = load_model('{"family": "example2", "gamma": 0.3}')
-    row = m.moment_table(1).mean_row(1)
+    row = mean_row(m.moment_table(1), 1)
     assert row[0] == pytest.approx(0.6, abs=1e-15)
     assert row[2] == pytest.approx(1.4, abs=1e-15)
 
@@ -100,9 +100,9 @@ def test_load_parse_error():
 def test_load_tridiagonal_mean_rows():
     m = load_model('{"family": "tridiagonal", "a": 0.25, "b": 0.25, "c": 0.5, "u": 1}')
     table = m.moment_table(7)
-    assert table.mean_row(0) == {0: 0.25, 1: 0.5}
+    assert mean_row(table, 0) == {0: 0.25, 1: 0.5}
     for i in (1, 3, 7):
-        assert table.mean_row(i) == {i - 1: 0.25, i: 0.25, i + 1: 0.5}
+        assert mean_row(table, i) == {i - 1: 0.25, i: 0.25, i + 1: 0.5}
 
 
 def test_load_tridiagonal_c_zero_rejected():
@@ -119,7 +119,7 @@ def test_load_example2_gamma_one_strictness():
 
 def test_tridiagonal_mean_row_5():
     m = tridiag(0.1, 0.2, 0.8)
-    assert m.moment_table(5).mean_row(5) == {4: 0.1, 5: 0.2, 6: 0.8}
+    assert mean_row(m.moment_table(5), 5) == {4: 0.1, 5: 0.2, 6: 0.8}
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,7 @@ def test_tridiagonal_mean_row_5():
 def test_example2_second_moment_value():
     # G_1 = (1/2)(g s_0 + (1-g) s_2)^4 + 1/2 has d2/ds0^2 = 6 g^2 at s = 1
     m = ex2(0.3)
-    assert m.moment_table(1).a_entries(1)[(0, 0)] == pytest.approx(0.54, abs=1e-15)
+    assert a_entries(m.moment_table(1), 1)[(0, 0)] == pytest.approx(0.54, abs=1e-15)
     assert brute_second(m.law(1), 0, 0) == pytest.approx(0.54, abs=1e-15)
 
 
@@ -158,10 +158,10 @@ def test_moment_tables_match_brute_force():
         for i in range(8):
             law = model.law(i)
             bm = brute_means(law)
-            row = table.mean_row(i)
+            row = mean_row(table, i)
             for t in set(bm) | set(row):
                 assert row.get(t, 0.0) == pytest.approx(bm.get(t, 0.0), abs=1e-12)
-            for (t1, t2), v in table.a_entries(i).items():
+            for (t1, t2), v in a_entries(table, i).items():
                 assert v >= 0.0
                 assert v == pytest.approx(brute_second(law, t1, t2), rel=1e-12, abs=1e-12)
 
@@ -173,7 +173,7 @@ def test_mean_total_offspring_identity():
         for i in range(7):
             total = sum(p * sum(vec.values())
                         for vec, p in enumerate_support(model.law(i)))
-            assert sum(table.mean_row(i).values()) == pytest.approx(total, abs=1e-12)
+            assert sum(mean_row(table, i).values()) == pytest.approx(total, abs=1e-12)
 
 
 def test_a_block_symmetric_nonnegative():
@@ -182,7 +182,7 @@ def test_a_block_symmetric_nonnegative():
     for model in (ex2(0.4), tridiag(0.1, 0.2, 0.8, u=2.0)):
         table = model.moment_table(5)
         for k in range(6):
-            entries = table.a_entries(k)
+            entries = a_entries(table, k)
             assert all(t1 <= t2 for t1, t2 in entries)
             n = max((t2 for _, t2 in entries), default=0) + 1
             A = np.zeros((n, n))
@@ -197,11 +197,11 @@ def test_tridiagonal_u_preserves_means():
     mod = tridiag(0.1, 0.2, 0.8, u=2.0)
     base_t, mod_t = base.moment_table(11), mod.moment_table(11)
     for i in range(12):
-        assert base_t.mean_row(i) == mod_t.mean_row(i)
+        assert mean_row(base_t, i) == mean_row(mod_t, i)
     # second moment of the upward coordinate grows by the scale factor
     s = 2.0 ** 5
-    f2_base = base_t.a_entries(5).get((6, 6), 0.0)  # zero: mean <= 1 two-point
-    assert mod_t.a_entries(5)[(6, 6)] == pytest.approx(s * (f2_base + 0.8) - 0.8)
+    f2_base = a_entries(base_t, 5).get((6, 6), 0.0)  # zero: mean <= 1 two-point
+    assert a_entries(mod_t, 5)[(6, 6)] == pytest.approx(s * (f2_base + 0.8) - 0.8)
 
 
 @pytest.mark.parametrize("model", [
@@ -215,9 +215,9 @@ def test_family_tables_match_law_tables(model):
     fam = model.moment_table(30)
     law = LHBPModel.moment_table(model, 30)
     for k in range(31):
-        assert fam.mean_row(k) == pytest.approx(law.mean_row(k), abs=1e-12)
-        assert fam.a_entries(k) == pytest.approx(law.a_entries(k),
-                                                 rel=1e-12, abs=1e-12)
+        assert mean_row(fam, k) == pytest.approx(mean_row(law, k), abs=1e-12)
+        assert a_entries(fam, k) == pytest.approx(a_entries(law, k),
+                                                  rel=1e-12, abs=1e-12)
     assert np.allclose(fam.p_double_up, law.p_double_up, rtol=0, atol=1e-12)
 
 
@@ -255,8 +255,8 @@ def test_table_rows_hold_no_negative_types():
                   TailModel(wide_band_model(), 1)):
         table = model.moment_table(6)
         for k in range(7):
-            assert min(table.mean_row(k), default=0) >= 0
-            assert all(i >= 0 for i, _ in table.a_entries(k))
+            assert min(mean_row(table, k), default=0) >= 0
+            assert all(i >= 0 for i, _ in a_entries(table, k))
 
 
 def test_scale_vector_matches_scalar_scale():
@@ -284,8 +284,8 @@ def test_tail_rule_consistency():
     m = ExplicitModel(head=(law0, law1))
     table = m.moment_table(9)
     for i, j in itertools.product((2, 5, 9), repeat=2):
-        ri = table.mean_row(i)
-        rj = table.mean_row(j)
+        ri = mean_row(table, i)
+        rj = mean_row(table, j)
         assert {t - i: v for t, v in ri.items()} == {t - j: v for t, v in rj.items()}
 
 
@@ -303,8 +303,8 @@ def test_explicit_json_roundtrip_product():
         ((0, ((0.0, 0.8), (1.0, 0.2))),
          (2, ((0.0, 0.5), (1.0, 0.3), (2.0, 0.2))))).outcomes()
     table = m.moment_table(4)
-    assert table.mean_row(1) == pytest.approx({0: 0.2, 2: 0.7})
-    assert table.mean_row(4) == pytest.approx({3: 0.2, 5: 0.7})
+    assert mean_row(table, 1) == pytest.approx({0: 0.2, 2: 0.7})
+    assert mean_row(table, 4) == pytest.approx({3: 0.2, 5: 0.7})
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +368,8 @@ def test_tail_model_moments_match_marginal_laws():
         table = tail.moment_table(3)
         for j in range(4):
             law = tail.law(j)
-            assert table.mean_row(j) == pytest.approx(brute_means(law), abs=1e-12)
-            for (t1, t2), v in table.a_entries(j).items():
+            assert mean_row(table, j) == pytest.approx(brute_means(law), abs=1e-12)
+            for (t1, t2), v in a_entries(table, j).items():
                 assert v == pytest.approx(brute_second(law, t1, t2), abs=1e-12)
             assert table.p_double_up[j] == pytest.approx(
                 brute_p_at_least_two(law, j + 1), abs=1e-12)
@@ -402,7 +402,7 @@ def law_row(law):
     m = ExplicitModel(head=(TableLaw(((((1, 1),), 1.0),)),
                             TableLaw(((((2, 1),), 1.0),)), law))
     table = LHBPModel.moment_table(m, 2)
-    return m, table.mean_row(2), table.a_entries(2), table.p_double_up[2]
+    return m, mean_row(table, 2), a_entries(table, 2), table.p_double_up[2]
 
 
 @settings(max_examples=30, deadline=None)
@@ -476,7 +476,7 @@ def entry_sum_rows(law, i):
 def assert_rows_bit_identical(laws, table):
     for i, law in enumerate(laws):
         want = entry_sum_rows(law, i)
-        got = (table.mean_row(i), table.a_entries(i), table.p_double_up[i])
+        got = (mean_row(table, i), a_entries(table, i), table.p_double_up[i])
         for g, w in zip(got[:2], want[:2]):
             assert {k: v.hex() for k, v in g.items()} == {
                 k: float(v).hex() for k, v in w.items()}
