@@ -38,6 +38,9 @@ EXIT_CODES = {ModelError: EXIT_VALIDATION, OSError: EXIT_VALIDATION,
               argparse.ArgumentTypeError: EXIT_USAGE, ValueError: EXIT_USAGE,
               MemoryError: EXIT_USAGE}
 
+# the most gamma points one sweep takes; each runs a ladder and classify
+MAX_GRID_POINTS = 10 ** 6
+
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
@@ -48,13 +51,20 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _write_csv(rows, header, out_path):
-    """Write a header and rows as CSV, each float (np.float64 included) with
-    17 significant digits and any other value as ``str``.  No field is
-    quoted: the commands write no text with a comma, quote or line break."""
+    """Write a header and rows (tuples) as CSV, each float (np.float64
+    included) with 17 significant digits and any other value as ``str``.
+    No field is quoted: the commands write no text with a comma, quote or
+    line break.  Each row is formatted with one ``%``, by a format string
+    built once per sequence of value types."""
+    formats: dict[tuple[type, ...], str] = {}
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join([f"{v:.17g}" if isinstance(v, float) else str(v)
-                               for v in row]))
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join(
+                "%.17g" if issubclass(t, float) else "%s" for t in types)
+        lines.append(fmt % row)
     _emit("\n".join(lines) + "\n", out_path)
 
 
@@ -109,7 +119,14 @@ def _parse_grid(spec: str) -> np.ndarray:
             and abs(steps - round(steps)) <= 1e-9 * max(steps, 1.0)):
         raise argparse.ArgumentTypeError(
             f"bad grid {spec!r}: STEP must divide END - START")
-    return np.linspace(start, end, round(steps) + 1)
+    points = round(steps) + 1
+    # checked before np.linspace allocates: a grid too large to hold or to
+    # run is a usage error, not a failed allocation
+    if points > MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"bad grid {spec!r}: {points} points, more than the "
+            f"{MAX_GRID_POINTS} a sweep takes")
+    return np.linspace(start, end, points)
 
 
 # ---------------------------------------------------------------------------

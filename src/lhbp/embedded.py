@@ -58,31 +58,39 @@ def embedded_moments(model: LHBPModel, K: int, with_a: bool = True) -> EmbeddedM
     With ``with_a``, a second pass computes the second factorial moments a_k
     from the means and the table (``_second_moments``).  Both passes skip the
     table's absent (zero) entries.
+
+    Each loop stops stepping at a float fixed point (``_spans``): once its
+    inputs are constant and a step repeats its state, every later row
+    repeats the last one, and ``_filled`` writes them at once.  The output
+    is bitwise that of stepping every row, so a homogeneous tail (the
+    tridiagonal family, explicit models past their head) costs the steps
+    to its fixed point, not K.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
     table = model.moment_table(K)
     mus, xvals = (_scalar_pass if table.width <= 1 else _general_pass)(table, K)
-    kind, k_star = "ok", None
+    kind, k_star, n = "ok", None, K + 1  # n: the rows with a mean
     if len(xvals) > len(mus):  # stopped at x_k >= 1
-        k_star = len(mus)
+        n = k_star = len(mus)
         kind = "boundary" if abs(xvals[-1] - 1.0) <= BOUNDARY_TOL else "blowup"
-    mu = np.array(mus)
-    x = np.array(xvals)
-    # math.log, not np.log, which differs from it in the last bit at times
+    mu = _filled(mus, n)
+    x = _filled(xvals, max(n, len(xvals)))  # a stop keeps its x_k
+    # math.log, not np.log, which differs from it in the last bit at times;
+    # a filled row repeats the log of the last stepped mean
     logs = (map(math.log, mus) if (mu > 0).all()
             else (math.log(m) if m > 0 else -math.inf for m in mus))
-    log_arr = np.fromiter(logs, float, len(mus)).cumsum()
+    log_arr = _filled(np.fromiter(logs, float, len(mus)), n).cumsum()
     with np.errstate(over="ignore"):
         m0 = np.exp(log_arr)
     return EmbeddedMoments(
         horizon=K,
         mu=mu,
-        a=_second_moments(table, mu, 1.0 - x[:len(mus)]) if with_a else None,
+        a=_second_moments(table, mu, 1.0 - x[:n]) if with_a else None,
         x=x,
         m0=m0,
         log_m0=log_arr,
-        ok_through=len(mus) - 1,
+        ok_through=n - 1,
         kind=kind,
         k_star=k_star,
         table=table,
@@ -90,13 +98,63 @@ def embedded_moments(model: LHBPModel, K: int, with_a: bool = True) -> EmbeddedM
 
 
 # the scalar loops read their columns this many rows at a time, so that a
-# recursion that stops early converts only the rows it reaches
+# recursion that stops early converts only the rows it reaches; every loop
+# whose inputs are constant tests for a fixed point every _TAIL rows
 _CHUNK = 4096
+_TAIL = 32
+
+
+def _spans(inputs, n: int, w: int):
+    """Row ranges (lo, hi) that cover rows 0..n-1 of a recursion, each with
+    a flag that says whether its last step may test for a fixed point.
+
+    Step k of the recursion reads the ``inputs`` (arrays of one or more
+    columns, rows on the last axis) at rows k - w..k or fewer, and its
+    state, at most the last w outputs.  From row s + w on, where s is the
+    first row from which every input column holds the same bits, every
+    step reads the same inputs; a step there whose state repeats (the last
+    w + 1 outputs compare equal, which no NaN does) is a float fixed point,
+    and every later row repeats its output bit for bit (``_repeats``).  The
+    flagged ranges are short, so that the recursion stops soon after.
+    """
+    cols = [np.atleast_2d(c) for c in inputs]
+    # an input that moves in its last row leaves no constant tail; a cheap
+    # test by value first (NaN moves, and -0.0 == 0.0 goes on to the bits)
+    if n > 1 and any((c[:, -1] != c[:, -2]).any() for c in cols):
+        s = n - 1
+    else:
+        bits = np.vstack(cols).view(np.int64)
+        moved = np.flatnonzero((bits[:, 1:] != bits[:, :-1]).any(axis=0))
+        s = int(moved[-1]) + 1 if len(moved) else 0
+    s = min(s + w, n)
+    for lo in range(0, s, _CHUNK):
+        yield lo, min(lo + _CHUNK, s), False
+    for lo in range(s, n, _TAIL):
+        yield lo, min(lo + _TAIL, n), True
+
+
+def _repeats(vals: list[float], w: int) -> bool:
+    """Whether the last w + 1 of ``vals`` compare equal (NaN never does).
+
+    A zero's sign is not compared: every loop adds a state value's product
+    to a sum that starts at 0.0, which takes the same value either way."""
+    last = vals[-1]
+    return all(v == last for v in vals[-1 - w:-1])
+
+
+def _filled(vals, n: int) -> np.ndarray:
+    """The n rows of a recursion that stepped the rows of ``vals`` and
+    stopped at a fixed point: every later row repeats the last value."""
+    out = np.array(vals, dtype=float)
+    if len(out) < n:
+        out = np.concatenate((out, np.full(n - len(out), out[-1])))
+    return out
 
 
 def _scalar_pass(table: MomentTable, K: int) -> tuple[list[float], list[float]]:
     """mu_k and x_k up to K, or up to the first x_k >= 1 - BOUNDARY_TOL
-    (whose mu_k is left out), for a table of width <= 1.
+    (whose mu_k is left out), for a table of width <= 1; the rows past a
+    fixed point are left to the caller.
 
     x_k = m_{k,k-1} mu_{k-1} + m_{k,k}, each term skipped when its mean is
     absent; a width-0 table has no m_{k,k-1}.
@@ -105,8 +163,7 @@ def _scalar_pass(table: MomentTable, K: int) -> tuple[list[float], list[float]]:
     xvals: list[float] = []
     mu = 1.0  # mu_{k-1}; at k = 0 no child is one type down
     pad = [repeat(0.0)] * (1 - table.width)
-    for lo in range(0, K + 1, _CHUNK):
-        hi = min(lo + _CHUNK, K + 1)
+    for lo, hi, settled in _spans([table.mean], K + 1, 1):
         cols = pad + [c[lo:hi].tolist() for c in table.mean]
         for m_down, m_same, m_up in zip(*cols):
             x = 0.0
@@ -120,6 +177,8 @@ def _scalar_pass(table: MomentTable, K: int) -> tuple[list[float], list[float]]:
                 return mus, xvals
             mu = m_up / (1.0 - x)
             mus.append(mu)
+        if settled and _repeats(mus, 1):
+            break
     return mus, xvals
 
 
@@ -136,19 +195,22 @@ def _general_pass(table: MomentTable, K: int) -> tuple[list[float], list[float]]
     # of negative types hold junk no entry reads
     win = [1.0] * (w + 1)
     slide = range(w)  # built once: a range per step costs more
-    for k in range(K + 1):
-        x_k = 0.0
-        for t, col in down:
-            m = col[k]
-            if m:
-                x_k += m * win[t]
-        xvals.append(x_k)
-        if x_k - 1.0 >= -BOUNDARY_TOL:
+    for lo, hi, settled in _spans([table.mean], K + 1, w):
+        for k in range(lo, hi):
+            x_k = 0.0
+            for t, col in down:
+                m = col[k]
+                if m:
+                    x_k += m * win[t]
+            xvals.append(x_k)
+            if x_k - 1.0 >= -BOUNDARY_TOL:
+                return mus, xvals
+            mu_k = up[k] / (1.0 - x_k)
+            mus.append(mu_k)
+            for t in slide:  # slide the window one type up
+                win[t] = win[t + 1] * mu_k
+        if settled and _repeats(mus, w):
             break
-        mu_k = up[k] / (1.0 - x_k)
-        mus.append(mu_k)
-        for t in slide:  # slide the window one type up
-            win[t] = win[t + 1] * mu_k
     return mus, xvals
 
 
@@ -161,9 +223,10 @@ def _second_moments(table: MomentTable, mu: np.ndarray,
     only the means, so it is computed for all k at once.  term1_k carries
     the a_l of the w types below k and is linear in them; it runs as one
     scalar sweep over precomputed lists, ``_scalar_sweep`` for a table of
-    width <= 1 and ``_general_sweep`` for a wider one.  Every product and
-    sum is taken in the order of the one-step recursion, so the results are
-    bitwise those of stepping it.
+    width <= 1 and ``_general_sweep`` for a wider one, each stopped at a
+    float fixed point (``_spans``).  Every product and sum is taken in the
+    order of the one-step recursion, so the results are bitwise those of
+    stepping it.
     """
     n, w = len(mu), table.width
     # win[t, k] = mu_{k-w+t} * ... * mu_{k-1} and reach[t, k] = win[t, k] *
@@ -182,34 +245,42 @@ def _second_moments(table: MomentTable, mu: np.ndarray,
             v = col[:n]
             np.add(term2, reach[w + d1] * reach[w + d2] * v
                    * (1.0 if d1 == d2 else 2.0), out=term2, where=v != 0)
+    # every input a step reads: the back means, the windows, term2 and 1 - x
+    spans = _spans([table.mean[:w, :n], win, reach, term2, denoms], n,
+                   max(w, 1))
     if w <= 1:
-        avals = _scalar_sweep(table, mu, term2, denoms)
+        avals = _scalar_sweep(table, mu, term2, denoms, spans)
     else:
-        avals = _general_sweep(table, win, reach, term2, denoms)
-    return np.array(avals, dtype=float)
+        avals = _general_sweep(table, win, reach, term2, denoms, spans)
+    return _filled(avals, n)
 
 
 def _scalar_sweep(table: MomentTable, mu: np.ndarray, term2: np.ndarray,
-                  denoms: np.ndarray) -> list[float]:
-    """The a_k of a table of width <= 1: term1_k = m_{k,k-1} * a_{k-1} *
-    mu_k^2, the window before mu_k being empty."""
-    n = len(mu)
-    ms = table.mean[0, :n].tolist() if table.width else repeat(0.0)
+                  denoms: np.ndarray, spans) -> list[float]:
+    """The a_k of a table of width <= 1, over the row ranges ``spans``:
+    term1_k = m_{k,k-1} * a_{k-1} * mu_k^2, the window before mu_k being
+    empty."""
     avals: list[float] = []
     a = 0.0  # a_{k-1}; at k = 0 no child is one type down
-    for m, r, t2, denom in zip(ms, mu.tolist(), term2.tolist(),
-                               denoms.tolist()):
-        # both sums start at 0.0, as in _general_sweep
-        term1 = 0.0 + m * (0.0 + a * r * r) if m else 0.0
-        a = (term1 + t2) / denom
-        avals.append(a)
+    for lo, hi, settled in spans:
+        ms = table.mean[0, lo:hi].tolist() if table.width else repeat(0.0)
+        for m, r, t2, denom in zip(ms, mu[lo:hi].tolist(),
+                                   term2[lo:hi].tolist(),
+                                   denoms[lo:hi].tolist()):
+            # both sums start at 0.0, as in _general_sweep
+            term1 = 0.0 + m * (0.0 + a * r * r) if m else 0.0
+            a = (term1 + t2) / denom
+            avals.append(a)
+        if settled and _repeats(avals, 1):
+            break
     return avals
 
 
 def _general_sweep(table: MomentTable, win: np.ndarray, reach: np.ndarray,
-                   term2: np.ndarray, denoms: np.ndarray) -> list[float]:
+                   term2: np.ndarray, denoms: np.ndarray,
+                   spans) -> list[float]:
     """The a_k of a table of any width w, with the window products ``win``
-    and ``reach`` of ``_second_moments``."""
+    and ``reach`` of ``_second_moments``, over the row ranges ``spans``."""
     n, w = len(term2), table.width
     # term1_k = sum over the back slots t of m_{k,i} (i = k - w + t) times
     # the sum over l in [i, k) of a_l * win[w - l + i, l] * reach[l+1-k+w, k]^2
@@ -217,19 +288,23 @@ def _general_sweep(table: MomentTable, win: np.ndarray, reach: np.ndarray,
              [(t + j - w, win[w - j].tolist(), reach[t + j + 1].tolist())
               for j in range(w - t)])
             for t, col in enumerate(table.mean[:w]) if col[:n].any()]
+    t2s, ds = term2.tolist(), denoms.tolist()
     avals: list[float] = []
-    for k, (t2, denom) in enumerate(zip(term2.tolist(), denoms.tolist())):
-        term1 = 0.0
-        for ms, parts in back:
-            m = ms[k]
-            if m:
-                s = 0.0
-                for off, run, tail in parts:
-                    l = k + off
-                    r = tail[k]
-                    s += avals[l] * run[l] * r * r
-                term1 += m * s
-        avals.append((term1 + t2) / denom)
+    for lo, hi, settled in spans:
+        for k in range(lo, hi):
+            term1 = 0.0
+            for ms, parts in back:
+                m = ms[k]
+                if m:
+                    s = 0.0
+                    for off, run, tail in parts:
+                        l = k + off
+                        r = tail[k]
+                        s += avals[l] * run[l] * r * r
+                    term1 += m * s
+            avals.append((term1 + t2s[k]) / ds[k])
+        if settled and _repeats(avals, w):
+            break
     return avals
 
 

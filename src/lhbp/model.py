@@ -23,6 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 PROB_TOL = 1e-12
+# the largest whole number a model document may hold: floats hold every
+# whole number up to it, and c(c - 1) of a count up to it is a finite float
+MAX_WHOLE = 2 ** 53
 
 
 class ModelError(ValueError):
@@ -409,7 +412,7 @@ def load_model(text: str, strict: bool = True):
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # too deeply nested
         raise ModelError(f"parse error: {e}") from e
     if not isinstance(doc, dict) or "family" not in doc:
         raise ModelError("parse error: expected an object with a 'family' key")
@@ -480,10 +483,12 @@ def _parse_law(doc: dict, owner: int) -> TableLaw:
 
 def _whole(c, what: str) -> int:
     """A child count, type or type bound of a model document, which must be
-    a whole number."""
+    a whole number of magnitude at most MAX_WHOLE."""
     x = float(c)
     if not x.is_integer():
         raise ModelError(f"parse error: {what} {c!r} is not a whole number")
+    if abs(x) > MAX_WHOLE:
+        raise ModelError(f"parse error: {what} {c!r} exceeds 2^53")
     return int(x)
 
 

@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from lhbp import (Example2Model, ExplicitModel, TableLaw, TridiagonalModel,
                   extinction_ladder, iterate_to_limit, product_law)
+from lhbp.embedded import BOUNDARY_TOL
 
 LADDER_SCHEDULE = tuple(4 * 2 ** i for i in range(11))  # 4 .. 4096
 
@@ -120,6 +122,66 @@ def up_only_model():
 def all_die_model():
     """Every individual dies childless; bypasses strict loading on purpose."""
     return ExplicitModel(head=(TableLaw((((), 1.0),)),))
+
+
+# ---------------------------------------------------------------------------
+# reference: the embedded-moment recursions, one row at a time
+
+
+def _window_prod(mus, lo, hi):
+    out = 1.0
+    for j in range(lo, hi):
+        out *= mus[j]
+    return out
+
+
+def reference_moments(model, K, with_a=True):
+    """Dict-driven recursion over one row at a time up to K, with every
+    window product recomputed from the means and no row skipped; rows come
+    from one moment table.  Returns mu, a, x, m0, log_m0, ok_through, kind
+    and k_star, as ``embedded_moments`` computes them."""
+    table = model.moment_table(K)
+    mus, avals, xvals, log_m0 = [], [], [], []
+    kind, k_star = "ok", None
+    for k in range(K + 1):
+        row = mean_row(table, k)
+        x_k = 0.0
+        for j, m in row.items():
+            if j <= k:
+                x_k += m * _window_prod(mus, j, k)
+        xvals.append(x_k)
+        if abs(x_k - 1.0) <= BOUNDARY_TOL:
+            kind, k_star = "boundary", k
+            break
+        if x_k > 1.0:
+            kind, k_star = "blowup", k
+            break
+        denom = 1.0 - x_k
+        mu_k = row.get(k + 1, 0.0) / denom
+        if with_a:
+            term2 = 0.0
+            for (i, j), v in a_entries(table, k).items():
+                mi = _window_prod(mus, i, k) * mu_k if i <= k else 1.0
+                mj = _window_prod(mus, j, k) * mu_k if j <= k else 1.0
+                term2 += mi * mj * v * (2.0 if i != j else 1.0)
+            term1 = 0.0
+            for i, m in row.items():
+                if i > k:
+                    continue
+                s = 0.0
+                for l in range(i, k):
+                    tail = _window_prod(mus, l + 1, k) * mu_k
+                    s += avals[l] * _window_prod(mus, i, l) * tail * tail
+                term1 += m * s
+            avals.append((term1 + term2) / denom)
+        mus.append(mu_k)
+        prev_log = log_m0[-1] if log_m0 else 0.0
+        log_m0.append(prev_log + (math.log(mu_k) if mu_k > 0 else -math.inf))
+    log_arr = np.array(log_m0)
+    with np.errstate(over="ignore"):
+        m0 = np.exp(log_arr)
+    return (np.array(mus), np.array(avals) if with_a else None,
+            np.array(xvals), m0, log_arr, len(mus) - 1, kind, k_star)
 
 
 @pytest.fixture(scope="session")

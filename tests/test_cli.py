@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from lhbp import (Example2Model, TridiagonalModel, embedded_moments,
                   extinction_ladder, iterate_to_limit)
-from lhbp.cli import _write_csv, main
+from lhbp.cli import MAX_GRID_POINTS, _write_csv, main
 
 from conftest import UNNORMALISED_COORDS, product_doc
 
@@ -596,6 +597,20 @@ def test_sweep_grid_step_must_divide_the_range(capsys, model_file, spec):
     assert "STEP must divide END - START" in capsys.readouterr().err
 
 
+def test_sweep_grid_with_too_many_points_is_usage_error(capsys, model_file):
+    # 10^12 + 1 points once failed inside np.linspace, in argparse and
+    # outside main's exit codes: now the count is checked first
+    with pytest.raises(SystemExit) as e:
+        main(["sweep", "--model", model_file(EX2 % "0.0"), "--grid",
+              "0:1e-12:1", "--k", "4", "--workers", "1"])
+    assert e.value.code == 4
+    assert f"more than the {MAX_GRID_POINTS}" in capsys.readouterr().err
+    from lhbp.cli import _parse_grid
+    assert len(_parse_grid(f"0:{1 / (MAX_GRID_POINTS - 1)}:1")) == MAX_GRID_POINTS
+    with pytest.raises(argparse.ArgumentTypeError):
+        _parse_grid(f"0:{1 / MAX_GRID_POINTS}:1")
+
+
 def test_extinction_does_not_import_scipy(tmp_path, model_file):
     # numpy is the only declared dependency; scipy would also add about
     # 0.2 s of import time and 26 MiB of memory to every CLI run
@@ -656,7 +671,12 @@ MALFORMED_DOCS = (
                                     {"type": 1.5, "law": _HEAD_LAW_1}]},
     {"family": "explicit", "head": [{"type": 0, "law": _HEAD_LAW},
                                     {"type": 1, "law": _HEAD_LAW_1}],
-     "tail_from": 1.7})
+     "tail_from": 1.7},
+    # a whole count too large for c(c - 1) to be a float
+    {"family": "explicit", "head": [{"type": 0, "law": {
+        "kind": "table", "entries": [{"counts": {"1": 1e300}, "prob": 1.0}]}}]},
+    {"family": "explicit", "head": [{"type": 0, "law": {
+        "kind": "product", "coords": {"1": {"0": 0.5, "1e300": 0.5}}}}]})
 
 
 @pytest.mark.parametrize("argv", [["validate"], ["extinction", "--k", "4"],
@@ -667,6 +687,14 @@ def test_malformed_model_exits_2(capsys, tmp_path, argv, doc):
     path.write_text(json.dumps(doc))
     assert main(argv + ["--model", str(path), "--workers", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["extinction", "--k", "4"]])
+def test_deeply_nested_model_file_exits_2(capsys, model_file, argv):
+    # json's decoder recurses once per level and raises RecursionError
+    assert main(argv + ["--model", model_file("[" * 100_000),
+                        "--workers", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: parse error: ")
 
 
 @pytest.mark.parametrize("argv", [["validate"], ["extinction", "--k", "64"],

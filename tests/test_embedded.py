@@ -9,12 +9,12 @@ from lhbp import (Example2Model, ExplicitModel, LHBPModel, TableLaw,
                   TridiagonalModel, embedded_moments, iterate_to_limit,
                   partial_verdict, product_law)
 from lhbp import embedded
-from lhbp.embedded import BOUNDARY_TOL, _certificate
+from lhbp.embedded import _certificate
 from lhbp.model import MomentTable, TailModel
 
-from conftest import (a_entries, all_die_model, e1_model, ex2, g, mean_row,
-                      product_tail_model, tridiag, up_only_model,
-                      wide_band_model)
+from conftest import (all_die_model, e1_model, ex2, g, mean_row,
+                      product_tail_model, reference_moments, tridiag,
+                      up_only_model, wide_band_model)
 
 
 def test_gamma0_moments_exact():
@@ -242,64 +242,6 @@ def test_blowup_implies_qtilde_below_one():
     assert r.vector[0] < 1 - 1e-6
 
 
-# ---------------------------------------------------------------------------
-# reference: the per-step dict-driven recursion the table-driven one replaced
-
-
-def _window_prod(mus, lo, hi):
-    out = 1.0
-    for j in range(lo, hi):
-        out *= mus[j]
-    return out
-
-
-def reference_moments(model, K, with_a=True):
-    """Dict-driven recursion over one row at a time, with every window
-    product recomputed from the means; rows come from one moment table."""
-    table = model.moment_table(K)
-    mus, avals, xvals, log_m0 = [], [], [], []
-    kind, k_star = "ok", None
-    for k in range(K + 1):
-        row = mean_row(table, k)
-        x_k = 0.0
-        for j, m in row.items():
-            if j <= k:
-                x_k += m * _window_prod(mus, j, k)
-        xvals.append(x_k)
-        if abs(x_k - 1.0) <= BOUNDARY_TOL:
-            kind, k_star = "boundary", k
-            break
-        if x_k > 1.0:
-            kind, k_star = "blowup", k
-            break
-        denom = 1.0 - x_k
-        mu_k = row.get(k + 1, 0.0) / denom
-        if with_a:
-            term2 = 0.0
-            for (i, j), v in a_entries(table, k).items():
-                mi = _window_prod(mus, i, k) * mu_k if i <= k else 1.0
-                mj = _window_prod(mus, j, k) * mu_k if j <= k else 1.0
-                term2 += mi * mj * v * (2.0 if i != j else 1.0)
-            term1 = 0.0
-            for i, m in row.items():
-                if i > k:
-                    continue
-                s = 0.0
-                for l in range(i, k):
-                    tail = _window_prod(mus, l + 1, k) * mu_k
-                    s += avals[l] * _window_prod(mus, i, l) * tail * tail
-                term1 += m * s
-            avals.append((term1 + term2) / denom)
-        mus.append(mu_k)
-        prev_log = log_m0[-1] if log_m0 else 0.0
-        log_m0.append(prev_log + (math.log(mu_k) if mu_k > 0 else -math.inf))
-    log_arr = np.array(log_m0)
-    with np.errstate(over="ignore"):
-        m0 = np.exp(log_arr)
-    return (np.array(mus), np.array(avals) if with_a else None,
-            np.array(xvals), m0, log_arr, len(mus) - 1, kind, k_star)
-
-
 def deep_band_model():
     """Explicit model reaching two types down whose x_k stays below 1, so
     that the width-2 return terms run over the whole horizon."""
@@ -348,6 +290,110 @@ def test_table_recursion_matches_reference(name, K, with_a):
         assert _bits(got) == _bits(want)
     assert (mom.ok_through, mom.kind, mom.k_star, mom.horizon) == (
         ok_through, kind, k_star, K)
+
+
+@st.composite
+def banded_models(draw, width):
+    """Explicit model of 1-3 head laws after the first ``width`` ones, each
+    law a table of 1-3 outcomes with children from ``width`` types down to
+    one type up; the tail law has a child ``width`` types down and one up.
+    Its means past the head repeat, so its recursions may reach a float
+    fixed point, or blow up first."""
+    head = []
+    last = width + draw(st.integers(0, 2))
+    for i in range(last + 1):
+        reach = range(max(i - width, 0), i + 2)
+        outcomes = draw(st.lists(
+            st.lists(st.sampled_from(reach), max_size=2, unique=True),
+            min_size=1, max_size=3))
+        if i == last:
+            outcomes.append([i - width, i + 1])
+        weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(outcomes),
+                                max_size=len(outcomes)))
+        total = sum(weights) / 0.5  # leave mass for no children
+        entries = [(tuple(sorted((t, draw(st.integers(1, 2))) for t in types)),
+                    w / total) for types, w in zip(outcomes, weights)]
+        entries.append(((), 1.0 - sum(p for _, p in entries)))
+        head.append(TableLaw(tuple(entries)))
+    return ExplicitModel(head=tuple(head))
+
+
+def _settling_row(values):
+    """The first index from which ``values`` holds one bit pattern."""
+    bits = values.view(np.int64)
+    moved = np.flatnonzero(bits[1:] != bits[:-1])
+    return int(moved[-1]) + 1 if len(moved) else 0
+
+
+FILL_FAMILIES = {
+    "example2": st.builds(Example2Model, st.floats(0.0, 0.3)),
+    # a = 0 has no down column; u > 1 grows the second moments until they
+    # overflow to inf, by row 1024 at u = 2; b near 1 blows up
+    "tridiagonal": st.builds(
+        TridiagonalModel, st.just(0.0) | st.floats(0.0, 0.3),
+        st.floats(0.0, 1.0), st.floats(0.2, 1.8),
+        st.just(1.0) | st.floats(2.0, 3.0)),
+    "width1": banded_models(1),
+    "width2": banded_models(2),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FILL_FAMILIES))
+@settings(max_examples=25, deadline=None)
+@given(offset=st.integers(-2, 2 * embedded._TAIL), data=st.data())
+def test_fixed_point_fill_matches_stepping(family, offset, data):
+    # K runs up to a little past the row from which mu or a settles (or the
+    # stop), where the loops stop stepping and fill the rest
+    model = data.draw(FILL_FAMILIES[family])
+    full = embedded_moments(model, 1200)
+    rows = [full.ok_through + 1]
+    if full.kind == "ok":
+        rows += [_settling_row(full.mu), _settling_row(full.a)]
+    K = max(data.draw(st.sampled_from(rows)) + offset, 0)
+    mom = embedded_moments(model, K)
+    mu, a, x, m0, log_m0, ok_through, kind, k_star = reference_moments(model, K)
+    for got, want in ((mom.mu, mu), (mom.a, a), (mom.x, x), (mom.m0, m0),
+                      (mom.log_m0, log_m0)):
+        assert _bits(got) == _bits(want)
+    assert (mom.ok_through, mom.kind, mom.k_star) == (ok_through, kind, k_star)
+
+
+def late_change_model(last):
+    """Explicit model of 100 head laws whose moment rows repeat from type 1
+    on, then ``last``, the type-100 law that repeats from there on: the
+    recursions settle long before the inputs change at row 100."""
+    head = [TableLaw(((((1, 1),), 0.5), ((), 0.5)))]
+    for i in range(1, 100):
+        head.append(TableLaw(((((i - 1, 1), (i + 1, 1)), 0.3),
+                              (((i + 1, 1),), 0.2), ((), 0.5))))
+    return ExplicitModel(head=tuple(head) + (TableLaw(last),))
+
+
+LATE_CHANGES = {
+    "up_mean": ((((99, 1), (101, 1)), 0.3), (((101, 1),), 0.3), ((), 0.4)),
+    "down_mean": ((((99, 1), (101, 1)), 0.3), (((99, 1),), 0.1),
+                  (((101, 1),), 0.2), ((), 0.4)),
+    # the same means, and a second moment of two type-101 children
+    "second_moment": ((((99, 1), (101, 1)), 0.3), (((101, 2),), 0.1),
+                      ((), 0.6)),
+    # a child two types down widens the table, from row 100 on only
+    "two_down": ((((98, 1), (101, 1)), 0.3), (((101, 1),), 0.2), ((), 0.5)),
+}
+
+
+@pytest.mark.parametrize("change", sorted(LATE_CHANGES))
+def test_fixed_point_waits_for_every_input(change):
+    # one input column changes at row 100, after mu and a have settled:
+    # a fill from the first fixed point would miss it
+    model = late_change_model(LATE_CHANGES[change])
+    mom = embedded_moments(model, 300)
+    assert mom.kind == "ok"
+    mu, a, x, m0, log_m0, *_ = reference_moments(model, 300)
+    assert mu[98] == mu[99] and a[98] == a[99]
+    assert (mu[100], a[100]) != (mu[99], a[99]) or x[100] != x[99]
+    for got, want in ((mom.mu, mu), (mom.a, a), (mom.x, x), (mom.m0, m0),
+                      (mom.log_m0, log_m0)):
+        assert _bits(got) == _bits(want)
 
 
 def alternating_mean_model(n=400, seed=0):
