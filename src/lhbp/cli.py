@@ -2,7 +2,9 @@
 
 Tabular commands emit CSV with a header row; certificates and simulation
 results are JSON.  Floats are written with 17 significant digits so that
-re-parsing reproduces them exactly.
+re-parsing reproduces them exactly (-0.0 prints as ``-0``).  A table is
+written column by column, and a float column whose tail repeats one value
+bit for bit formats that value once.
 
 Exit codes: 0 success, 2 validation failure or unreadable model file, 3
 non-convergence in a gating computation, 4 usage error or unallocatable size.
@@ -50,21 +52,28 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_csv(rows, header, out_path):
-    """Write a header and rows (tuples) as CSV, each float (np.float64
-    included) with 17 significant digits and any other value as ``str``.
-    No field is quoted: the commands write no text with a comma, quote or
-    line break.  Each row is formatted with one ``%``, by a format string
-    built once per sequence of value types."""
-    formats: dict[tuple[type, ...], str] = {}
-    lines = [",".join(header)]
-    for row in rows:
-        types = tuple(map(type, row))
-        fmt = formats.get(types)
-        if fmt is None:
-            fmt = formats[types] = ",".join(
-                "%.17g" if issubclass(t, float) else "%s" for t in types)
-        lines.append(fmt % row)
+def _fields(values) -> list[str]:
+    """CSV fields of a column or a row: a float (np.float64 included) with
+    17 significant digits, so -0.0 prints as ``-0``, anything else as
+    ``str``.  A float64 array is formatted through its last change of bits,
+    not of value (0.0 == -0.0), and a repeated tail reuses the last text."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        bits = values.view(np.int64)
+        changes = np.flatnonzero(bits[1:] != bits[:-1])
+        head = int(changes[-1]) + 2 if changes.size else min(values.size, 1)
+        fields = ["%.17g" % v for v in values[:head].tolist()]
+        return fields + fields[-1:] * (values.size - head)
+    return ["%.17g" % v if isinstance(v, float) else str(v) for v in values]
+
+
+def _write_csv(header, columns, out_path, more_rows=()):
+    """Write a header, the rows of ``columns`` and then ``more_rows`` as
+    CSV, column by column: a float64 column whose tail repeats one value bit
+    for bit formats it once (``_fields``).  No field is quoted: the commands
+    write no text with a comma, quote or line break."""
+    fields = [_fields(c) for c in columns]
+    lines = [",".join(header), *map(",".join, zip(*fields, strict=True)),
+             *(",".join(_fields(row)) for row in more_rows)]
     _emit("\n".join(lines) + "\n", out_path)
 
 
@@ -164,8 +173,8 @@ def cmd_extinction(args) -> int:
         rows.append(("estimate", "", i, ladder.q_estimate[i],
                      ladder.qtilde_estimate[i], ladder.q_stall,
                      ladder.qtilde_stall))
-    _write_csv(rows, ("kind", "level", "index", "q", "qtilde",
-                      "q_converged", "qtilde_converged"), args.out)
+    _write_csv(("kind", "level", "index", "q", "qtilde", "q_converged",
+                "qtilde_converged"), zip(*rows), args.out)
     return EXIT_OK if ladder.converged else EXIT_NONCONVERGED
 
 
@@ -173,13 +182,12 @@ def cmd_moments(args) -> int:
     model = _load(args.model)
     mom = embedded_moments(model, args.K)
     n = mom.ok_through + 1
-    # Python floats format to the same text as numpy's, and faster
-    rows = list(zip(range(n), mom.mu.tolist(), mom.a.tolist(),
-                    mom.x[:n].tolist(), mom.m0.tolist(), ["ok"] * n))
-    if mom.kind != "ok":
-        rows.append((mom.k_star, "", "", mom.x[mom.k_star], "",
-                     f"{mom.kind}({mom.k_star})"))
-    _write_csv(rows, ("k", "mu", "a", "x", "m0", "status"), args.out)
+    # a stopped table ends in one status row, with x_k at the stop
+    stop = [] if mom.kind == "ok" else [
+        (mom.k_star, "", "", mom.x[mom.k_star], "", f"{mom.kind}({mom.k_star})")]
+    _write_csv(("k", "mu", "a", "x", "m0", "status"),
+               (range(n), mom.mu, mom.a, mom.x[:n], mom.m0, ["ok"] * n),
+               args.out, stop)
     return EXIT_OK
 
 
@@ -198,7 +206,7 @@ def cmd_bounds(args) -> int:
     levels = [k for k in default_schedule(args.k) if k > i]
     rows = [(i, b.level, b.lower, b.q, b.upper)
             for b in agresti_bounds(model, i, levels)]
-    _write_csv(rows, ("i", "k", "lower", "oracle", "upper"), args.out)
+    _write_csv(("i", "k", "lower", "oracle", "upper"), zip(*rows), args.out)
     return EXIT_OK
 
 
@@ -216,12 +224,13 @@ def cmd_fixedpoints(args) -> int:
     anchor = args.anchor if args.anchor is not None else 0.5 * (q0 + qt0)
     curve = curve_from_anchor(model, anchor, args.J, tol=args.tol,
                               bounds=(q0, qt0))
-    rows = []
-    for idx in range(len(curve.values)):
-        d = curve.decay[idx - 1] if 1 <= idx <= len(curve.decay) else ""
-        rows.append((idx, curve.values[idx], d, qv[idx], qtv[idx]))
-    _write_csv(rows, ("index", "s", "one_minus_s_times_m0", "q_window",
-                      "qtilde_window"), args.out)
+    size = len(curve.values)
+    # the decay is undefined at index 0 and past the moments' stop
+    decay = ["", *curve.decay.tolist(), *[""] * (size - 1 - len(curve.decay))]
+    _write_csv(("index", "s", "one_minus_s_times_m0", "q_window",
+                "qtilde_window"),
+               (range(size), curve.values, decay, qv[:size], qtv[:size]),
+               args.out)
     return EXIT_OK
 
 
@@ -260,8 +269,8 @@ def cmd_sweep(args) -> int:
             rows = list(pool.map(_sweep_row, payloads))
     else:
         rows = [_sweep_row(p) for p in payloads]
-    _write_csv(rows, ("gamma", "q0", "qtilde0", "regime", "q_converged",
-                      "qtilde_converged"), args.out)
+    _write_csv(("gamma", "q0", "qtilde0", "regime", "q_converged",
+                "qtilde_converged"), zip(*rows), args.out)
     return EXIT_OK if all(r[4] and r[5] for r in rows) else EXIT_NONCONVERGED
 
 

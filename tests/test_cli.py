@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from lhbp import (Example2Model, TridiagonalModel, embedded_moments,
                   extinction_ladder, iterate_to_limit)
-from lhbp.cli import MAX_GRID_POINTS, _write_csv, main
+from lhbp.cli import MAX_GRID_POINTS, _load, _write_csv, main
 
 from conftest import UNNORMALISED_COORDS, product_doc
 
@@ -163,6 +164,17 @@ def test_extinction_csv_and_roundtrip(capsys, model_file):
     assert all(f"{float(r['q']):.17g}" == r["q"] for r in levels)
 
 
+def csv_reference(header, rows):
+    """csv.writer over the rows, each float (np.float64 included) formatted
+    with 17 significant digits first."""
+    ref = io.StringIO()
+    w = csv.writer(ref, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+    return ref.getvalue()
+
+
 def test_write_csv_matches_csv_module(tmp_path, capsys):
     # every float, np.float64 included, as 17 significant digits; anything
     # else as str; the same bytes as csv.writer over the formatted fields
@@ -172,19 +184,115 @@ def test_write_csv_matches_csv_module(tmp_path, capsys):
             (True, np.float64(math.inf), np.float64(-math.inf), 1e-320,
              np.float64(2.0 / 3.0), "blowup(2)"),
             (2 ** 70, False, np.bool_(True), "", 1.0, "PartialSurvival")]
-    ref = io.StringIO()
-    w = csv.writer(ref, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+    ref = csv_reference(header, rows)
     path = tmp_path / "out.csv"
-    _write_csv(rows, header, str(path))
-    assert path.read_bytes() == ref.getvalue().encode()
-    _write_csv(rows, header, None)
-    assert capsys.readouterr().out == ref.getvalue()
+    _write_csv(header, zip(*rows), str(path))
+    assert path.read_bytes() == ref.encode()
+    _write_csv(header, zip(*rows), None)
+    assert capsys.readouterr().out == ref
     # str(np.float64) keeps only the shortest round-trip digits
-    assert ref.getvalue().splitlines()[1] == (
+    assert ref.splitlines()[1] == (
         "0,0.10000000000000001,0.10000000000000001,nan,nan,ok")
+
+
+# floats whose text is easy to get wrong: signed zeros, NaN, infinities and
+# subnormals
+TRICKY_FLOATS = (0.0, -0.0, NAN, math.inf, -math.inf, 5e-324, -5e-324,
+                 2.2250738585072009e-308, 1e-320, 0.1, 1.0 - 2 ** -53)
+ANY_FLOATS = st.one_of(st.sampled_from(TRICKY_FLOATS),
+                       st.floats(allow_nan=True, allow_infinity=True))
+
+
+def cycled(values, n):
+    """The first n entries of ``values`` repeated."""
+    return (values * n)[:n]
+
+
+@st.composite
+def float_columns(draw, n):
+    """A float64 array of n rows whose tail repeats one value bit for bit,
+    after a head that may end in the tail value's other signed zero.  The
+    head repeats a few drawn values, which keeps long columns cheap to draw."""
+    head = cycled(draw(st.lists(ANY_FLOATS, min_size=1, max_size=8)),
+                  draw(st.integers(0, n)))
+    tail = draw(ANY_FLOATS)
+    if head and draw(st.booleans()):
+        head[-1], tail = draw(st.sampled_from([(-0.0, 0.0), (0.0, -0.0),
+                                               (NAN, NAN), (0.0, 5e-324)]))
+    column = np.array(head + [tail] * (n - len(head)), dtype=np.float64)
+    # a strided view formats the same as its contiguous copy
+    return np.repeat(column, 2)[::2] if draw(st.booleans()) else column
+
+
+OTHER_VALUES = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70), st.booleans(), st.just(""),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans().map(np.bool_), ANY_FLOATS, ANY_FLOATS.map(np.float64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.sampled_from([0, 1, 2, 3, 300]))
+def test_column_writer_matches_row_writer(data, n):
+    # at least one float64 array, so that no row is a lone empty field,
+    # which csv.writer quotes
+    floats = data.draw(st.lists(float_columns(n), min_size=1, max_size=3))
+    others = [cycled(c, n) for c in data.draw(st.lists(
+        st.lists(OTHER_VALUES, min_size=1, max_size=8), max_size=3))]
+    columns = data.draw(st.permutations(floats + others))
+    more_rows = data.draw(st.lists(st.tuples(*[OTHER_VALUES] * len(columns)),
+                                   max_size=1))
+    header = [f"c{j}" for j in range(len(columns))]
+    rows = list(zip(*columns)) + more_rows
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _write_csv(header, columns, None, more_rows)
+    assert out.getvalue() == csv_reference(header, rows)
+
+
+def row_writer_moments_csv(mom):
+    """The moments table as the row-wise writer it replaced printed it: one
+    ``%`` per row, through a format string built once per row type
+    signature."""
+    n = mom.ok_through + 1
+    rows = list(zip(range(n), mom.mu.tolist(), mom.a.tolist(),
+                    mom.x[:n].tolist(), mom.m0.tolist(), ["ok"] * n))
+    if mom.kind != "ok":
+        rows.append((mom.k_star, "", "", mom.x[mom.k_star], "",
+                     f"{mom.kind}({mom.k_star})"))
+    formats = {}
+    lines = [",".join(("k", "mu", "a", "x", "m0", "status"))]
+    for row in rows:
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join(
+                "%.17g" if issubclass(t, float) else "%s" for t in types)
+        lines.append(fmt % row)
+    return "\n".join(lines) + "\n"
+
+
+BLOWUP_AT_0 = json.dumps({"family": "explicit", "head": [{"type": 0, "law": {
+    "kind": "table", "entries": [{"counts": {"0": 2, "1": 1}, "prob": 1.0}]}}]})
+
+
+@pytest.mark.parametrize("text,K,last", [
+    (TRI % ("0.1", "0.2", "0.8", "1"), 3000, None),
+    (TRI % ("0.2", "0.3", "0.4", "1"), 3000, None),
+    (TRI % ("0.25", "0.0", "0.25", "1"), 3000, None),
+    (EX2 % "0.05", 2000, None),
+    (EX2 % "0.1", 2000, None),
+    (EX2 % "0.14", 2000, None),
+    (TRI % ("0.2", "0.3", "0.4", "1"), 0, None),
+    (BLOWUP_AT_0, 10, "0,,,2,,blowup(0)"),
+    (TRI % ("0.5", "5e-7", "0.5", "1"), 5000, "blowup(3140)")])
+def test_moments_prints_what_the_row_writer_printed(capsys, model_file, text,
+                                                    K, last):
+    path = model_file(text)
+    assert main(["moments", "--model", path, "--K", str(K)]) == 0
+    out = capsys.readouterr().out
+    assert out == row_writer_moments_csv(embedded_moments(_load(path), K))
+    if last is not None:
+        assert out.splitlines()[-1].endswith(last)
 
 
 def test_bounds_csv(capsys, model_file):
@@ -707,33 +815,6 @@ def test_unnormalised_product_coordinate_exits_2(capsys, model_file, argv,
     assert capsys.readouterr().err.startswith("error: type 1: ")
 
 
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(cmd=st.sampled_from(["moments", "classify", "gammastar"]),
-       K=st.integers(-3, 300),
-       doc=st.one_of(MODEL_DOCS, st.sampled_from(MALFORMED_DOCS)))
-@example(cmd="moments", K=10, doc=MALFORMED_DOCS[0])
-@example(cmd="classify", K=-1, doc=MALFORMED_DOCS[1])
-@example(cmd="moments", K=300, doc=MALFORMED_DOCS[2])
-@example(cmd="classify", K=10, doc=MALFORMED_DOCS[3])
-def test_decide_commands_exit_with_documented_codes(tmp_path, cmd, K, doc):
-    # any horizon and any parameter draw ends in a documented exit code,
-    # never in a traceback (numpy RuntimeWarnings fail the test as well)
-    argv = [cmd, "--K", str(K), "--workers", "1",
-            "--out", str(tmp_path / "out")]
-    if cmd != "gammastar":
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))
-        argv += ["--model", str(path)]
-    try:
-        code = main(argv)
-    except SystemExit as e:
-        code = e.code
-    assert code in (0, 2, 3, 4)
-    if cmd != "gammastar" and doc in MALFORMED_DOCS:
-        assert code == 2
-
-
 @st.composite
 def head_laws(draw, i, fault):
     """A table or product law of type i with an upward child, broken as
@@ -779,6 +860,68 @@ FAMILY_DOCS = st.one_of(
                                   "c": c, "u": u},
               st.floats(0, 2), st.floats(0, 2), st.floats(0.01, 2),
               st.floats(1, 3)))
+
+# the size arguments of every subcommand at one drawn size n, which the
+# test keeps to a few hundred
+SIZED_ARGS = {
+    "validate": lambda n: ["--K", n],
+    "extinction": lambda n: ["--k", n],
+    "moments": lambda n: ["--K", n],
+    "classify": lambda n: ["--K", n],
+    "bounds": lambda n: ["--i", 1, "--k", n],
+    "fixedpoints": lambda n: ["--k", n, "--J", n // 2],
+    "simulate": lambda n: ["--k", n, "--reps", n],
+    "sweep": lambda n: ["--k", n],
+    "gammastar": lambda n: ["--K", n],
+}
+# sweep grids: the last two are usage errors, refused before the model is
+# read, and the last one before its 10^12 + 1 points are allocated
+GOOD_GRIDS = ("0:0.5:1", "0.2:0.1:0.4")
+BAD_GRIDS = ("0:0.4:1", "0:1e-12:1")
+# a model file nested too deep for json's decoder: a parse error, exit 2
+DEEP_DOC = "[" * 100_000
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cmd=st.sampled_from(sorted(SIZED_ARGS)),
+       K=st.integers(-3, 300),
+       doc=st.one_of(MODEL_DOCS, FAMILY_DOCS,
+                     st.sampled_from(MALFORMED_DOCS + (DEEP_DOC,))),
+       grid=st.sampled_from(GOOD_GRIDS + BAD_GRIDS))
+@example(cmd="moments", K=10, doc=MALFORMED_DOCS[0], grid=GOOD_GRIDS[0])
+@example(cmd="classify", K=-1, doc=MALFORMED_DOCS[1], grid=GOOD_GRIDS[0])
+@example(cmd="moments", K=300, doc=MALFORMED_DOCS[2], grid=GOOD_GRIDS[0])
+@example(cmd="classify", K=10, doc=MALFORMED_DOCS[3], grid=GOOD_GRIDS[0])
+# inputs that once ended in a traceback: a grid too large to allocate, a
+# deeply nested model file and a child count of 1e300
+@example(cmd="sweep", K=4, doc={"family": "example2", "gamma": 0.3},
+         grid="0:1e-12:1")
+@example(cmd="validate", K=64, doc=DEEP_DOC, grid=GOOD_GRIDS[0])
+@example(cmd="extinction", K=4, doc=MALFORMED_DOCS[-2], grid=GOOD_GRIDS[0])
+def test_decide_commands_exit_with_documented_codes(tmp_path, cmd, K, doc,
+                                                    grid):
+    # every subcommand, at any size and any parameter draw, ends in a
+    # documented exit code, never in a traceback (numpy RuntimeWarnings fail
+    # the test as well)
+    argv = [cmd, *map(str, SIZED_ARGS[cmd](K)), "--workers", "1",
+            "--out", str(tmp_path / "out")]
+    if cmd == "sweep":
+        argv += ["--grid", grid]
+    if cmd != "gammastar":
+        path = tmp_path / "model.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        argv += ["--model", str(path)]
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    assert code in (0, 2, 3, 4)
+    if cmd == "sweep" and grid in BAD_GRIDS:
+        assert code == 4
+    elif cmd != "gammastar" and (doc in MALFORMED_DOCS or doc == DEEP_DOC):
+        assert code == 2
+
 
 COMMAND_ARGS = {
     "validate": lambda d: ["--K", d(st.integers(-3, 64))],
