@@ -17,17 +17,17 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 
 import numpy as np
 
 from . import __version__
-from .criteria import Budget, agresti_bounds, classify
+# most commands use these, and perfbench's worker reads the generating and
+# embedded modules right after importing this one; criteria, fixedpoints,
+# montecarlo and the process pool are imported by the commands that run them
 from .embedded import embedded_moments, partial_verdict
-from .fixedpoints import curve_from_anchor
 from .generating import ComputationError, default_schedule, extinction_ladder
 from .model import Example2Model, LHBPModel, ModelError, load_model, validate
-from .montecarlo import estimate_extinction
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -52,28 +52,50 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _decimals(n: int) -> list[str]:
+    """``str(i)`` for i in range(n), each run of (d + 1)-digit numbers built
+    by appending a digit to the d-digit ones: half the time of ``str``."""
+    digits = "0123456789"
+    texts, run = list(digits), list(digits[1:])
+    while len(texts) < n:
+        run = [p + d for p in run[:(n - len(texts) + 9) // 10] for d in digits]
+        texts += run
+    return texts[:n]
+
+
 def _fields(values) -> list[str]:
     """CSV fields of a column or a row: a float (np.float64 included) with
     17 significant digits, so -0.0 prints as ``-0``, anything else as
-    ``str``.  A float64 array is formatted through its last change of bits,
-    not of value (0.0 == -0.0), and a repeated tail reuses the last text."""
+    ``str``.  Three kinds of column skip the test of each value: a float64
+    array is formatted through its last change of bits, not of value
+    (0.0 == -0.0), and a repeated tail reuses the last text; ``range(n)``
+    is ``_decimals(n)``; an ``itertools.repeat`` formats its value once."""
     if isinstance(values, np.ndarray) and values.dtype == np.float64:
         bits = values.view(np.int64)
         changes = np.flatnonzero(bits[1:] != bits[:-1])
         head = int(changes[-1]) + 2 if changes.size else min(values.size, 1)
         fields = ["%.17g" % v for v in values[:head].tolist()]
         return fields + fields[-1:] * (values.size - head)
+    if isinstance(values, range) and values == range(len(values)):
+        return _decimals(len(values))
+    if isinstance(values, repeat):
+        values = list(values)
+        return _fields(values[:1]) * len(values)
     return ["%.17g" % v if isinstance(v, float) else str(v) for v in values]
 
 
 def _write_csv(header, columns, out_path, more_rows=()):
     """Write a header, the rows of ``columns`` and then ``more_rows`` as
     CSV, column by column: a float64 column whose tail repeats one value bit
-    for bit formats it once (``_fields``).  No field is quoted: the commands
-    write no text with a comma, quote or line break."""
+    for bit formats it once (``_fields``).  No field is quoted, as the
+    commands write no text with a comma, quote or line break, except a row
+    of one empty field: it is written ``""``, as by ``csv.writer``, since an
+    empty line reads as no row."""
     fields = [_fields(c) for c in columns]
     lines = [",".join(header), *map(",".join, zip(*fields, strict=True)),
              *(",".join(_fields(row)) for row in more_rows)]
+    if len(header) == 1:
+        lines = [line or '""' for line in lines]
     _emit("\n".join(lines) + "\n", out_path)
 
 
@@ -186,12 +208,14 @@ def cmd_moments(args) -> int:
     stop = [] if mom.kind == "ok" else [
         (mom.k_star, "", "", mom.x[mom.k_star], "", f"{mom.kind}({mom.k_star})")]
     _write_csv(("k", "mu", "a", "x", "m0", "status"),
-               (range(n), mom.mu, mom.a, mom.x[:n], mom.m0, ["ok"] * n),
+               (range(n), mom.mu, mom.a, mom.x[:n], mom.m0, repeat("ok", n)),
                args.out, stop)
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
+    from .criteria import Budget, classify
+
     model = _load(args.model)
     budget = Budget(partial_horizon=args.K, global_horizon=min(args.K, 4000))
     cls = classify(model, budget)
@@ -201,6 +225,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .criteria import agresti_bounds
+
     model = _load(args.model)
     i = args.i
     levels = [k for k in default_schedule(args.k) if k > i]
@@ -211,6 +237,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_fixedpoints(args) -> int:
+    from .fixedpoints import curve_from_anchor
+
     model = _load(args.model)
     if args.J < 0:
         raise argparse.ArgumentTypeError(
@@ -235,6 +263,8 @@ def cmd_fixedpoints(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .montecarlo import estimate_extinction
+
     model = _load(args.model)
     est = estimate_extinction(model, args.k, args.i0, args.variant,
                               args.reps, args.seed)
@@ -245,6 +275,8 @@ def cmd_simulate(args) -> int:
 
 
 def _sweep_row(payload):
+    from .criteria import Budget, classify
+
     gamma, k, tol = payload
     model = Example2Model(gamma=gamma)
     ladder = extinction_ladder(model, (k,), tol=tol)
@@ -265,6 +297,8 @@ def cmd_sweep(args) -> int:
     # a fork pool starts all its workers at the first submit
     workers = min(args.workers, len(payloads))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, payloads))
     else:
