@@ -251,7 +251,7 @@ def cmd_fixedpoints(args) -> int:
     q0, qt0 = float(qv[0]), float(qtv[0])
     anchor = args.anchor if args.anchor is not None else 0.5 * (q0 + qt0)
     curve = curve_from_anchor(model, anchor, args.J, tol=args.tol,
-                              bounds=(q0, qt0))
+                              bounds=(q0, qt0), start=qv)
     size = len(curve.values)
     # the decay is undefined at index 0 and past the moments' stop
     decay = ["", *curve.decay.tolist(), *[""] * (size - 1 - len(curve.decay))]

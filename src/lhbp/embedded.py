@@ -99,9 +99,14 @@ def embedded_moments(model: LHBPModel, K: int, with_a: bool = True) -> EmbeddedM
 
 # the scalar loops read their columns this many rows at a time, so that a
 # recursion that stops early converts only the rows it reaches; every loop
-# whose inputs are constant tests for a fixed point every _TAIL rows
+# whose inputs are constant tests for a fixed point every _TAIL rows.  The
+# search for constant inputs costs 15-50 us, so up to _SEARCH_FROM rows
+# each row is stepped: in timings of embedded_moments the search paid off
+# from about 150 rows (tridiagonal(0.25, 0, 0.25)) to 300 rows
+# (tridiagonal(0.1, 0.3, 1.1)), and never on example2.
 _CHUNK = 4096
 _TAIL = 32
+_SEARCH_FROM = 256
 
 
 def _spans(inputs, n: int, w: int):
@@ -115,8 +120,12 @@ def _spans(inputs, n: int, w: int):
     step reads the same inputs; a step there whose state repeats (the last
     w + 1 outputs compare equal, which no NaN does) is a float fixed point,
     and every later row repeats its output bit for bit (``_repeats``).  The
-    flagged ranges are short, so that the recursion stops soon after.
+    flagged ranges are short, so that the recursion stops soon after.  Up
+    to ``_SEARCH_FROM`` rows are one unflagged range, with no search.
     """
+    if n <= _SEARCH_FROM:
+        yield 0, n, False
+        return
     cols = [np.atleast_2d(c) for c in inputs]
     # an input that moves in its last row leaves no constant tail; a cheap
     # test by value first (NaN moves, and -0.0 == 0.0 goes on to the bits)

@@ -7,10 +7,14 @@ s_j = g_j(s_{j+1}), so s_0 = g_0(g_1(... g_{J-1}(s_J))) is coordinate 0 of
 the level-(J-1) truncation with boundary s_J: the curve over indices 0..J is
 that truncation, with s_J the one unknown that the anchor fixes.
 ``generating`` solves it in survival space v = 1 - s, so a tail near s = 1
-keeps its digits.  Where q = qtilde the anchor cannot move the boundary: the
-curve then follows q and only its last indices before J follow the
-boundary.  No law's generating function is evaluated here: the tests'
-reference ``pgf(law, u)`` lives in ``tests/conftest.py``.
+keeps its digits, by Newton from a start above the curve in survival terms:
+for an anchor at or above q_0, the global extinction vector q of a deep
+enough truncation, which is the curve through q_0 (the curves are ordered
+by their anchor); else s = 0 with the boundary at the anchor.  Where
+q = qtilde the anchor cannot move the boundary: the curve then follows q,
+through index J from the start q, and from s = 0 its last indices before J
+follow the boundary.  No law's generating function is evaluated here: the
+tests' reference ``pgf(law, u)`` lives in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ class FixedPointCurve:
 
 
 def curve_from_anchor(model: LHBPModel, s0: float, J: int, tol: float = 1e-12,
-                      bounds: tuple[float, float] | None = None) -> FixedPointCurve:
+                      bounds: tuple[float, float] | None = None,
+                      start: np.ndarray | None = None) -> FixedPointCurve:
     """Extend an index-0 anchor to a fixed-point vector over indices 0..J.
 
     ``bounds`` should be (q_0, qt_0) approximations from a truncation ladder;
@@ -51,9 +56,19 @@ def curve_from_anchor(model: LHBPModel, s0: float, J: int, tol: float = 1e-12,
     nearer end when that end's s_0 lies within ``ENDPOINT_SLACK`` of it, and
     raises ``RangeError`` otherwise.  The residual is taken in survival
     space, V(v) = 1 - F(1 - v).
+
+    ``start`` may hold the global extinction vector q of a truncation of
+    level at least J - 1 (at least J + 1 entries), as a ladder gives it.
+    An anchor at or above q_0 starts the solve from q, the curve through
+    q_0, which lies above the target in survival terms; any other anchor
+    starts from s = 0, as without ``start`` (``generating._anchored_solve``
+    gives the rule).
     """
     if J < 0:
         raise ValueError(f"curve window J must be >= 0, got {J}")
+    if start is not None and len(start) < J + 1:
+        raise ValueError(f"start needs at least J + 1 = {J + 1} entries, "
+                         f"got {len(start)}")
     if not 0.0 <= s0 <= 1.0:  # NaN fails too
         raise ValueError(f"anchor must lie in [0, 1], got {s0!r}")
     if bounds is not None:
@@ -63,7 +78,7 @@ def curve_from_anchor(model: LHBPModel, s0: float, J: int, tol: float = 1e-12,
                 f"anchor {s0!r} outside [{lo}, {hi}] (+/- {ENDPOINT_SLACK})")
     if J == 0:
         return FixedPointCurve(np.array([float(s0)]), 0.0, np.zeros(0))
-    v, residual = _anchored_solve(model, J - 1, 1.0 - s0, tol)
+    v, residual = _anchored_solve(model, J - 1, 1.0 - s0, tol, start)
     if abs((1.0 - v[0]) - s0) > ENDPOINT_SLACK:
         raise RangeError(f"anchor {s0!r} outside the reach of the level-"
                          f"{J - 1} truncation, which ends at s_0 = "

@@ -281,25 +281,37 @@ def _compiled(model: LHBPModel, k: int):
 def eliminate_band(band: list, rhs: list):
     """Elimination without pivoting, in place on lists, of a band in the
     kernels' layout (``band[1 - d]`` the offset-d diagonal) and of ``rhs``:
-    returns the pivots, the superdiagonal and the reduced rhs.  A zero pivot
-    ends it, leaving the later rows unfinished."""
+    returns the pivots, the superdiagonal and the reduced rhs.  ``rhs`` is
+    one right-hand side, a list of floats, or several, a list of such lists
+    (one per column of a trailing axis), all reduced with one elimination
+    of the band.  A zero pivot ends it, leaving the later rows unfinished."""
     up, diag = band[0], band[1]
     if len(band) == 2:  # no subdiagonal: nothing to eliminate
         return diag, up, rhs
     low = band[2]
+    cols = rhs if rhs and isinstance(rhs[0], list) else None
     # row i subtracts rows i - t, t = width..1, that lie in the band; the
     # subdiagonals past the first come first
     far = [(t, band[t], band[1 + t]) for t in range(len(band) - 2, 1, -1)]
     try:
         for i in range(1, len(diag)):
-            for t, row, sub in far:
-                if t <= i:
-                    m = sub[i] / diag[i - t]
-                    row[i] -= m * up[i - t]
-                    rhs[i] -= m * rhs[i - t]
+            if far:  # a test per row costs less than an empty loop
+                for t, row, sub in far:
+                    if t <= i:
+                        m = sub[i] / diag[i - t]
+                        row[i] -= m * up[i - t]
+                        if cols is None:
+                            rhs[i] -= m * rhs[i - t]
+                        else:
+                            for r in cols:
+                                r[i] -= m * r[i - t]
             m = low[i] / diag[i - 1]
             diag[i] -= m * up[i - 1]
-            rhs[i] -= m * rhs[i - 1]
+            if cols is None:
+                rhs[i] -= m * rhs[i - 1]
+            else:
+                for r in cols:
+                    r[i] -= m * r[i - 1]
     except ZeroDivisionError:
         pass
     return diag, up, rhs
@@ -308,6 +320,9 @@ def eliminate_band(band: list, rhs: list):
 def _solve_band(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (I - J) x = rhs for J given as a kernel's band ``jac``, or for
     each row of a stack of bands (..., width + 2, n) and of ``rhs`` (..., n).
+    An ``rhs`` (..., n, m) holds m right-hand sides of each band on a
+    trailing axis, solved with one elimination; each column of x equals
+    the solve of that column alone, bit for bit.
 
     Gaussian elimination without pivoting: on the solver's path I - J is a
     nonsingular M-matrix, so every pivot is positive, and the upper factor
@@ -318,30 +333,39 @@ def _solve_band(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     band = -jac
     band[..., 1, :] += 1.0  # the band of I - J
-    n = rhs.shape[-1]
+    n = jac.shape[-1]
+    several = rhs.ndim == jac.ndim
     if band.shape[-2] == 3:  # width 1
         # couplings outside the system
         band[..., 2, 0] = band[..., 0, -1] = 0.0
-        # the transposes hold each system along their first axis; an
-        # overflow gives inf, as the loop's Python floats do, for the caller
-        # to detect
+        # the transposes hold each system along their first axis, with the
+        # columns of several right-hand sides next to it; an overflow gives
+        # inf, as the loop's Python floats do, for the caller to detect
+        low, diag, up = band[..., 2, :].T, band[..., 1, :].T, band[..., 0, :].T
         with np.errstate(over="ignore", invalid="ignore"):
-            return _solve_tridiagonal(band[..., 2, :].T, band[..., 1, :].T,
-                                      band[..., 0, :].T, rhs.T).T
+            if not several:
+                return _solve_tridiagonal(low, diag, up, rhs.T).T
+            x = _solve_tridiagonal(low[:, None], diag[:, None], up[:, None],
+                                   rhs.swapaxes(-1, -2).T, "F")
+        return x.T.swapaxes(-1, -2)
     # back-substitution divides by every pivot, a zero one too
+    cols = rhs.swapaxes(-1, -2) if several else rhs
     rows = zip(band.reshape(-1, band.shape[-2], n).tolist(),
-               rhs.reshape(-1, n).tolist())
+               cols.reshape(-1, *cols.shape[band.ndim - 2:]).tolist())
     return np.reshape([_back_substitute(*eliminate_band(b, r))
                        for b, r in rows], rhs.shape)
 
 
 def _back_substitute(diag: list, up: list, x: list) -> np.ndarray:
-    """Solve the upper bidiagonal system left by the elimination."""
-    n = len(x)
-    x[n - 1] /= diag[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (x[i] - up[i] * x[i + 1]) / diag[i]
-    return np.array(x)
+    """Solve the upper bidiagonal system left by the elimination, for ``x``
+    in either layout of ``eliminate_band``'s rhs; returns (n,) or (n, m)."""
+    n = len(diag)
+    several = bool(x) and isinstance(x[0], list)
+    for r in x if several else (x,):
+        r[n - 1] /= diag[n - 1]
+        for i in range(n - 2, -1, -1):
+            r[i] = (r[i] - up[i] * r[i + 1]) / diag[i]
+    return np.array(x).T if several else np.array(x)
 
 
 # Below this size a single system goes to the scalar elimination loop,
@@ -352,26 +376,32 @@ CYCLIC_CROSSOVER = 128
 
 
 def _solve_tridiagonal(low: np.ndarray, diag: np.ndarray, up: np.ndarray,
-                       rhs: np.ndarray) -> np.ndarray:
+                       rhs: np.ndarray, order: str = "C") -> np.ndarray:
     """Solve low[i] x[i-1] + diag[i] x[i] + up[i] x[i+1] = rhs[i] for arrays
     (n, ...) that hold one system along their first axis for each index of
-    the others.
+    the others; the band arrays broadcast against ``rhs``, so a band of
+    shape (n, 1) solves the m columns of an ``rhs`` (n, m) at once.  The
+    arrays made for rhs-shaped values take the memory ``order``: "F" keeps
+    the systems' axis contiguous, which numpy loops along faster than along
+    a few columns.
 
-    ``low[0]`` and ``up[-1]`` must be 0.  A single system of at most
-    ``CYCLIC_CROSSOVER`` unknowns goes to the scalar elimination loop.
-    Otherwise one level of odd-even cyclic reduction eliminates the odd
-    unknowns of every system with whole-array operations, which leaves a
-    tridiagonal system in the even unknowns; that system is solved by
-    recursion and the odd unknowns are recovered from it.  This is Gaussian
-    elimination on a symmetric permutation of the matrix, so an M-matrix
-    keeps positive pivots.  A stack of systems is reduced down to one
-    unknown.  A zero pivot raises ``ZeroDivisionError``.
+    ``low[0]`` and ``up[-1]`` must be 0.  A single band of at most
+    ``CYCLIC_CROSSOVER`` unknowns goes to the scalar elimination loop, with
+    all its right-hand sides.  Otherwise one level of odd-even cyclic
+    reduction eliminates the odd unknowns of every system with whole-array
+    operations, which leaves a tridiagonal system in the even unknowns;
+    that system is solved by recursion and the odd unknowns are recovered
+    from it.  This is Gaussian elimination on a symmetric permutation of the
+    matrix, so an M-matrix keeps positive pivots.  A stack of systems is
+    reduced down to one unknown.  A zero pivot raises ``ZeroDivisionError``.
     """
     n = len(rhs)
-    if rhs.size == n <= CYCLIC_CROSSOVER:  # a single system
+    if diag.size == n <= CYCLIC_CROSSOVER:  # a single band
         band = [up.ravel().tolist(), diag.ravel().tolist(),
                 low.ravel().tolist()]
-        x = _back_substitute(*eliminate_band(band, rhs.ravel().tolist()))
+        cols = (rhs.ravel().tolist() if rhs.size == n
+                else rhs.reshape(n, -1).T.tolist())
+        x = _back_substitute(*eliminate_band(band, cols))
         return x.reshape(rhs.shape)
     if n == 1:
         if not diag.all():
@@ -388,19 +418,23 @@ def _solve_tridiagonal(low: np.ndarray, diag: np.ndarray, up: np.ndarray,
     diag_e = diag[0::2].copy()
     diag_e[1:] -= alpha * uo[:ne - 1]
     diag_e[:no] -= gamma * lo
-    rhs_e = rhs[0::2].copy()
+    rhs_e = rhs[0::2].copy(order)
     rhs_e[1:] -= alpha * ro[:ne - 1]
     rhs_e[:no] -= gamma * ro
-    low_e = np.zeros(rhs_e.shape)
+    low_e = np.zeros(diag_e.shape)
     low_e[1:] = -alpha * lo[:ne - 1]
-    up_e = np.zeros(rhs_e.shape)
+    up_e = np.zeros(diag_e.shape)
     up_e[:no] = -gamma * uo
-    x_e = _solve_tridiagonal(low_e, diag_e, up_e, rhs_e)
-    x = np.empty(rhs.shape)
+    x_e = _solve_tridiagonal(low_e, diag_e, up_e, rhs_e, order)
+    x = np.empty(rhs.shape, order=order)
     x[0::2] = x_e
-    # odd row 2m+1 couples x[2m] and x[2m+2]; uo[-1] is 0 when n is even
-    right = np.zeros(ro.shape)
-    right[:ne - 1] = x_e[1:]
+    # odd row 2m+1 couples x[2m] and x[2m+2]; for an even n the last odd
+    # row couples no x[n] (uo[-1] is 0)
+    if n % 2:
+        right = x_e[1:]
+    else:
+        right = np.zeros(ro.shape, order=order)
+        right[:ne - 1] = x_e[1:]
     x[1::2] = (ro - lo * x_e[:no] - uo * right) / do
     return x
 
@@ -554,34 +588,55 @@ def iterate_to_limit(model: LHBPModel, k: int, s: float, tol: float = 1e-12,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _anchored_solve(model: LHBPModel, k: int, v0: float,
-                    tol: float) -> tuple[np.ndarray, float]:
+def _anchored_solve(model: LHBPModel, k: int, v0: float, tol: float,
+                    start: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, float]:
     """Level-k survival vector with v_0 = v0 and its boundary t = v_{k+1} in
     [0, 1] as one more unknown; returns (v_0..v_k, t) and max |V(v) - v|.
 
-    Each Newton step takes d = (I - J)^-1 (V(v) - v) and the tangent w, and
-    moves t by the dt that lands v_0 + d_0 + w_0 dt on v0 (t stays once v0
-    is met within rounding); where w_0 is 0 in floats, as on the flat
-    stretch of a thinned or slow-front model, it squares the distance from t
-    to the end that moves v_0 towards v0.  v moves by d + w dt; both are
-    clipped to [0, 1], so a v0 out of reach leaves t at the nearer end.  The
-    start v = 1 lies above the target; for v0 = 0 the start v = 0 is the
-    solution, since every type bears type-(i+1) children.  Stops once a step
-    moves no entry by more than ``tol`` times the largest entry, so tails
-    near s = 1 keep their digits.  Raises ``ComputationError`` on a zero
-    pivot, a step that is not finite, or after k + 100 steps.
+    Each Newton step takes d = (I - J)^-1 (V(v) - v) and the tangent
+    w = (I - J)^-1 dV/dt from one elimination of I - J, as two columns of
+    one band solve, and moves t by the dt that lands v_0 + d_0 + w_0 dt on
+    v0 (t stays once v0 is met within rounding); where w_0 is 0 in floats,
+    as on the flat stretch of a thinned or slow-front model, it squares the
+    distance from t to the end that moves v_0 towards v0.  v moves by
+    d + w dt; both are clipped to [0, 1], so a v0 out of reach leaves t at
+    the nearer end.  Stops once a step moves no entry by more than ``tol``
+    times the largest entry, so tails near s = 1 keep their digits.  Raises
+    ``ComputationError`` on a zero pivot, a step that is not finite, or
+    after k + 100 steps.
+
+    The start lies above the target, from where Newton on the monotone
+    concave V decreases to it (Esparza, Kiefer & Luttenberger 2010).  A
+    ``start`` u, the global extinction vector of a truncation of level at
+    least k, is the curve through u_0, with t = 1 - u_{k+1}; for
+    0 < v0 <= 1 - u_0 the solution lies below it in survival terms, since
+    the curves are ordered by their anchor, and the solve starts from
+    v = 1 - u_0..u_{k+1}, unless that t is 1: there w_0 is 0 when type k
+    bears its type-(k+1) children two or more at a time, and squaring
+    leaves t = 1 where it is.  Any other v0 > 0 starts from v = 1 with
+    t = v0, and v0 = 0 from v = 0, the solution, since every type bears
+    type-(i+1) children.
     """
     kernel = _compiled(model, k)
-    x = np.full(k + 2, 1.0 if v0 > 0.0 else 0.0)
-    x[k + 1] = v0
+    if (start is not None and 0.0 < v0 <= 1.0 - start[0]
+            and 1.0 - start[k + 1] < 1.0):
+        x = 1.0 - np.asarray(start[:k + 2], dtype=float)
+    else:
+        x = np.full(k + 2, 1.0 if v0 > 0.0 else 0.0)
+        x[k + 1] = v0
     head = x[:k + 1]
     rel = max(tol, EPS_FLOOR)
     val, jac = kernel(x)
-    stack = _Stack(k, jac)
+    # the columns of the step's V(v) - v and of the tangent's dV/dt, which
+    # only type k feels (it alone bears type-(k+1) children), each stored
+    # contiguously
+    cols = np.zeros((2, k + 1))
     for _ in range(k + 100):
+        cols[0] = val - head
+        cols[1, k] = jac[0, k]
         try:
-            d = _solve_band(jac, val - head)
-            w = stack.tangent(jac)
+            d, w = _solve_band(jac, cols.T).T
         except ZeroDivisionError:
             break
         t = t_new = float(x[k + 1])
@@ -611,8 +666,9 @@ def g_second_derivatives(model: LHBPModel, results) -> np.ndarray:
     w = (I - J)^-1 dV/dv_{k+1}, one band solve, and g_k(s) = 1 - v_k(t)
     gives g_k''(s) = -dw_k/dt: the change of w_k along the tangent line
     x - h (w, 1), x = (v, t).  The one-sided quotient D(h) has an O(h)
-    error, which 2 D(h/2) - D(h) removes.  Each of the three tangents and
-    the two kernel calls of the quotients is one call on the whole stack.
+    error, which 2 D(h/2) - D(h) removes.  The tangent at x is one call on
+    the whole stack; the kernel and tangent of both quotient points, h and
+    h/2, are one call on the stack of both.
     """
     levels = [r.level for r in results]
     kernel = _compiled(model, max(levels))
@@ -625,13 +681,15 @@ def g_second_derivatives(model: LHBPModel, results) -> np.ndarray:
     line = np.zeros(x.shape)
     line[:, :-1] = w
     np.put_along_axis(line, stack.at + 1, 1.0, -1)
-    w_k = stack.last(w)
-
-    def quotient(h):
-        return (w_k - stack.last(stack.tangent(kernel(x - h * line)[1]))) / h
-
     h = 1e-5  # O(h^2) truncation and eps / h rounding errors near 1e-10
-    return quotient(h) - 2.0 * quotient(h / 2)
+    hs = np.array([h, h / 2])
+    # each row's two points x - h (w, 1) and x - (h/2) (w, 1) side by side,
+    # so that the stack, not the pair, is the solves' contiguous axis
+    pair = _Stack(np.repeat(levels, 2).reshape(-1, 2), jac)
+    points = x[:, None] - hs[:, None] * line[:, None]
+    ends = pair.last(pair.tangent(kernel(points)[1]))
+    quotient = (stack.last(w)[:, None] - ends) / hs  # D(h) and D(h/2)
+    return quotient[:, 0] - 2.0 * quotient[:, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -101,38 +101,50 @@ def _simulate_block(rng, tables, config: SimConfig, rows: int):
     when its whole population is 0; immortal, survived once a type-(k+1)
     individual exists; a cap hit when it draws an overflow outcome (that
     generation's births are dropped) or its population exceeds the cap;
-    else survived at the generation cap.  Finished rows leave the matrix.
+    else survived at the generation cap.  Finished rows leave the matrix;
+    a generation in which none finished keeps it as it is.
     """
     k = config.truncation
+    # each type's overflow outcomes, None where it has none
+    overflows = [t[3] if t[3].any() else None for t in tables]
     outcomes = np.full(rows, OUTCOME_SURVIVED, dtype=np.int8)
     ups = np.zeros(rows, dtype=np.int64)
     ids = np.arange(rows)               # replication of each active row
     pop = np.zeros((rows, k + 2), dtype=np.int64)
     pop[:, config.initial_type] = 1
     for _ in range(config.max_generations):
-        stop = ~pop.any(axis=1)
-        outcomes[ids[stop]] = OUTCOME_EXTINCT
+        extinct = ~pop.any(axis=1)
+        stop = extinct
         if config.variant == "immortal":
             # an immortal line persists forever: the outcome is decided
-            stop |= pop[:, k + 1] > 0
-        ids, pop = ids[~stop], pop[~stop]
+            stop = extinct | (pop[:, k + 1] > 0)
+        if stop.any():
+            outcomes[ids[extinct]] = OUTCOME_EXTINCT
+            ids, pop = ids[~stop], pop[~stop]
         if not ids.size:
             break
         new = np.zeros_like(pop)
-        capped = np.zeros(ids.size, dtype=bool)
-        for i, (pvals, cols, counts, overflow) in enumerate(tables):
+        drew = None  # the rows that drew an overflow outcome, if any table can
+        for i, (pvals, cols, counts, _) in enumerate(tables):
             n = pop[:, i]
             if not n.any():
                 continue  # rows with n = 0 draw nothing from the stream
             picks = rng.multinomial(n, pvals)
             new[:, cols] += picks @ counts
-            if overflow.any():
-                capped |= picks[:, overflow].any(axis=1)
-        # a row that drew an overflow outcome ends before its births count
-        ups[ids] += np.where(capped, 0, new[:, k + 1])
-        capped |= new.sum(axis=1) > config.population_cap
-        outcomes[ids[capped]] = OUTCOME_CAP
-        ids, pop = ids[~capped], new[~capped]
+            if overflows[i] is not None:
+                hit = picks[:, overflows[i]].any(axis=1)
+                drew = hit if drew is None else drew | hit
+        capped = new.sum(axis=1) > config.population_cap
+        if drew is None:
+            ups[ids] += new[:, k + 1]
+        else:
+            # a row that drew an overflow outcome ends before its births count
+            ups[ids] += np.where(drew, 0, new[:, k + 1])
+            capped |= drew
+        if capped.any():
+            outcomes[ids[capped]] = OUTCOME_CAP
+            ids, new = ids[~capped], new[~capped]
+        pop = new
     return outcomes, ups
 
 

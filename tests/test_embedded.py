@@ -358,6 +358,42 @@ def test_fixed_point_fill_matches_stepping(family, offset, data):
     assert (mom.ok_through, mom.kind, mom.k_star) == (ok_through, kind, k_star)
 
 
+@pytest.mark.parametrize("family", sorted(FILL_FAMILIES))
+@settings(max_examples=15, deadline=None)
+@given(offset=st.integers(-2, 2 * embedded._TAIL), data=st.data())
+def test_fixed_point_fill_matches_stepping_at_short_horizons(family, offset,
+                                                             data):
+    # the property above with the search on at every horizon: the settling
+    # rows of most models lie below _SEARCH_FROM, where the loops step every
+    # row without a search
+    model = data.draw(FILL_FAMILIES[family])
+    full = embedded_moments(model, 1200)
+    rows = [full.ok_through + 1]
+    if full.kind == "ok":
+        rows += [_settling_row(full.mu), _settling_row(full.a)]
+    K = max(data.draw(st.sampled_from(rows)) + offset, 0)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(embedded, "_SEARCH_FROM", 0)
+        mom = embedded_moments(model, K)
+    mu, a, x, m0, log_m0, ok_through, kind, k_star = reference_moments(model, K)
+    for got, want in ((mom.mu, mu), (mom.a, a), (mom.x, x), (mom.m0, m0),
+                      (mom.log_m0, log_m0)):
+        assert _bits(got) == _bits(want)
+    assert (mom.ok_through, mom.kind, mom.k_star) == (ok_through, kind, k_star)
+
+
+def test_short_recursions_step_every_row():
+    # up to _SEARCH_FROM rows the loops step every row: one unflagged span,
+    # with no search, even for constant inputs; past it a constant input
+    # gets flagged spans
+    n = embedded._SEARCH_FROM
+    for rows in (1, 2, n):
+        assert list(embedded._spans([np.ones((2, rows))], rows, 1)) == [
+            (0, rows, False)]
+    spans = list(embedded._spans([np.ones((2, n + 1))], n + 1, 1))
+    assert spans[0] == (0, 1, False) and all(f for _, _, f in spans[1:])
+
+
 def late_change_model(last):
     """Explicit model of 100 head laws whose moment rows repeat from type 1
     on, then ``last``, the type-100 law that repeats from there on: the

@@ -3,15 +3,18 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lhbp.generating
-from lhbp import (RangeError, TableLaw, curve_from_anchor, default_schedule,
-                  embedded_moments, extinction_ladder, iterate_to_limit)
+from lhbp import (ExplicitModel, RangeError, TableLaw, curve_from_anchor,
+                  default_schedule, embedded_moments, extinction_ladder,
+                  iterate_to_limit)
+from lhbp.fixedpoints import ENDPOINT_SLACK
 
 from conftest import ex2, g, pgf, product_tail_model, tridiag
 
+EPS = np.finfo(float).eps
 RANGE_SLACK = 1e-12  # how far outside [f(0), f(1)] a bisection target may lie
 
 
@@ -241,6 +244,160 @@ def test_curve_pgf_calls_per_index(monkeypatch, pool_bounds, gamma):
     assert curve.residual <= 1e-10
     assert not hasattr(TableLaw, "pgf")
     assert calls["kernel"] <= 30
+
+
+def _count_kernel_calls(monkeypatch):
+    """Count the survival-kernel calls of the solves from here on."""
+    calls = {"kernel": 0}
+    compiled = lhbp.generating._compiled
+
+    def counted_compiled(model, k):
+        kernel = compiled(model, k)
+
+        def counted(v):
+            calls["kernel"] += 1
+            return kernel(v)
+        return counted
+
+    monkeypatch.setattr(lhbp.generating, "_compiled", counted_compiled)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def pool_q():
+    """The level-1024 q and qtilde vectors of ex2(gamma), which the
+    ``fixedpoints --k 1024`` command solves and starts its curve from."""
+    out = {}
+    for gamma in POOL_GAMMAS:
+        ladder = extinction_ladder(ex2(gamma), (1024,))
+        out[gamma] = (ladder.q_results[0].vector,
+                      ladder.qtilde_results[0].vector)
+    return out
+
+
+@pytest.mark.parametrize("gamma", POOL_GAMMAS)
+def test_curve_from_q_takes_fewer_steps(monkeypatch, pool_q, gamma):
+    # the J = 200 midpoint curve started from the level-1024 q vector takes
+    # at most 12 kernel calls (17-19 from s = 0) and stays within 2e-15 of
+    # the curve started from s = 0
+    q, qt = pool_q[gamma]
+    anchor = 0.5 * (q[0] + qt[0])
+    cold = curve_from_anchor(ex2(gamma), anchor, 200, bounds=(q[0], qt[0]))
+    calls = _count_kernel_calls(monkeypatch)
+    warm = curve_from_anchor(ex2(gamma), anchor, 200, bounds=(q[0], qt[0]),
+                             start=q)
+    assert calls["kernel"] <= 12
+    assert warm.residual <= 1e-10
+    assert np.all(np.abs(warm.values - cold.values) <= 2e-15 * cold.values)
+    assert np.allclose(warm.decay, cold.decay, rtol=1e-14, atol=0.0)
+
+
+def _drift_up_explicit(p_up, p_down, count):
+    """Explicit model whose shift-repeated type-1 law bears ``count``
+    children one type up or one child one type down: it drifts upward, so
+    its global extinction probability lies below its partial one."""
+    return ExplicitModel(head=(
+        TableLaw(((((1, 1),), 0.5), ((), 0.5))),
+        TableLaw(((((2, count),), p_up), (((0, 1),), p_down),
+                  ((), 1.0 - p_up - p_down)))))
+
+
+@st.composite
+def _separated_models(draw):
+    """Models with q_0 < qtilde_0 in each family: example2 below its
+    q = qtilde range, tridiagonal with b + 2 sqrt(ac) < 1 < a + b + c (no
+    local survival, global survival possible) at u = 1 and slightly above,
+    and drift-up explicit models."""
+    family = draw(st.sampled_from(("ex2", "tri", "thinned", "explicit")))
+    if family == "ex2":
+        return ex2(draw(st.sampled_from(POOL_GAMMAS) | st.floats(0.0, 0.32)))
+    if family == "explicit":
+        return _drift_up_explicit(draw(st.floats(0.45, 0.6)),
+                                  draw(st.floats(0.02, 0.15)),
+                                  draw(st.sampled_from((2, 3))))
+    a, b = draw(st.floats(0.01, 0.1)), draw(st.floats(0.0, 0.2))
+    if family == "tri":
+        c = draw(st.floats(1.05 - a - b, min(2.0, (1 - b) ** 2 / (4 * a))))
+        return tridiag(a, b, c)
+    return tridiag(a, b, draw(st.floats(1.0, 1.4)),
+                   draw(st.floats(1.01, 1.08)))
+
+
+def _anchor_sensitivity(model, curve):
+    """|ds_j / ds_0| along a curve over 0..J: the tangent w of its
+    level-(J-1) truncation in the boundary survival t, over w_0 (inf where
+    w_0 is 0 and the anchor does not fix the boundary)."""
+    J = len(curve.values) - 1
+    jac = lhbp.generating._compiled(model, J - 1)(1.0 - curve.values)[1]
+    w = np.append(lhbp.generating._Stack(J - 1, jac).tangent(jac), 1.0)
+    return np.abs(w / w[0]) if w[0] > 0.0 else np.full(J + 1, np.inf)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=_separated_models(), J=st.integers(1, 150),
+       share=st.floats(0.0, 1.0))
+@example(model=tridiag(0.0625, 0.0, 2.0), J=1, share=0.5)
+@example(model=ex2(0.3), J=132, share=0.0)
+def test_curve_from_q_matches_curve_from_zero(model, J, share):
+    # Newton from the q curve, which lies above the target in survival
+    # terms, reaches the curve that the start s = 0 reaches, within what
+    # meeting the anchor to a few ulps allows: s_j moves by |ds_j / ds_0|
+    # times the anchor's error, which near q_0 is large in the tail (there
+    # the start from q returns q itself).  Over 600 random curves the two
+    # differed by at most 3.9 eps (1 + |ds_j / ds_0|), and on the pool
+    # curves by at most 5.9e-16 relative.  The first example's t = 1 - q_1
+    # is 1, where the map is flat in t (type 0 bears two type-1 children
+    # or none), so it starts from s = 0
+    ladder = extinction_ladder(model, (256,))
+    q, qt = ladder.q_results[0].vector, ladder.qtilde_results[0].vector
+    # where q_0 = qtilde_0 the anchor does not fix the boundary (see
+    # test_curve_from_q_follows_q_where_q_equals_qtilde)
+    assume(qt[0] - q[0] >= 1e-3)
+    anchor = float(q[0] + share * (qt[0] - q[0]))
+    cold = curve_from_anchor(model, anchor, J, bounds=(q[0], qt[0]))
+    warm = curve_from_anchor(model, anchor, J, bounds=(q[0], qt[0]),
+                             start=q)
+    assert cold.residual <= 1e-10 and warm.residual <= 1e-10
+    allowed = 16 * EPS * (1.0 + _anchor_sensitivity(model, warm))
+    assert np.all(np.abs(warm.values - cold.values) <= allowed)
+
+
+@pytest.mark.parametrize("model, J", [
+    (product_tail_model(), 200), (ex2(0.8), 100)])
+def test_curve_from_q_follows_q_where_q_equals_qtilde(model, J):
+    # q_0 = qtilde_0: the start q is the curve through the anchor q_0, so
+    # the curve follows q through index J, where the start s = 0 leaves q
+    # for the boundary over the last indices
+    ladder = extinction_ladder(model, (256,))
+    q, qt = ladder.q_results[0].vector, ladder.qtilde_results[0].vector
+    assert q[0] == qt[0]
+    curve = curve_from_anchor(model, q[0], J, bounds=(q[0], qt[0]), start=q)
+    assert np.max(np.abs(curve.values - q[:J + 1])) <= 1e-15
+    cold = curve_from_anchor(model, q[0], J, bounds=(q[0], qt[0]))
+    assert np.max(np.abs(cold.values - q[:J + 1])) > 1e-3
+
+
+def test_curve_below_q_starts_from_zero(monkeypatch):
+    # an anchor within ENDPOINT_SLACK below q_0 lies below the q curve, so
+    # q is no start from above: the solve starts from s = 0, bit for bit
+    # as without a start, while an anchor at q_0 takes the start
+    model = ex2(0.3)
+    ladder = extinction_ladder(model, (1024,))
+    q, qt = ladder.q_results[0].vector, ladder.qtilde_results[0].vector
+    calls = _count_kernel_calls(monkeypatch)
+
+    def curve(anchor, start):
+        calls["kernel"] = 0
+        c = curve_from_anchor(model, anchor, 40, bounds=(q[0], qt[0]),
+                              start=start)
+        return c.values, calls["kernel"]
+
+    below = float(q[0]) - 0.5 * ENDPOINT_SLACK
+    (cold, n_cold), (warm, n_warm) = curve(below, None), curve(below, q)
+    assert n_cold == n_warm and np.array_equal(cold, warm)
+    assert curve(float(q[0]), q)[1] < curve(float(q[0]), None)[1]
+    with pytest.raises(ValueError, match="start"):
+        curve(float(q[0]), q[:40])
 
 
 def _survival_oracle(model, v0, J, digits=40):

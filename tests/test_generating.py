@@ -483,6 +483,51 @@ def test_band_solve_zero_pivot_raises():
             _solve_band(jac, rng.normal(size=n))
 
 
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+@pytest.mark.parametrize("width", (0, 1, 2))
+def test_band_solve_several_right_hand_sides(width):
+    # m right-hand sides on a trailing axis share one elimination of the
+    # band; each column of the solution is the one-column solve, bit for
+    # bit, on both sides of the crossover, for either memory layout of the
+    # columns and for a stack of bands
+    from lhbp.generating import _solve_band
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 127, 128, 129, 200, 1025):
+        jac = _random_band(rng, width, n)
+        for m in (2, 3):
+            for rhs in (rng.normal(size=(n, m)),
+                        np.asfortranarray(rng.normal(size=(n, m)))):
+                x = _solve_band(jac, rhs)
+                assert x.shape == (n, m)
+                for c in range(m):
+                    one = _solve_band(jac, np.ascontiguousarray(rhs[:, c]))
+                    assert np.array_equal(_bits(x[:, c]), _bits(one)), (n, m)
+        jacs = np.stack([_random_band(rng, width, n) for _ in range(3)])
+        rhs = rng.normal(size=(3, n, 2))
+        x = _solve_band(jacs, rhs)
+        assert x.shape == (3, n, 2)
+        for c in range(2):
+            one = _solve_band(jacs, np.ascontiguousarray(rhs[..., c]))
+            assert np.array_equal(_bits(x[..., c]), _bits(one)), n
+
+
+def test_band_solve_several_right_hand_sides_zero_pivot_raises():
+    # a vanishing row of I - J stops the shared elimination as it stops one
+    # right-hand side: in the scalar loop and in cyclic reduction
+    from lhbp.generating import _solve_band
+    rng = np.random.default_rng(12)
+    for width, n, j in ((1, 40, 21), (1, 301, 201), (1, 301, 200),
+                        (1, 301, 300), (2, 40, 21)):
+        jac = _random_band(rng, width, n)
+        jac[:, j] = 0.0
+        jac[1, j] = 1.0
+        with pytest.raises(ZeroDivisionError):
+            _solve_band(jac, rng.normal(size=(n, 2)))
+
+
 def test_stacked_levels_stop_on_their_own():
     # each level of a stack takes the steps its solve takes alone and
     # reaches the same vector; a step cap leaves the deeper levels
@@ -603,3 +648,52 @@ def test_g_second_derivative_matches_eval_g_stencil():
             got = g_second_derivatives(
                 model, [iterate_to_limit(model, j, 0.0)])[0]
             assert got == pytest.approx(want, rel=1e-5)
+
+
+def _g2_one_point_at_a_time(model, results):
+    """g_second_derivatives with a kernel call and a tangent solve for
+    each of the two quotient points in turn: the reference that one call
+    on both points must match bit for bit."""
+    from lhbp.generating import _compiled, _Stack
+    levels = [r.level for r in results]
+    kernel = _compiled(model, max(levels))
+    x = np.ones((len(levels), max(levels) + 2))
+    for row, r in zip(x, results):
+        row[:r.level + 2] = 1.0 - r.vector
+    jac = kernel(x)[1]
+    stack = _Stack(levels, jac)
+    w = stack.tangent(jac)
+    line = np.zeros(x.shape)
+    line[:, :-1] = w
+    np.put_along_axis(line, stack.at + 1, 1.0, -1)
+    w_k = stack.last(w)
+
+    def quotient(h):
+        return (w_k - stack.last(stack.tangent(kernel(x - h * line)[1]))) / h
+
+    return quotient(1e-5) - 2.0 * quotient(1e-5 / 2)
+
+
+@pytest.mark.parametrize("model, top, bounded", [
+    (ex2(0.01), 64, True), (ex2(0.3), 40, False),
+    (tridiag(0.1, 0.3, 1.1), 48, True), (tridiag(0.25, 0.0, 0.25), 32, True),
+    (tridiag(0.2, 0.3, 0.4), 40, True), (tridiag(0.1, 0.2, 0.8, u=2.0), 40, True),
+    (e1_model(), 64, True), (wide_band_model(), 30, False)])
+def test_g_second_derivatives_match_one_point_at_a_time(monkeypatch, model,
+                                                        top, bounded):
+    # both quotient points as one stack give the g'' of one point at a
+    # time bit for bit, and so the same Agresti bounds where the model is in
+    # their partial-extinction regime (the example2 laws and
+    # tridiagonal(0.1, 0.3, 1.1) have lower bounds 0 whatever g'' is; the
+    # other three tridiagonal models and E1 have lower bounds set by it)
+    import lhbp.criteria
+    from lhbp.generating import iterate_levels
+    results = iterate_levels(model, range(1, top + 1), 0.0)
+    assert np.array_equal(_bits(g_second_derivatives(model, results)),
+                          _bits(_g2_one_point_at_a_time(model, results)))
+    if bounded:
+        levels = range(2, top + 1)
+        bounds = lhbp.criteria.agresti_bounds(model, 1, levels)
+        monkeypatch.setattr(lhbp.criteria, "g_second_derivatives",
+                            _g2_one_point_at_a_time)
+        assert bounds == lhbp.criteria.agresti_bounds(model, 1, levels)

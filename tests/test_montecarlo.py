@@ -210,6 +210,62 @@ def test_block_of_one_matches_reference_loop(monkeypatch):
         assert len(set(batch.outcomes.tolist())) > 1
 
 
+def _reference_block(rng, tables, cfg, rows):
+    """A block that compacts its rows and tallies cap hits in every
+    generation, whether or not a row finished: the bookkeeping that
+    ``_simulate_block`` skips must change no draw and no outcome."""
+    k = cfg.truncation
+    outcomes = np.full(rows, OUTCOME_SURVIVED, dtype=np.int8)
+    ups = np.zeros(rows, dtype=np.int64)
+    ids = np.arange(rows)
+    pop = np.zeros((rows, k + 2), dtype=np.int64)
+    pop[:, cfg.initial_type] = 1
+    for _ in range(cfg.max_generations):
+        stop = ~pop.any(axis=1)
+        outcomes[ids[stop]] = OUTCOME_EXTINCT
+        if cfg.variant == "immortal":
+            stop |= pop[:, k + 1] > 0
+        ids, pop = ids[~stop], pop[~stop]
+        if not ids.size:
+            break
+        new = np.zeros_like(pop)
+        capped = np.zeros(ids.size, dtype=bool)
+        for i, (pvals, cols, counts, overflow) in enumerate(tables):
+            if pop[:, i].any():
+                picks = rng.multinomial(pop[:, i], pvals)
+                new[:, cols] += picks @ counts
+                capped |= picks[:, overflow].any(axis=1)
+        ups[ids] += np.where(capped, 0, new[:, k + 1])
+        capped |= new.sum(axis=1) > cfg.population_cap
+        outcomes[ids[capped]] = OUTCOME_CAP
+        ids, pop = ids[~capped], new[~capped]
+    return outcomes, ups
+
+
+def test_block_matches_reference_block():
+    # outcomes and upward totals of whole blocks, bit for bit, where rows
+    # end at every rule: extinct, immortal, overflow draw, population cap
+    # and generation cap
+    overflow = ExplicitModel(head=(
+        TableLaw(((((1, 2),), 0.6), ((), 0.4))),
+        TableLaw(((((0, 2 * 10 ** 9),), 0.02), (((2, 2),), 0.5),
+                  ((), 0.48)))))
+    configs = [(model, SimConfig(k, variant, 0, 600, seed, gens, cap))
+               for model, k in ((ex2(0.2), 2), (ex2(0.5), 3),
+                                (tridiag(0.3, 0.3, 0.5), 3), (overflow, 3))
+               for variant in ("sterile", "immortal")
+               for seed, gens, cap in ((5, 12, 40), (6, 10_000, 10 ** 7))]
+    for model, cfg in configs:
+        tables = _sim_tables(model, cfg.truncation)
+
+        def rng():
+            return np.random.Generator(np.random.Philox(key=cfg.seed << 64))
+        got = montecarlo._simulate_block(rng(), tables, cfg, 600)
+        want = _reference_block(rng(), tables, cfg, 600)
+        assert np.array_equal(got[0], want[0]), (model, cfg)
+        assert np.array_equal(got[1], want[1]), (model, cfg)
+
+
 def test_prefix_stable_across_replication_counts():
     # substreams are keyed by (seed, block): full blocks repeat bit for bit
     B = montecarlo.BLOCK_SIZE
