@@ -186,11 +186,10 @@ class AgrestiBounds:
     q: float  # q_i of the level-k truncation, from the same chain
 
 
-# Cells (rows times columns) of one stack of levels that agresti_bounds
-# solves at once: the 63 levels of a chain to k = 64 (4158 cells) fit in
-# one stack, and at k = 1000 a stack holds 8 levels.  The peak memory grows
-# with the budget: on ex2(0) at k = 1000, 2^14 cells ran 10 % faster than
-# 2^13 but peaked 2.7 MiB above the level-by-level chain, against 1.0 MiB.
+# Entries of one packed chain of levels (k + 2 for level k) that
+# agresti_bounds solves at once: the levels of a chain to k = 125 fit in
+# one chain, and at k = 1000 a chain holds 8 levels.  On ex2(0) at
+# k = 1000, budgets from 2^12 to 2^16 entries took the same time.
 BATCH_CELLS = 1 << 13
 
 
@@ -201,10 +200,11 @@ def agresti_bounds(model: LHBPModel, i: int, levels) -> list[AgrestiBounds]:
 
     The brackets of level k are built from mu_j and g_j''(0), j = i .. k-1,
     which describe the level-(k-1) truncation.  Each level j = i ..
-    max(levels) is solved at s = 0 once, in stacks of consecutive levels of
-    at most ``BATCH_CELLS`` cells, each stack warm-started from the last
-    level of the one before; g_j''(0) and q_i are read off those solves, a
-    stack at a time; ``ComputationError`` if a level does not converge.
+    max(levels) is solved at s = 0 once, in packed chains of consecutive
+    levels of at most ``BATCH_CELLS`` entries, each chain warm-started from
+    the last level of the one before; g_j''(0) and q_i are read off those
+    solves, a chain at a time; ``ComputationError`` if a level does not
+    converge.
     """
     levels = list(levels)
     if not levels or not all(1 <= i < k for k in levels):
@@ -253,12 +253,13 @@ def agresti_bounds(model: LHBPModel, i: int, levels) -> list[AgrestiBounds]:
 
 
 def _batches(lo: int, top: int):
-    """Consecutive level ranges (lo, hi) covering lo..top, each a stack of
-    at most ``BATCH_CELLS`` cells, or of one level."""
+    """Consecutive level ranges (lo, hi) covering lo..top, each a chain of
+    at most ``BATCH_CELLS`` entries, or of one level."""
     while lo <= top:
-        hi = lo
-        while hi < top and (hi - lo + 2) * (hi + 3) <= BATCH_CELLS:
+        hi, cells = lo, lo + 2
+        while hi < top and cells + hi + 3 <= BATCH_CELLS:
             hi += 1
+            cells += hi + 2
         yield lo, hi
         lo = hi + 1
 

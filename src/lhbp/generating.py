@@ -18,12 +18,15 @@ target (v = 1 - start for a start below the minimal u-solution and below its
 own image) decreases monotonically to it.  The fixed-point curves solve the
 same system with the boundary as one more unknown, fixed by coordinate 0.
 
-Levels solved together share one Newton loop on a stack of survival
-vectors: each row holds one level, padded past its boundary, and the
-kernels and band solves work on all rows at once, which replaces many small
-solves, each a fixed cost of numpy calls, by a few larger ones.  Each row
-stops on its own, so a level's result does not depend on the levels it is
-stacked with; a single level is the one-row case.
+Levels solved together are one packed Newton system: their survival
+vectors one after the other, so that a Newton step of every level is one
+kernel call and one band solve of a block-diagonal system, which replaces
+many small solves, each a fixed cost of numpy calls, by one larger one; a
+single level is the one-block case.  Each level stops on its own.  At the
+boundary s = 0 the ascending levels of the q ladder form a chain: each is
+lifted onto the level below it after every step, which is sound because
+Newton from a sub-solution yields sub-solutions, so the deep levels start
+from the shallow ones part-way through their solves rather than after them.
 """
 
 from __future__ import annotations
@@ -60,22 +63,96 @@ class TruncationResult:
 # ---------------------------------------------------------------------------
 # compiled survival maps
 #
-# Each kernel maps a survival vector v (length k+2, v[k+1] = 1 - s) to
-# (val, jac): val[i] = V_i(v) for i = 0..k, and the Jacobian band
-# jac[d, i] = dV_i / dv_{i+1-d}, d = 0..width+1 (row 0 is the superdiagonal,
-# row 1 the diagonal, row 1+t the t-th subdiagonal; entries whose column
-# falls below 0 are zero).  A stack of survival vectors, shape (..., k+2),
-# maps to val (..., k+1) and jac (..., width+2, k+1) row by row, on the same
-# element-wise path as a single vector.  Complements 1 - prod f_t of a
-# product of factors f_t = u_t ** c_t are formed from the factors'
-# complements W_t as W_1 + (1 - W_1)(W_2 + (1 - W_2)(W_3 + ...)), a sum of
-# nonnegative terms, so no digits cancel near v = 0.  A factor of exponent 1
-# has the complement v_t and the slope 1 and costs no transcendental.  Other
-# powers u ** c are taken as exp(c * log1p(-v)): u = 1 - v rounds to 1 for
-# tiny v, where a thinned count c ~ u^-i still makes u ** c vanish.  Such
-# counts may overflow c * log1p(-v) to -inf, which is the intended
-# u ** c = 0, so the kernels silence that warning.  A thinning scale S
-# saturated to inf weighs 1/S = 0.
+# A stack of levels k_1, k_2, ... is one packed vector (see ``_Layout``):
+# the concatenation of each level's survival vector, types 0..k_b and its
+# boundary entry.  Each kernel is compiled for one layout and maps a packed
+# vector v (N entries) to (val, jac) on its first N - 1 entries, the rows:
+# val[p] = V_i(v) for the row p of type i in its block, and the Jacobian
+# band jac[d, p] = dV_i / dv_{i+1-d}, d = 0..width+1 (row 0 is the
+# superdiagonal, row 1 the diagonal, row 1+t the t-th subdiagonal; entries
+# whose column falls below type 0 are zero, so no block reads the one before
+# it).  A single level is the one-block layout: val (k+1), jac
+# (width+2, k+1).  Complements 1 - prod f_t of a product of factors
+# f_t = u_t ** c_t are formed from the factors' complements W_t as
+# W_1 + (1 - W_1)(W_2 + (1 - W_2)(W_3 + ...)), a sum of nonnegative terms,
+# so no digits cancel near v = 0.  A factor of exponent 1 has the complement
+# v_t and the slope 1 and costs no transcendental.  Other powers u ** c are
+# taken as exp(c * log1p(-v)): u = 1 - v rounds to 1 for tiny v, where a
+# thinned count c ~ u^-i still makes u ** c vanish.  Such counts may
+# overflow c * log1p(-v) to -inf, which is the intended u ** c = 0, so the
+# kernels silence that warning.  A thinning scale S saturated to inf weighs
+# 1/S = 0.
+
+
+class _Layout:
+    """Packed survival vectors of a sequence of levels.
+
+    Block b holds level k_b's survival vector, types 0..k_b and its
+    boundary entry, at ``starts[b]`` .. ``starts[b] + k_b + 1``; the blocks
+    follow each other, N = sum (k_b + 2) entries in all.  The rows of the
+    kernels and band solves are the first N - 1 entries: each block's
+    unknowns and, between blocks, the boundary entries of all but the last
+    block, the edges.  Kernels pin each edge (V = v there, with a zero
+    Jacobian column), so its Newton step is 0, and the coupling of a
+    block's last unknown to its edge adds nothing: the band of a layout is
+    block-diagonal.  A single level is the one-block layout, with no edge.
+    """
+
+    def __init__(self, levels):
+        self.levels = ((int(levels),) if np.ndim(levels) == 0
+                       else tuple(int(k) for k in levels))
+        self.sizes = sizes = [k + 2 for k in self.levels]
+        self.rows = sum(sizes) - 1
+        self.starts = np.cumsum([0] + sizes[:-1])
+        self.lasts = self.starts + self.levels  # the rows of types k_b
+        self.edges = self.starts[1:] - 1
+        self.single = len(sizes) == 1
+
+    def types(self) -> np.ndarray:
+        """The type of each row, k_b + 1 at an edge."""
+        return (np.arange(self.rows + 1)
+                - np.repeat(self.starts, self.sizes))[:-1]
+
+    def blocks(self) -> list[slice]:
+        """The unknowns of each block, as row slices."""
+        return [slice(a, b + 1) for a, b in zip(self.starts.tolist(),
+                                               self.lasts.tolist())]
+
+    def at(self, i: int):
+        """The rows of type i, an unknown of its level: a slice for one
+        level, an index array otherwise."""
+        if self.single:
+            return slice(i, i + 1)
+        return self.starts[np.greater_equal(self.levels, i)] + i
+
+    def pin(self, v, val, jac):
+        """Map each edge to itself with a zero Jacobian column."""
+        if not self.single:
+            val[self.edges] = v[self.edges]
+            jac[:, self.edges] = 0.0
+
+    def block_max(self, x, first: int = 0) -> list:
+        """max of ``x`` over each block's rows from block ``first`` on, for
+        an ``x`` that starts at that block's first row."""
+        if self.single:
+            return [float(x.max())]
+        return np.maximum.reduceat(
+            x, self.starts[first:] - self.starts[first]).tolist()
+
+    def block_any(self, x) -> list:
+        """Whether ``x`` has an entry other than 0 in each block's rows."""
+        if self.single:
+            return [bool(x.any())]
+        return np.logical_or.reduceat(x != 0.0, self.starts).tolist()
+
+    def tangent(self, jac: np.ndarray) -> np.ndarray:
+        """w = (I - J)^-1 dV/dv_{k+1} for each block of the band ``jac``:
+        the tangent of each level's solution path in its boundary, one band
+        solve; 0 at the edges."""
+        rhs = np.zeros(self.rows)
+        # only type k bears type-(k+1) children
+        rhs[self.lasts] = jac[0, self.lasts]
+        return _solve_band(jac, rhs)
 
 
 def _log_u(v):
@@ -96,76 +173,97 @@ def _combine(comps, pows):
     return out
 
 
+def _shift(at, off: int):
+    """The rows ``at`` (a slice or an index array) moved by ``off``."""
+    if isinstance(at, slice):
+        return slice(at.start + off, at.stop + off)
+    return at + off
+
+
 class _GenericSweep:
     """Survival map built from per-type law outcomes.
 
-    Types are grouped into blocks of consecutive types sharing an outcome
-    pattern.  An outcome with probability p and child counts c_t adds
-    p (1 - prod u_t^c_t) to V_i, combined from the complements
-    W_t = 1 - u_t^c_t (v_t for a count of 1, -expm1(c_t log1p(-v_t))
-    otherwise), and p c_t u_t^(c_t - 1) prod_{t' != t} u_t'^c_t' to
-    dV_i/dv_t.  An outcome without children adds nothing, and a count of 1
-    has the slope factor u_t^0 = 1, so neither is computed; a model whose
-    counts are all 1 takes no logarithm.
+    Rows are grouped into blocks sharing an outcome pattern: for an
+    explicit model its tail, the types from ``tail_from`` on, which repeat
+    the last head law with the children shifted, and each head type; for
+    other models each type.  The tail block runs over all rows from the
+    first tail row on, and the head rows and edges among them are then
+    formed again: their values are overwritten and their Jacobian columns
+    zeroed before the head blocks add theirs.  An outcome with
+    probability p and child counts c_t adds p (1 - prod u_t^c_t) to V_i,
+    combined from the complements W_t = 1 - u_t^c_t (v_t for a count of 1,
+    -expm1(c_t log1p(-v_t)) otherwise), and p c_t u_t^(c_t - 1)
+    prod_{t' != t} u_t'^c_t' to dV_i/dv_t.  An outcome without children adds
+    nothing, and a count of 1 has the slope factor u_t^0 = 1, so neither is
+    computed; a model whose counts are all 1 takes no logarithm.
     """
 
-    def __init__(self, model: LHBPModel, k: int):
-        self.k = k
-        # the shift-repeated tail of an explicit model is one block
-        tail = k + 1
+    def __init__(self, model: LHBPModel, levels):
+        self.layout = layout = _Layout(levels)
+        top = max(layout.levels)
+        tail = top + 1
         if isinstance(model, ExplicitModel):
-            tail = min(model.tail_from + 1, k + 1)
-        self.blocks = [self._block(model.law(i), i, i + 1)
-                       for i in range(tail)]
-        if tail <= k:
-            self.blocks.append(self._block(model.law(tail), tail, k + 1))
+            tail = min(model.tail_from, top + 1)
+        self.blocks, self.tail = [], None
+        if tail <= top:
+            types = layout.types()
+            start = int(np.argmax(types == tail))  # the first tail row
+            self.tail = slice(start, layout.rows)
+            self.blocks.append(self._block(model.law(tail), tail, self.tail))
+            # the head rows among the tail block's
+            self.heads = start + np.flatnonzero(types[start:] < tail)
+        self.blocks += [self._block(model.law(i), i, layout.at(i))
+                        for i in range(tail)]
         # at least 0: the band always holds its superdiagonal and diagonal
         # rows, also when every child is one type up
-        self.width = max(0, max((-off for _, _, entries in self.blocks
+        self.width = max(0, max((row - 1 for _, entries in self.blocks
                                  for _, factors in entries
-                                 for off, _ in factors), default=0))
+                                 for _, row, _ in factors), default=0))
 
     @staticmethod
-    def _block(law, lo: int, hi: int):
-        """Types lo..hi-1 with the law of type lo, its outcomes given as
-        (prob, ((offset, count), ...)) with child types relative to lo."""
-        return lo, hi, [(p, tuple((t - lo, float(c)) for t, c in counts))
-                        for counts, p in law.outcomes() if counts]
+    def _block(law, lo: int, at):
+        """The rows ``at``, all of types with the law of type lo shifted,
+        and its outcomes as (prob, ((rows read, band row, count), ...))."""
+        return at, [(p, tuple((_shift(at, t - lo), 1 + lo - t, float(c))
+                              for t, c in counts))
+                    for counts, p in law.outcomes() if counts]
 
     @np.errstate(divide="ignore", over="ignore")
     def __call__(self, v):
         log_u = None  # taken at the first count other than 1
-        rows = v.shape[:-1]
-        val = np.empty(rows + (self.k + 1,))
-        jac = np.zeros(rows + (self.width + 2, self.k + 1))
-        for lo, hi, entries in self.blocks:
-            acc = np.zeros(rows + (hi - lo,))
+        n = self.layout.rows
+        val = np.empty(n)
+        jac = np.zeros((self.width + 2, n))
+        for at, entries in self.blocks:
+            acc = 0.0
             for p, factors in entries:
                 # each factor's complement W_t and exponent c_t log u_t
                 comps, exps, pows = [], [], []
-                for off, cnt in factors:
+                for read, _, cnt in factors:
                     if cnt == 1.0:
-                        comps.append(v[..., lo + off:hi + off])
+                        comps.append(v[read])
                         exps.append(None)
                     else:
                         if log_u is None:
                             log_u = _log_u(v)
-                        exps.append(cnt * log_u[..., lo + off:hi + off])
+                        exps.append(cnt * log_u[read])
                         comps.append(-np.expm1(exps[-1]))
                 if len(factors) > 1:  # the factors u_t^c_t themselves
                     pows = [1.0 - w if x is None else np.exp(x)
                             for w, x in zip(comps, exps)]
                 acc += p * _combine(comps, pows)
-                for f, (off, cnt) in enumerate(factors):
+                for f, (read, row, cnt) in enumerate(factors):
                     slope = p * cnt
                     if cnt != 1.0:
-                        lu = log_u[..., lo + off:hi + off]
-                        slope = slope * np.exp((cnt - 1) * lu)
+                        slope = slope * np.exp((cnt - 1) * log_u[read])
                     for g, pw in enumerate(pows):
                         if g != f:
                             slope = slope * pw
-                    jac[..., 1 - off, lo:hi] += slope
-            val[..., lo:hi] = acc
+                    jac[row, at] += slope
+            val[at] = acc
+            if at is self.tail and len(self.heads):
+                jac[:, self.heads] = 0.0
+        self.layout.pin(v, val, jac)
         return val, jac
 
 
@@ -177,23 +275,29 @@ class _Example2Sweep:
 
     width = 1
 
-    def __init__(self, model: Example2Model, k: int):
-        self.k = k
+    def __init__(self, model: Example2Model, levels):
+        self.layout = layout = _Layout(levels)
+        self.first = layout.at(0)
         self.gamma = model.gamma
-        j = np.arange(1, k + 1, dtype=float)
-        self.c = np.concatenate(([0.25], (j + 1) / (4 * j)))
+        types = layout.types()
+        j = types[types > 0].astype(float)
+        self.c = np.full(layout.rows, 0.25)
+        self.c[types > 0] = (j + 1) / (4 * j)
+        self.c[layout.edges] = 0.0
 
     def __call__(self, v):
-        k, g = self.k, self.gamma
-        t = np.empty(v.shape[:-1] + (k + 1,))
-        t[..., 0] = v[..., 1]
-        t[..., 1:] = g * v[..., 0:k] + (1 - g) * v[..., 2:k + 2]
+        n, g, first = self.layout.rows, self.gamma, self.first
+        t = np.empty(n)
+        t[1:] = g * v[0:n - 1] + (1 - g) * v[2:n + 1]
+        t[first] = v[_shift(first, 1)]
         val = self.c * t * (4.0 - t * (6.0 - t * (4.0 - t)))
         slope = 4.0 * self.c * (1.0 - t) ** 3
-        jac = np.zeros(v.shape[:-1] + (3, k + 1))
-        jac[..., 0, :] = (1 - g) * slope
-        jac[..., 0, 0] = slope[..., 0]
-        jac[..., 2, 1:] = g * slope[..., 1:]
+        jac = np.zeros((3, n))
+        jac[0] = (1 - g) * slope
+        jac[0, first] = slope[first]
+        jac[2, 1:] = g * slope[1:]
+        jac[2, first] = 0.0
+        self.layout.pin(v, val, jac)
         return val, jac
 
 
@@ -203,19 +307,31 @@ class _TridiagonalSweep:
     complement W = 1 - f.  The up factor is thinned: w f_c(x^S) + 1 - w with
     S = ceil(u^i), w = 1/S.  Past the first type whose S saturates to inf,
     all later ones saturate too and weigh w = 0, so the up factor is formed
-    on types 0..m-1 only, m the number of finite scales, and is 1 on the
-    rest.  A count of 1 at scale 1 contributes p v to its complement and p
-    to its slope; only thinned scales (u > 1) and counts of 2 take logs.
+    on the rows of the types before it only, and is 1 on the rest.  A count
+    of 1 at scale 1 contributes p v to its complement and p to its slope;
+    only thinned scales (u > 1) and counts of 2 take logs.
     """
 
     width = 1
 
-    def __init__(self, model: TridiagonalModel, k: int):
-        self.k = k
-        scale = model._scales(k)  # of the upward coordinate of types 0..k
-        self.scale = scale[np.isfinite(scale)]
-        self.w = 1.0 / self.scale
+    def __init__(self, model: TridiagonalModel, levels):
+        self.layout = layout = _Layout(levels)
+        self.first = layout.at(0)
         self.thinned = model.u != 1.0
+        if self.thinned:
+            # the scales of types 0..top + 1, the type of an edge after a
+            # top level
+            scale = model._scales(max(layout.levels) + 1)
+            # the up factor is formed on the rows up to the last of a type
+            # with a finite scale; saturated rows among them (in blocks
+            # below the last) and edges take the scale 1 and weigh 0
+            types = layout.types()
+            live = types < np.isfinite(scale).sum()
+            live[layout.edges] = False
+            self.up = slice(0, int(np.flatnonzero(live)[-1]) + 1)
+            live, types = live[self.up], types[self.up]
+            self.scale = np.where(live, scale[types], 1.0)
+            self.w = np.where(live, 1.0 / self.scale, 0.0)
         self.pmfs = [tuple((c, p) for c, p in _two_point(mean) if c)
                      for mean in (model.a, model.b, model.c)]
 
@@ -238,40 +354,43 @@ class _TridiagonalSweep:
 
     @np.errstate(divide="ignore", over="ignore")
     def __call__(self, v):
-        k, m = self.k, len(self.scale)
+        n, first = self.layout.rows, self.first
         down, same, up = self.pmfs
-        shape = v.shape[:-1] + (k + 1,)
-        comp_dn = np.zeros(shape)
-        comp_dn[..., 1:], s_dn = self._factor(down, v[..., 0:k])
-        comp_sm, s_sm = self._factor(same, v[..., 0:k + 1])
+        comp_dn = np.zeros(n)
+        comp_dn[1:], s_dn = self._factor(down, v[0:n - 1])
+        comp_dn[first] = 0.0  # type 0 has no type -1 children
+        comp_sm, s_sm = self._factor(same, v[0:n])
         if self.thinned:
-            comp, slope = self._factor(up, v[..., 1:m + 1], self.scale)
-            comp_up, s_up = np.zeros(shape), np.zeros(shape)
-            np.multiply(self.w, comp, out=comp_up[..., :m])
-            np.multiply(self.w, slope, out=s_up[..., :m])
+            comp, slope = self._factor(up, v[1:self.up.stop + 1], self.scale)
+            comp_up, s_up = np.zeros(n), np.zeros(n)
+            comp_up[self.up] = self.w * comp
+            s_up[self.up] = self.w * slope
         else:
-            comp_up, s_up = self._factor(up, v[..., 1:k + 2])
+            comp_up, s_up = self._factor(up, v[1:n + 1])
         f_dn, f_sm, f_up = 1.0 - comp_dn, 1.0 - comp_sm, 1.0 - comp_up
         val = _combine((comp_dn, comp_sm, comp_up), (f_dn, f_sm))
-        jac = np.empty(v.shape[:-1] + (3, k + 1))
-        above, diag, below = jac[..., 0, :], jac[..., 1, :], jac[..., 2, :]
+        jac = np.empty((3, n))
+        above, diag, below = jac
         np.multiply(s_up, f_dn, out=above)
         above *= f_sm
         np.multiply(s_sm, f_dn, out=diag)
         diag *= f_up
         np.multiply(f_sm, f_up, out=below)
-        below[..., 0] = 0.0
-        below[..., 1:] *= s_dn
+        below[1:] *= s_dn
+        below[first] = 0.0
+        self.layout.pin(v, val, jac)
         return val, jac
 
 
 @lru_cache(maxsize=64)
-def _compiled(model: LHBPModel, k: int):
+def _compiled(model: LHBPModel, levels):
+    """The survival kernel of ``model`` on the layout of ``levels``, one
+    level k or a tuple of levels."""
     if isinstance(model, Example2Model):
-        return _Example2Sweep(model, k)
+        return _Example2Sweep(model, levels)
     if isinstance(model, TridiagonalModel):
-        return _TridiagonalSweep(model, k)
-    return _GenericSweep(model, k)
+        return _TridiagonalSweep(model, levels)
+    return _GenericSweep(model, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -318,42 +437,32 @@ def eliminate_band(band: list, rhs: list):
 
 
 def _solve_band(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - J) x = rhs for J given as a kernel's band ``jac``, or for
-    each row of a stack of bands (..., width + 2, n) and of ``rhs`` (..., n).
-    An ``rhs`` (..., n, m) holds m right-hand sides of each band on a
-    trailing axis, solved with one elimination; each column of x equals
-    the solve of that column alone, bit for bit.
+    """Solve (I - J) x = rhs for J given as a kernel's band ``jac``
+    (width + 2, n).  An ``rhs`` (n, m) holds m right-hand sides on a
+    trailing axis, solved with one elimination; each column of x equals the
+    solve of that column alone, bit for bit.
 
     Gaussian elimination without pivoting: on the solver's path I - J is a
     nonsingular M-matrix, so every pivot is positive, and the upper factor
     keeps the single superdiagonal of I - J.  Width 1, the common case, goes
-    to ``_solve_tridiagonal``; wider bands go row by row to
-    ``eliminate_band``.  A zero pivot in any row raises
-    ``ZeroDivisionError``.
+    to ``_solve_tridiagonal``; wider bands go to ``eliminate_band``.  A zero
+    pivot raises ``ZeroDivisionError``.
     """
     band = -jac
-    band[..., 1, :] += 1.0  # the band of I - J
-    n = jac.shape[-1]
-    several = rhs.ndim == jac.ndim
-    if band.shape[-2] == 3:  # width 1
-        # couplings outside the system
-        band[..., 2, 0] = band[..., 0, -1] = 0.0
-        # the transposes hold each system along their first axis, with the
-        # columns of several right-hand sides next to it; an overflow gives
-        # inf, as the loop's Python floats do, for the caller to detect
-        low, diag, up = band[..., 2, :].T, band[..., 1, :].T, band[..., 0, :].T
+    band[1] += 1.0  # the band of I - J
+    several = rhs.ndim == 2
+    if len(band) == 3:  # width 1
+        band[2, 0] = band[0, -1] = 0.0  # couplings outside the system
+        # an overflow gives inf, as the loop's Python floats do, for the
+        # caller to detect
         with np.errstate(over="ignore", invalid="ignore"):
             if not several:
-                return _solve_tridiagonal(low, diag, up, rhs.T).T
-            x = _solve_tridiagonal(low[:, None], diag[:, None], up[:, None],
-                                   rhs.swapaxes(-1, -2).T, "F")
-        return x.T.swapaxes(-1, -2)
+                return _solve_tridiagonal(band[2], band[1], band[0], rhs)
+            return _solve_tridiagonal(band[2, :, None], band[1, :, None],
+                                      band[0, :, None], rhs, "F")
     # back-substitution divides by every pivot, a zero one too
-    cols = rhs.swapaxes(-1, -2) if several else rhs
-    rows = zip(band.reshape(-1, band.shape[-2], n).tolist(),
-               cols.reshape(-1, *cols.shape[band.ndim - 2:]).tolist())
-    return np.reshape([_back_substitute(*eliminate_band(b, r))
-                       for b, r in rows], rhs.shape)
+    return _back_substitute(*eliminate_band(
+        band.tolist(), (rhs.T if several else rhs).tolist()))
 
 
 def _back_substitute(diag: list, up: list, x: list) -> np.ndarray:
@@ -377,36 +486,28 @@ CYCLIC_CROSSOVER = 128
 
 def _solve_tridiagonal(low: np.ndarray, diag: np.ndarray, up: np.ndarray,
                        rhs: np.ndarray, order: str = "C") -> np.ndarray:
-    """Solve low[i] x[i-1] + diag[i] x[i] + up[i] x[i+1] = rhs[i] for arrays
-    (n, ...) that hold one system along their first axis for each index of
-    the others; the band arrays broadcast against ``rhs``, so a band of
-    shape (n, 1) solves the m columns of an ``rhs`` (n, m) at once.  The
-    arrays made for rhs-shaped values take the memory ``order``: "F" keeps
-    the systems' axis contiguous, which numpy loops along faster than along
-    a few columns.
+    """Solve low[i] x[i-1] + diag[i] x[i] + up[i] x[i+1] = rhs[i] for an
+    ``rhs`` (n,), or for the m columns of an ``rhs`` (n, m) at once with
+    band arrays (n, 1).  The arrays made for rhs-shaped values take the
+    memory ``order``: "F" keeps the system's axis contiguous, which numpy
+    loops along faster than along a few columns.
 
-    ``low[0]`` and ``up[-1]`` must be 0.  A single band of at most
+    ``low[0]`` and ``up[-1]`` must be 0.  A band of at most
     ``CYCLIC_CROSSOVER`` unknowns goes to the scalar elimination loop, with
     all its right-hand sides.  Otherwise one level of odd-even cyclic
-    reduction eliminates the odd unknowns of every system with whole-array
-    operations, which leaves a tridiagonal system in the even unknowns;
-    that system is solved by recursion and the odd unknowns are recovered
-    from it.  This is Gaussian elimination on a symmetric permutation of the
-    matrix, so an M-matrix keeps positive pivots.  A stack of systems is
-    reduced down to one unknown.  A zero pivot raises ``ZeroDivisionError``.
+    reduction eliminates the odd unknowns with whole-array operations, which
+    leaves a tridiagonal system in the even unknowns; that system is solved
+    by recursion and the odd unknowns are recovered from it.  This is
+    Gaussian elimination on a symmetric permutation of the matrix, so an
+    M-matrix keeps positive pivots.  A zero pivot raises
+    ``ZeroDivisionError``.
     """
     n = len(rhs)
-    if diag.size == n <= CYCLIC_CROSSOVER:  # a single band
+    if n <= CYCLIC_CROSSOVER:
         band = [up.ravel().tolist(), diag.ravel().tolist(),
                 low.ravel().tolist()]
-        cols = (rhs.ravel().tolist() if rhs.size == n
-                else rhs.reshape(n, -1).T.tolist())
-        x = _back_substitute(*eliminate_band(band, cols))
-        return x.reshape(rhs.shape)
-    if n == 1:
-        if not diag.all():
-            raise ZeroDivisionError("zero pivot in cyclic reduction")
-        return rhs / diag
+        cols = rhs.tolist() if rhs.ndim == 1 else rhs.T.tolist()
+        return _back_substitute(*eliminate_band(band, cols))
     # odd rows are the pivots of this level
     lo, do, uo, ro = low[1::2], diag[1::2], up[1::2], rhs[1::2]
     if not do.all():
@@ -425,7 +526,9 @@ def _solve_tridiagonal(low: np.ndarray, diag: np.ndarray, up: np.ndarray,
     low_e[1:] = -alpha * lo[:ne - 1]
     up_e = np.zeros(diag_e.shape)
     up_e[:no] = -gamma * uo
+    del alpha, gamma  # not held through the recursion
     x_e = _solve_tridiagonal(low_e, diag_e, up_e, rhs_e, order)
+    del low_e, diag_e, up_e, rhs_e
     x = np.empty(rhs.shape, order=order)
     x[0::2] = x_e
     # odd row 2m+1 couples x[2m] and x[2m+2]; for an even n the last odd
@@ -439,89 +542,106 @@ def _solve_tridiagonal(low: np.ndarray, diag: np.ndarray, up: np.ndarray,
     return x
 
 
-class _Stack:
-    """Layout of a stack of survival vectors (..., k + 2): the row of level
-    j holds its unknowns in columns 0..j, its boundary in column j + 1 and
-    padding after that.  A type-i parent bears only children of types
-    <= i + 1, so a row's unknowns never read its padding.  The solves treat
-    the boundary and padding columns as identity rows with a zero
-    right-hand side; their solution is 0, so the coupling of a row's last
-    unknown to its boundary adds nothing and needs no cut."""
+def _newton(kernel, layout: _Layout, v: np.ndarray, tol: float, caps: list,
+            chain: bool):
+    """Newton steps in place on the packed survival vector ``v`` of
+    ``layout``: one kernel call and one band solve step every level.
 
-    def __init__(self, levels, jac: np.ndarray):
-        """``levels`` of the rows, and their kernels' band ``jac``."""
-        self.at = np.asarray(levels)[..., None]  # each row's last unknown
-        self.live = np.arange(jac.shape[-1]) <= self.at
-        self.padded = not self.live.all()
-
-    def unknowns(self, x: np.ndarray) -> np.ndarray:
-        """``x`` (..., k + 1) with 0 past each row's unknowns."""
-        return np.where(self.live, x, 0.0) if self.padded else x
-
-    def solve(self, jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """(I - J) x = rhs on each row's unknowns, for an ``rhs`` that is 0
-        past them; x is 0 there."""
-        if self.padded:
-            jac = np.where(self.live[..., None, :], jac, 0.0)
-        return _solve_band(jac, rhs)
-
-    def last(self, x: np.ndarray) -> np.ndarray:
-        """Entry j of each row of level j."""
-        return np.take_along_axis(x, self.at, -1)[..., 0]
-
-    def tangent(self, jac: np.ndarray) -> np.ndarray:
-        """w = (I - J)^-1 dV/dv_{j+1} for each row's band: the tangent of
-        the level-j solution path in its boundary, one band solve."""
-        rhs = np.zeros(self.live.shape)
-        # only type j bears type-(j+1) children
-        np.put_along_axis(rhs, self.at, self.last(jac[..., 0, :])[..., None],
-                          -1)
-        return self.solve(jac, rhs)
-
-
-def _newton(kernel, v: np.ndarray, levels: np.ndarray, tol: float,
-            caps: list):
-    """Newton steps in place on the survival vectors ``v`` stacked by
-    ``levels`` (see ``_Stack``).
-
-    Each row stops on its own: after a step that moves none of its
-    coordinates by more than ``tol``, at an exact fixed point, after its
-    entry of ``caps`` in steps, or at a step that is not finite; a stopped
-    row keeps its vector while the others go on.  A zero pivot stops every
-    row that has not stopped.  Returns the rows' residuals V(v) - v (0 past
-    their unknowns), step counts and convergence flags.  A single vector is
-    one row that needs no padding.
+    Each level stops on its own: after a step that moves none of its
+    coordinates by more than ``tol``, at an exact fixed point, or after its
+    entry of ``caps`` in steps; a stopped level keeps its vector while the
+    others go on, and the solves leave out the stopped levels below the
+    first moving one.  A step that is not finite, or a zero pivot, in the
+    shared solve is redone one block at a time, so that only the levels
+    whose own step fails fail.  With ``chain`` (boundary 0, ascending
+    levels) each level is lifted after every step onto the level below it
+    on their shared types (v = min in survival space), stops only after
+    that level has stopped, and after a failed step restarts from it; the
+    restarts count towards its cap.  A level that fails with no level to
+    restart from stops, as a single level does: its vector is left as it
+    was at a zero pivot, and takes a step that is not finite, which also
+    keeps the level above from being lifted or restarted from it.  The
+    lifts go in ascending order, each from the lifted level below, so every
+    chained level ends at or below the level below it.  Returns the
+    residual V(v) - v (0 at the edges), and each level's step count and
+    convergence flag.
     """
-    head = v[..., :-1]
-    val, jac = kernel(v)
-    stack = None if v.ndim == 1 else _Stack(levels, jac)
-    steps = [0] * len(caps)
-    converged = [False] * len(caps)
+    head = v[:-1]
+    blocks = layout.blocks()
+    starts = layout.starts.tolist()
+    m = len(caps)
+    steps, converged = [0] * m, [False] * m
     active = [c > 0 for c in caps]
+    broken = [False] * m  # stopped on a step that is not finite
+    # the rows of each level's types shared with the level below
+    shared = [None] + [slice(a.start, a.start + b.stop - b.start)
+                       for a, b in zip(blocks[1:], blocks)]
+
+    def settled(b):  # no level below it is still moving
+        return not chain or b == 0 or not active[b - 1]
+
+    val, jac = kernel(v)
     while True:
-        resid = val - head if stack is None else stack.unknowns(val - head)
-        for r, moving in enumerate(resid.any(-1).reshape(-1).tolist()):
-            if active[r] and not moving:  # a fixed point below the start
-                active[r], converged[r] = False, True
+        resid = val - head
+        del val
+        for b, moving in enumerate(layout.block_any(resid)):
+            if active[b] and not moving and settled(b):  # a fixed point
+                active[b], converged[b] = False, True
         if not any(active):
             break
         steps = [n + a for n, a in zip(steps, active)]
-        try:
-            step = (_solve_band(jac, resid) if stack is None
-                    else stack.solve(jac, resid))
+        first = active.index(True)
+        lo = starts[first]
+        rhs, band = resid[lo:], jac[:, lo:]
+        del jac
+        if not all(active[first:]):  # stopped levels solve to a zero step
+            rows = np.repeat(active, layout.sizes)[lo:-1]
+            rhs, band = np.where(rows, rhs, 0.0), np.where(rows, band, 0.0)
+        try:  # and each level's largest step entry
+            step = _solve_band(band, rhs)
+            moved = [0.0] * first + layout.block_max(np.abs(step), first)
         except ZeroDivisionError:
-            break
-        if not all(active):
-            step[~np.reshape(active, levels.shape)] = 0.0
-        np.minimum(np.maximum(head + step, 0.0), 1.0, out=head)
+            moved = [math.nan] * m
+        failed = {}  # level: whether its failed step was taken
+        if not all(math.isfinite(x) for x, a in zip(moved, active) if a):
+            step = np.zeros(len(rhs))
+            for b in range(first, m):
+                if not active[b]:
+                    continue
+                at = slice(blocks[b].start - lo, blocks[b].stop - lo)
+                try:
+                    x = _solve_band(band[:, at], rhs[at])
+                except ZeroDivisionError:  # not taken
+                    failed[b] = False
+                    continue
+                step[at] = x
+                moved[b] = float(np.max(np.abs(x)))
+                if not math.isfinite(moved[b]):
+                    failed[b] = True
+        del band
+        step += head[lo:]
+        np.minimum(np.maximum(step, 0.0, out=step), 1.0, out=head[lo:])
+        del step
+        for b, taken in failed.items():
+            if (not chain or b == 0 or broken[b - 1]
+                    or steps[b] >= caps[b]):
+                active[b], broken[b] = False, taken
+            else:  # restart from the level below, padded with v = 1
+                head[blocks[b]] = 1.0
+                head[shared[b]] = head[blocks[b - 1]]
+        if chain:  # in ascending order, each from the lifted level below
+            for b in range(max(first, 1), m):
+                if active[b] and not broken[b - 1]:
+                    own = head[shared[b]]
+                    np.minimum(own, head[blocks[b - 1]], out=own)
         val, jac = kernel(v)
-        for r, size in enumerate(abs(step).max(-1).reshape(-1).tolist()):
-            if not active[r]:
+        for b in range(first, m):
+            if not active[b] or b in failed:
                 continue
-            if size <= tol or size <= EPS_FLOOR:
-                active[r], converged[r] = False, True
-            elif not math.isfinite(size) or steps[r] >= caps[r]:
-                active[r] = False
+            if (moved[b] <= tol or moved[b] <= EPS_FLOOR) and settled(b):
+                active[b], converged[b] = False, True
+            elif steps[b] >= caps[b]:
+                active[b] = False
     return resid, steps, converged
 
 
@@ -529,8 +649,9 @@ def iterate_levels(model: LHBPModel, levels, s: float, tol: float = 1e-12,
                    max_iter: int | None = None,
                    start: np.ndarray | None = None) -> list[TruncationResult]:
     """Solve the level-k truncated generating system with boundary s for
-    one level k, on one survival vector, or for each k in a sequence
-    ``levels``, as one stack (see ``_Stack``); returns a result per level.
+    one level k, or for each k of an ascending sequence ``levels`` as one
+    packed Newton system (see ``_Layout`` and ``_newton``); returns a
+    result per level.
 
     Newton steps on v = V(v) in survival space, from v = 1 - start (the
     start defaults to (0, ..., 0, s)).  A supplied start must lie below the
@@ -543,38 +664,49 @@ def iterate_levels(model: LHBPModel, levels, s: float, tol: float = 1e-12,
     sub-solution, so the target lies above it; this function holds the
     returned u at or above the start on the start's other entries, which
     rounding in the last ulp would otherwise break.
-    Each level stops once a step moves none of its coordinates by more than
-    ``tol``, whichever levels share the stack.  ``max_iter`` defaults to
-    k + 100 steps for level k: from a start far below the target a step
-    carries the boundary's influence only a few types inward (about 5 for
-    qtilde of tridiagonal(0.15, 0.25, 0.7) started from its q vector).
-    ``iterations`` counts Newton steps and ``residual`` is max |V(v) - v| at
-    the returned vector, which is given in u = 1 - v.
+
+    At s = 0 the levels form a chain: Newton from a sub-solution of the
+    monotone system yields sub-solutions (Esparza, Kiefer & Luttenberger
+    2010), so at every step each level's iterate, padded with zeros, is a
+    valid start for the levels above it.  Each level is lifted onto the one
+    below it after every step, stops only after it, and restarts from it
+    after a failed step; the returned q vectors are nondecreasing in the
+    level.  At any other s each level goes its own way.  Each level stops
+    once a step moves none of its coordinates by more than ``tol``.
+    ``max_iter`` defaults to k + 100 steps for level k: from a start far
+    below the target a step carries the boundary's influence only a few
+    types inward (about 5 for qtilde of tridiagonal(0.15, 0.25, 0.7)
+    started from its q vector).  ``iterations`` counts Newton steps and
+    ``residual`` is max |V(v) - v| at the returned vector, which is given
+    in u = 1 - v.
     """
     if not (0.0 <= s <= 1.0):
         raise ValueError(f"boundary must lie in [0, 1], got {s}")
-    levels = np.asarray(levels)
-    flat = levels.reshape(-1).tolist()
-    top = max(flat)
-    v = np.ones(levels.shape + (top + 2,))
+    layout = _Layout(levels)
+    levels = layout.levels
+    if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError("levels must be one level or a strictly increasing "
+                         f"sequence, got {levels}")
+    v = np.ones(layout.rows + 1)
     if start is not None:
         start = np.asarray(start, dtype=float)
-        v[..., :len(start) - 1] = 1.0 - start[:-1]
-    for row, k in zip(v.reshape(-1, top + 2), flat):
-        row[k + 1] = 1.0 - s
-    caps = [k + 100 if max_iter is None else max_iter for k in flat]
-    resid, steps, converged = _newton(_compiled(model, top), v, levels, tol,
-                                      caps)
+        for lo in layout.starts.tolist():
+            v[lo:lo + len(start) - 1] = 1.0 - start[:-1]
+    v[layout.lasts + 1] = 1.0 - s
+    caps = [k + 100 if max_iter is None else max_iter for k in levels]
+    kernel = _compiled(model, levels[0] if layout.single else levels)
+    resid, steps, converged = _newton(kernel, layout, v, tol, caps,
+                                      s == 0.0 and not layout.single)
     u = 1.0 - v
-    if start is not None:
-        held = u[..., :len(start) - 1]
-        np.maximum(held, start[:-1], out=held)
     results = []
-    for k, row, *rest in zip(flat, u.reshape(-1, top + 2), steps,
-                             abs(resid).max(-1).reshape(-1).tolist(),
-                             converged):
+    for k, lo, *rest in zip(levels, layout.starts.tolist(), steps,
+                            layout.block_max(np.abs(resid)), converged):
+        row = u[lo:lo + k + 2]
+        if start is not None:
+            held = row[:len(start) - 1]
+            np.maximum(held, start[:-1], out=held)
         row[k + 1] = s
-        results.append(TruncationResult(k, s, row[:k + 2], *rest))
+        results.append(TruncationResult(k, s, row, *rest))
     return results
 
 
@@ -660,36 +792,31 @@ def _anchored_solve(model: LHBPModel, k: int, v0: float, tol: float,
 
 def g_second_derivatives(model: LHBPModel, results) -> np.ndarray:
     """g_k''(s) of the embedded generating function for each converged
-    level-k result with boundary s < 1 in ``results``, as one stack.
+    level-k result with boundary s < 1 in ``results``, packed as one
+    layout.
 
     With t = v_{k+1} = 1 - s, the solution path v(t) has the tangent
     w = (I - J)^-1 dV/dv_{k+1}, one band solve, and g_k(s) = 1 - v_k(t)
     gives g_k''(s) = -dw_k/dt: the change of w_k along the tangent line
     x - h (w, 1), x = (v, t).  The one-sided quotient D(h) has an O(h)
     error, which 2 D(h/2) - D(h) removes.  The tangent at x is one call on
-    the whole stack; the kernel and tangent of both quotient points, h and
-    h/2, are one call on the stack of both.
+    the packed levels; the kernel and tangent of both quotient points, h
+    and h/2, are one call on the layout of the levels twice over.
     """
-    levels = [r.level for r in results]
-    kernel = _compiled(model, max(levels))
-    x = np.ones((len(levels), max(levels) + 2))
-    for row, r in zip(x, results):
-        row[:r.level + 2] = 1.0 - r.vector
-    jac = kernel(x)[1]
-    stack = _Stack(levels, jac)
-    w = stack.tangent(jac)
+    levels = tuple(r.level for r in results)
+    layout, pair = _Layout(levels), _Layout(levels * 2)
+    x = 1.0 - np.concatenate([r.vector for r in results])
+    jac = _compiled(model, levels[0] if layout.single else levels)(x)[1]
+    w = layout.tangent(jac)
     line = np.zeros(x.shape)
-    line[:, :-1] = w
-    np.put_along_axis(line, stack.at + 1, 1.0, -1)
+    line[:-1] = w
+    line[layout.lasts + 1] = 1.0
     h = 1e-5  # O(h^2) truncation and eps / h rounding errors near 1e-10
     hs = np.array([h, h / 2])
-    # each row's two points x - h (w, 1) and x - (h/2) (w, 1) side by side,
-    # so that the stack, not the pair, is the solves' contiguous axis
-    pair = _Stack(np.repeat(levels, 2).reshape(-1, 2), jac)
-    points = x[:, None] - hs[:, None] * line[:, None]
-    ends = pair.last(pair.tangent(kernel(points)[1]))
-    quotient = (stack.last(w)[:, None] - ends) / hs  # D(h) and D(h/2)
-    return quotient[:, 0] - 2.0 * quotient[:, 1]
+    points = np.concatenate([x - h * line for h in hs.tolist()])
+    ends = pair.tangent(_compiled(model, levels * 2)(points)[1])[pair.lasts]
+    quotient = (w[layout.lasts] - ends.reshape(2, -1)) / hs[:, None]
+    return quotient[0] - 2.0 * quotient[1]
 
 
 # ---------------------------------------------------------------------------
@@ -729,16 +856,17 @@ def extinction_ladder(model: LHBPModel, schedule, window: int | None = None,
                       tol: float = 1e-12) -> ExtinctionLadder:
     """Run both boundaries over an increasing truncation schedule.
 
-    q runs bottom-up, each level warm-started from the one below (padded
-    with zeros), so the q ladder is nondecreasing by construction.  qtilde
-    runs top-down, since qtilde^(k) decreases in k: the top level starts
-    from its own q, each lower level k from the elementwise maximum of its
-    q and the next deeper level's qtilde cut to types 0..k, unless that
-    level did not converge.  Both starts are sub-solutions of the level-k
-    system with boundary 1.  ``iterate_to_limit`` holds each result at or
-    above its start, which keeps q <= qtilde and the qtilde ladder
-    nonincreasing.  ``window`` (default: all k + 2 entries of the smallest
-    level k) sets how many leading coordinates are reported and
+    All q levels are one call of ``iterate_levels`` at s = 0, a chain in
+    which each level is lifted onto the one below it after every Newton
+    step, so the q ladder is nondecreasing by construction.  qtilde runs
+    top-down, one level at a time, since qtilde^(k) decreases in k: the top
+    level starts from its own q, each lower level k from the elementwise
+    maximum of its q and the next deeper level's qtilde cut to types 0..k,
+    unless that level did not converge.  Both starts are sub-solutions of
+    the level-k system with boundary 1.  ``iterate_to_limit`` holds each
+    result at or above its start, which keeps q <= qtilde and the qtilde
+    ladder nonincreasing.  ``window`` (default: all k + 2 entries of the
+    smallest level k) sets how many leading coordinates are reported and
     extrapolated.
     """
     schedule = tuple(schedule)
@@ -754,12 +882,8 @@ def extinction_ladder(model: LHBPModel, schedule, window: int | None = None,
     if window > schedule[0] + 2:
         raise ValueError("window exceeds the smallest truncation size: "
                          f"{window} > {schedule[0] + 2}")
-    q_results, qt_results = [], []
-    prev = None
-    for k in schedule:
-        rq = iterate_to_limit(model, k, 0.0, tol=tol, start=prev)
-        prev = rq.vector
-        q_results.append(rq)
+    q_results = iterate_levels(model, schedule, 0.0, tol=tol)
+    qt_results = []
     deeper = None
     for rq in reversed(q_results):
         start = rq.vector

@@ -380,18 +380,20 @@ def test_fixedpoints_solves_only_the_level_it_prints(capsys, model_file,
                                                     monkeypatch):
     # one q and one qtilde solve at level k, not a ladder of 11 levels
     import lhbp.generating
+    from lhbp.generating import iterate_levels
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args[1:3])
-        return iterate_to_limit(*args, **kwargs)
-    monkeypatch.setattr(lhbp.generating, "iterate_to_limit", counting)
+        return iterate_levels(*args, **kwargs)
+    # iterate_to_limit solves its one level through iterate_levels
+    monkeypatch.setattr(lhbp.generating, "iterate_levels", counting)
     code, rows = run_csv(capsys, ["fixedpoints", "--model",
                                   model_file(EX2 % "0.3"), "--k", "1024",
                                   "--J", "200"])
     assert code == 0
     assert len(rows) == 201
-    assert calls == [(1024, 0.0), (1024, 1.0)]
+    assert calls == [((1024,), 0.0), (1024, 1.0)]
 
 
 def test_fixedpoints_rejects_bad_anchor_and_window_before_solving(

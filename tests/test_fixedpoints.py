@@ -99,7 +99,7 @@ def test_invert_halves_a_flat_bracket():
     start = np.ones(14)
     start[13] = 1.0 - s0
     jac = kernel(start)[1]
-    assert lhbp.generating._Stack(12, jac).tangent(jac)[0] == 0.0
+    assert lhbp.generating._Layout(12).tangent(jac)[0] == 0.0
     curve = curve_from_anchor(m, s0, 13)
     assert curve.values[0] == pytest.approx(s0, abs=1e-12)
     assert curve.residual <= 1e-12
@@ -329,7 +329,7 @@ def _anchor_sensitivity(model, curve):
     w_0 is 0 and the anchor does not fix the boundary)."""
     J = len(curve.values) - 1
     jac = lhbp.generating._compiled(model, J - 1)(1.0 - curve.values)[1]
-    w = np.append(lhbp.generating._Stack(J - 1, jac).tangent(jac), 1.0)
+    w = np.append(lhbp.generating._Layout(J - 1).tangent(jac), 1.0)
     return np.abs(w / w[0]) if w[0] > 0.0 else np.full(J + 1, np.inf)
 
 

@@ -265,10 +265,13 @@ def test_family_sweeps_match_generic_sweep():
                   up_only_model()):
         k = 11
         fast, generic = _compiled(model, k), _GenericSweep(model, k)
-        stack = rng.uniform(0.01, 0.99, (2, 3, k + 2))
-        assert_rows_match_single_calls(fast, stack)
-        assert_rows_match_single_calls(generic, stack)
-        for v in stack[0]:
+        levels = (0, 4, k)
+        packed = rng.uniform(0.01, 0.99, sum(levels) + 2 * len(levels))
+        assert_blocks_match_single_calls(
+            lambda lv, m=model: _compiled(m, lv), levels, packed)
+        assert_blocks_match_single_calls(
+            lambda lv, m=model: _GenericSweep(m, lv), levels, packed)
+        for v in rng.uniform(0.01, 0.99, (3, k + 2)):
             a, jac_a = fast(v)
             b, jac_b = generic(v)
             assert np.allclose(a, b, atol=1e-13)
@@ -284,14 +287,24 @@ def test_family_sweeps_match_generic_sweep():
                 assert np.allclose(dense[:, j], central, atol=1e-7)
 
 
-def assert_rows_match_single_calls(kernel, stack):
-    """A kernel on a stack (..., k + 2) gives, row by row, the bits of its
-    call on that row alone."""
-    val, jac = kernel(stack)
-    for idx in np.ndindex(stack.shape[:-1]):
-        a, jac_a = kernel(stack[idx].copy())
-        assert np.array_equal(val[idx], a)
-        assert np.array_equal(jac[idx], jac_a)
+def assert_blocks_match_single_calls(kernel_of, levels, v):
+    """The kernel ``kernel_of(levels)`` on a packed vector ``v`` gives, block
+    by block, the bits of the one-level kernel ``kernel_of(k)`` on that
+    block, and pins each edge between blocks: V = v there, with a zero
+    Jacobian column.  A low level may have a narrower band than the layout;
+    its block is 0 on the further subdiagonals."""
+    val, jac = kernel_of(tuple(levels))(v)
+    lo = 0
+    for k in levels:
+        a, jac_a = kernel_of(k)(v[lo:lo + k + 2].copy())
+        block = jac[:, lo:lo + k + 1]
+        assert np.array_equal(_bits(val[lo:lo + k + 1]), _bits(a)), k
+        assert np.array_equal(_bits(block[:len(jac_a)]), _bits(jac_a)), k
+        assert not block[len(jac_a):].any()
+        lo += k + 2
+        if lo < len(v):
+            assert val[lo - 1] == v[lo - 1]
+            assert not jac[:, lo - 1].any()
 
 
 def test_tridiagonal_sweep_matches_generic_sweep_past_saturation():
@@ -318,7 +331,13 @@ def test_tridiagonal_sweep_matches_generic_sweep_past_saturation():
             assert jac_a.shape == jac_b.shape
             assert np.max(np.abs(jac_a - jac_b)) <= 1e-15
             assert np.all(jac_a[0, saturated] == 0.0)
-        assert_rows_match_single_calls(fast, np.stack([v, 1.0 - v, v ** 2]))
+        # layouts that end before, at and past the first saturated type
+        levels = (3, saturated[0] - 1, saturated[0], k)
+        lengths = np.add(levels, 2)
+        for kind in (_TridiagonalSweep, _GenericSweep):
+            assert_blocks_match_single_calls(
+                lambda lv, m=model, kind=kind: kind(m, lv), levels,
+                np.concatenate([v[:n] for n in lengths]))
 
 
 def _decimal_survival(model, v, k):
@@ -423,31 +442,31 @@ def test_band_solve_matches_scipy():
         want = linalg.solve_banded((width, 1), ab, rhs)
         assert np.allclose(_solve_band(jac, rhs), want, rtol=1e-12,
                            atol=1e-12), (width, n)
-    # a stack of systems of different lengths, each padded to the longest
-    # with identity rows and a zero right-hand side, and cut off from its
-    # padding; every row must solve its own system
+    # a packed band: systems of different lengths one after the other, each
+    # followed by an edge, an identity row with a zero right-hand side, as
+    # the kernels pin it; the coupling of a system's last unknown to its
+    # edge adds nothing, and every block must solve its own system
     for width in (1, 2):
         lengths = (1, 2, 5, C - 1, C + 2, 2 * C + 1, 700)
-        n = max(lengths)
-        jac = np.zeros((len(lengths), width + 2, n))
-        rhs = np.zeros((len(lengths), n))
-        for row, m in enumerate(lengths):
-            jac[row, :, :m] = _random_band(rng, width, m)
-            jac[row, 0, m - 1] = 0.0
-            rhs[row, :m] = rng.normal(size=m)
+        bands, rhss = [], []
+        for m in lengths:
+            bands += [_random_band(rng, width, m), np.zeros((width + 2, 1))]
+            rhss += [rng.normal(size=m), np.zeros(1)]
+        jac, rhs = np.hstack(bands[:-1]), np.concatenate(rhss[:-1])
         x = _solve_band(jac, rhs)
-        for row, m in enumerate(lengths):
-            assert np.all(x[row, m:] == 0.0)
-            assert np.allclose(x[row, :m], _solve_band(jac[row, :, :m],
-                                                       rhs[row, :m]),
+        lo = 0
+        for band, b, m in zip(bands[::2], rhss[::2], lengths):
+            assert np.all(x[lo + m:lo + m + 1] == 0.0)
+            assert np.allclose(x[lo:lo + m], _solve_band(band, b),
                                rtol=1e-12, atol=1e-12), (width, m)
             ab = np.zeros((width + 2, m))
-            ab[0, 1:] = -jac[row, 0, :m - 1]
-            ab[1] = 1.0 - jac[row, 1, :m]
+            ab[0, 1:] = -band[0, :m - 1]
+            ab[1] = 1.0 - band[1]
             for t in range(1, width + 1):
-                ab[1 + t, :m - t] = -jac[row, 1 + t, t:m]
-            want = linalg.solve_banded((width, 1), ab, rhs[row, :m])
-            assert np.allclose(x[row, :m], want, rtol=1e-12, atol=1e-12)
+                ab[1 + t, :m - t] = -band[1 + t, t:]
+            want = linalg.solve_banded((width, 1), ab, b)
+            assert np.allclose(x[lo:lo + m], want, rtol=1e-12, atol=1e-12)
+            lo += m + 1
 
 
 def test_band_solve_matches_thomas_on_kernel_bands(monkeypatch):
@@ -492,7 +511,7 @@ def test_band_solve_several_right_hand_sides(width):
     # m right-hand sides on a trailing axis share one elimination of the
     # band; each column of the solution is the one-column solve, bit for
     # bit, on both sides of the crossover, for either memory layout of the
-    # columns and for a stack of bands
+    # columns
     from lhbp.generating import _solve_band
     rng = np.random.default_rng(11)
     for n in (1, 2, 127, 128, 129, 200, 1025):
@@ -505,13 +524,6 @@ def test_band_solve_several_right_hand_sides(width):
                 for c in range(m):
                     one = _solve_band(jac, np.ascontiguousarray(rhs[:, c]))
                     assert np.array_equal(_bits(x[:, c]), _bits(one)), (n, m)
-        jacs = np.stack([_random_band(rng, width, n) for _ in range(3)])
-        rhs = rng.normal(size=(3, n, 2))
-        x = _solve_band(jacs, rhs)
-        assert x.shape == (3, n, 2)
-        for c in range(2):
-            one = _solve_band(jacs, np.ascontiguousarray(rhs[..., c]))
-            assert np.array_equal(_bits(x[..., c]), _bits(one)), n
 
 
 def test_band_solve_several_right_hand_sides_zero_pivot_raises():
@@ -529,19 +541,25 @@ def test_band_solve_several_right_hand_sides_zero_pivot_raises():
 
 
 def test_stacked_levels_stop_on_their_own():
-    # each level of a stack takes the steps its solve takes alone and
-    # reaches the same vector; a step cap leaves the deeper levels
-    # unconverged while the shallow one has stopped, as alone
+    # each level of a packed solve reaches the vector of its solve alone;
+    # apart from s = 0 it takes the steps it takes alone, give or take the
+    # one step by which the packed band solve, which rounds otherwise, may
+    # meet an exact fixed point; at s = 0 the chained levels take no more
+    # steps than alone; a step cap leaves the deeper levels unconverged
+    # while the shallow one has stopped, as alone
     from lhbp.generating import iterate_levels
     for model, s in ((ex2(0.3), 0.0), (tridiag(0.15, 0.25, 0.7), 1.0),
-                     (e1_model(), 0.5)):
+                     (e1_model(), 0.5), (tridiag(0.15, 0.25, 0.7), 0.0)):
         for max_iter in (None, 6):
             stacked = iterate_levels(model, [2, 9, 200], s,
                                      max_iter=max_iter)
             for r in stacked:
                 alone = iterate_to_limit(model, r.level, s,
                                          max_iter=max_iter)
-                assert r.iterations == alone.iterations
+                if s == 0.0:
+                    assert r.iterations <= alone.iterations
+                else:
+                    assert abs(r.iterations - alone.iterations) <= 1
                 assert r.converged == alone.converged
                 assert np.max(np.abs(r.vector - alone.vector)) <= 1e-14
             flags = [r.converged for r in stacked]
@@ -550,15 +568,18 @@ def test_stacked_levels_stop_on_their_own():
 
 
 def test_stacked_band_solve_zero_pivot_raises():
-    # one row of a stack with a vanishing row of I - J stops the whole
-    # solve, in cyclic reduction at any level down to a single unknown
+    # one block of a packed band with a vanishing row of I - J stops the
+    # whole solve, in cyclic reduction at any level and in the scalar loop
     from lhbp.generating import _solve_band
     rng = np.random.default_rng(4)
     for n, j in ((40, 21), (40, 0), (301, 201), (301, 200), (1, 0)):
-        jac = np.stack([_random_band(rng, 1, n) for _ in range(3)])
-        jac[1, :, j] = (0.0, 1.0, 0.0)
+        bands = []
+        for _ in range(3):
+            bands += [_random_band(rng, 1, n), np.zeros((3, 1))]
+        bands[2][:, j] = (0.0, 1.0, 0.0)
+        jac = np.hstack(bands[:-1])
         with pytest.raises(ZeroDivisionError):
-            _solve_band(jac, rng.normal(size=(3, n)))
+            _solve_band(jac, rng.normal(size=jac.shape[1]))
 
 
 def stuck_model(j):
@@ -585,6 +606,97 @@ def test_singular_newton_step_not_converged():
         # the anchored curve solve meets the same zero pivot
         with pytest.raises(ComputationError):
             curve_from_anchor(model, 0.5, k + 1)
+
+
+# tridiagonal(0.23, 0.09, 1.03, u = 1.97): u-space warm starts, each level
+# started from the q of the level below, ended unconverged at q_0 = 1 at
+# levels 128 and 256, where a cold solve converges
+SEPARATED = tridiag(0.23014501142019844, 0.09014781708821724,
+                    1.027718071653748, u=1.974673414555875)
+
+
+def test_chained_q_converges_where_u_space_warm_starts_did_not():
+    ladder = extinction_ladder(SEPARATED, default_schedule(256))
+    assert all(r.converged for r in ladder.q_results)
+    for r in ladder.q_results[-2:]:
+        cold = iterate_to_limit(SEPARATED, r.level, 0.0)
+        assert cold.converged
+        assert abs(r.vector[0] - 0.8935150247094887) <= 1e-15
+        assert np.max(np.abs(r.vector - cold.vector)) <= 1e-15
+    # the top qtilde solve, started from q, still ends unconverged at 1
+    top = ladder.qtilde_results[-1]
+    assert not top.converged
+    assert top.iterations == 356 and np.all(top.vector[:3] == 1.0)
+
+
+def test_chained_levels_stop_after_the_level_below():
+    # consecutive levels of example2(0), as agresti_bounds chains them: left
+    # to itself level 9 would stop a step before level 8; chained, no level
+    # stops before the level below it, and each reaches its solve alone,
+    # with the q vectors nondecreasing in the level
+    from lhbp.generating import iterate_levels
+    chained = iterate_levels(ex2(0.0), range(1, 40), 0.0)
+    steps = [r.iterations for r in chained]
+    assert steps == sorted(steps)
+    for low, high in zip(chained, chained[1:]):
+        assert np.all(high.vector[:low.level + 1] >= low.vector[:-1])
+    for r in chained:
+        alone = iterate_to_limit(ex2(0.0), r.level, 0.0)
+        assert r.converged
+        assert np.max(np.abs(r.vector - alone.vector)) <= 1e-15
+    # a chain needs its levels in ascending order
+    for levels in ([], [9, 2], [2, 2]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            iterate_levels(ex2(0.0), levels, 0.0)
+
+
+def test_chained_q_isolates_a_zero_pivot():
+    # type 21 of stuck_model(21) makes row 21 of I - J vanish at every
+    # level from 21 on: the shared solve fails, each level's step is
+    # redone alone, and levels 32 and 64 restart from the level below until
+    # their caps, while the lower levels converge to their solves alone
+    from lhbp.generating import iterate_levels
+    model = stuck_model(21)
+    levels = default_schedule(64)
+    chained = iterate_levels(model, levels, 0.0)
+    assert [r.converged for r in chained] == [k < 21 for k in levels]
+    for r in chained:
+        assert np.all(np.isfinite(r.vector))
+        if r.level > 21:
+            assert r.iterations == r.level + 100
+            continue
+        alone = iterate_to_limit(model, r.level, 0.0)
+        assert np.max(np.abs(r.vector - alone.vector)) <= 1e-15
+    qs = [r.vector for r in chained]
+    for low, high in zip(qs, qs[1:]):
+        assert np.all(high[:len(low) - 1] >= low[:-1])
+
+
+KERNEL_MODELS = (ex2(0.0), ex2(0.3), tridiag(0.15, 0.25, 0.7),
+                 tridiag(0.1, 0.2, 0.8, u=2.0),
+                 tridiag(0.1, 0.2, 0.8, u=10.0), e1_model(), e4_model(),
+                 product_tail_model(), wide_band_model(), up_only_model(),
+                 stuck_model(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(KERNEL_MODELS),
+       levels=st.lists(st.integers(0, 400), min_size=1, max_size=5,
+                       unique=True).map(sorted),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_packed_kernel_blocks_match_one_level_calls(model, levels, seed):
+    # every block of a packed kernel call is its one-level call, bit for
+    # bit, on survival entries from 1e-30 to 1, exact 0s and 1s, for the
+    # families (u = 10 saturates its scales from type 309 on), explicit
+    # head and tail laws and a band of width 2
+    from lhbp.generating import _compiled
+    rng = np.random.default_rng(seed)
+    n = sum(levels) + 2 * len(levels)
+    v = 10.0 ** rng.uniform(-30.0, 0.0, n)
+    v[rng.integers(0, n, 4)] = 0.0
+    v[rng.integers(0, n, 4)] = 1.0
+    assert_blocks_match_single_calls(lambda lv: _compiled(model, lv),
+                                     levels, v)
 
 
 def test_qtilde_trap_reaches_one():
@@ -651,27 +763,23 @@ def test_g_second_derivative_matches_eval_g_stencil():
 
 
 def _g2_one_point_at_a_time(model, results):
-    """g_second_derivatives with a kernel call and a tangent solve for
-    each of the two quotient points in turn: the reference that one call
-    on both points must match bit for bit."""
-    from lhbp.generating import _compiled, _Stack
-    levels = [r.level for r in results]
-    kernel = _compiled(model, max(levels))
-    x = np.ones((len(levels), max(levels) + 2))
-    for row, r in zip(x, results):
-        row[:r.level + 2] = 1.0 - r.vector
-    jac = kernel(x)[1]
-    stack = _Stack(levels, jac)
-    w = stack.tangent(jac)
-    line = np.zeros(x.shape)
-    line[:, :-1] = w
-    np.put_along_axis(line, stack.at + 1, 1.0, -1)
-    w_k = stack.last(w)
+    """g_second_derivatives one level and one quotient point at a time, on
+    one-level layouts: the reference for the packed levels and pair."""
+    from lhbp.generating import _compiled, _Layout
+    out = []
+    for r in results:
+        k = r.level
+        kernel, layout = _compiled(model, k), _Layout(k)
+        x = 1.0 - r.vector
+        jac = kernel(x)[1]
+        w = layout.tangent(jac)
+        line = np.append(w, 1.0)
 
-    def quotient(h):
-        return (w_k - stack.last(stack.tangent(kernel(x - h * line)[1]))) / h
+        def quotient(h):
+            return (w[k] - layout.tangent(kernel(x - h * line)[1])[k]) / h
 
-    return quotient(1e-5) - 2.0 * quotient(1e-5 / 2)
+        out.append(quotient(1e-5) - 2.0 * quotient(1e-5 / 2))
+    return np.array(out)
 
 
 @pytest.mark.parametrize("model, top, bounded", [
@@ -681,19 +789,25 @@ def _g2_one_point_at_a_time(model, results):
     (e1_model(), 64, True), (wide_band_model(), 30, False)])
 def test_g_second_derivatives_match_one_point_at_a_time(monkeypatch, model,
                                                         top, bounded):
-    # both quotient points as one stack give the g'' of one point at a
-    # time bit for bit, and so the same Agresti bounds where the model is in
-    # their partial-extinction regime (the example2 laws and
+    # all levels packed, and both quotient points packed in one call, give
+    # the g'' of one level and one point at a time within the quotient's
+    # rounding (eps / h, about 2e-11 at h = 1e-5: the packed band solve
+    # rounds otherwise, 5.6e-11 at most on these models), and so the same
+    # Agresti bounds within 1e-10 where the model is in their
+    # partial-extinction regime (the example2 laws and
     # tridiagonal(0.1, 0.3, 1.1) have lower bounds 0 whatever g'' is; the
     # other three tridiagonal models and E1 have lower bounds set by it)
     import lhbp.criteria
     from lhbp.generating import iterate_levels
     results = iterate_levels(model, range(1, top + 1), 0.0)
-    assert np.array_equal(_bits(g_second_derivatives(model, results)),
-                          _bits(_g2_one_point_at_a_time(model, results)))
+    assert np.max(np.abs(g_second_derivatives(model, results)
+                         - _g2_one_point_at_a_time(model, results))) <= 1e-9
     if bounded:
         levels = range(2, top + 1)
         bounds = lhbp.criteria.agresti_bounds(model, 1, levels)
         monkeypatch.setattr(lhbp.criteria, "g_second_derivatives",
                             _g2_one_point_at_a_time)
-        assert bounds == lhbp.criteria.agresti_bounds(model, 1, levels)
+        for a, b in zip(bounds, lhbp.criteria.agresti_bounds(model, 1,
+                                                             levels)):
+            assert (a.level, a.q, a.upper) == (b.level, b.q, b.upper)
+            assert abs(a.lower - b.lower) <= 1e-10
