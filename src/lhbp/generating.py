@@ -120,29 +120,25 @@ class _Layout:
 
     def at(self, i: int):
         """The rows of type i, an unknown of its level: a slice for one
-        level, an index array otherwise."""
+        level, an index array otherwise (the slice saves the kernels 1-2 us
+        a call on one level)."""
         if self.single:
             return slice(i, i + 1)
         return self.starts[np.greater_equal(self.levels, i)] + i
 
     def pin(self, v, val, jac):
         """Map each edge to itself with a zero Jacobian column."""
-        if not self.single:
-            val[self.edges] = v[self.edges]
-            jac[:, self.edges] = 0.0
+        val[self.edges] = v[self.edges]
+        jac[:, self.edges] = 0.0
 
     def block_max(self, x, first: int = 0) -> list:
         """max of ``x`` over each block's rows from block ``first`` on, for
         an ``x`` that starts at that block's first row."""
-        if self.single:
-            return [float(x.max())]
         return np.maximum.reduceat(
             x, self.starts[first:] - self.starts[first]).tolist()
 
     def block_any(self, x) -> list:
         """Whether ``x`` has an entry other than 0 in each block's rows."""
-        if self.single:
-            return [bool(x.any())]
         return np.logical_or.reduceat(x != 0.0, self.starts).tolist()
 
     def tangent(self, jac: np.ndarray) -> np.ndarray:
@@ -558,9 +554,11 @@ def _newton(kernel, layout: _Layout, v: np.ndarray, tol: float, caps: list,
     on their shared types (v = min in survival space), stops only after
     that level has stopped, and after a failed step restarts from it; the
     restarts count towards its cap.  A level that fails with no level to
-    restart from stops, as a single level does: its vector is left as it
-    was at a zero pivot, and takes a step that is not finite, which also
-    keeps the level above from being lifted or restarted from it.  The
+    restart from stops, as a single level does, and so does one whose
+    level below has stopped and not moved since its last restart, which
+    would only repeat the failed step: its vector is left as it was at a
+    zero pivot, and takes a step that is not finite, which also keeps the
+    level above from being lifted or restarted from it.  The
     lifts go in ascending order, each from the lifted level below, so every
     chained level ends at or below the level below it.  Returns the
     residual V(v) - v (0 at the edges), and each level's step count and
@@ -573,6 +571,7 @@ def _newton(kernel, layout: _Layout, v: np.ndarray, tol: float, caps: list,
     steps, converged = [0] * m, [False] * m
     active = [c > 0 for c in caps]
     broken = [False] * m  # stopped on a step that is not finite
+    restarted = [None] * m  # the level below's step count at the restart
     # the rows of each level's types shared with the level below
     shared = [None] + [slice(a.start, a.start + b.stop - b.start)
                        for a, b in zip(blocks[1:], blocks)]
@@ -623,10 +622,11 @@ def _newton(kernel, layout: _Layout, v: np.ndarray, tol: float, caps: list,
         np.minimum(np.maximum(step, 0.0, out=step), 1.0, out=head[lo:])
         del step
         for b, taken in failed.items():
-            if (not chain or b == 0 or broken[b - 1]
-                    or steps[b] >= caps[b]):
+            if (not chain or b == 0 or broken[b - 1] or steps[b] >= caps[b]
+                    or not active[b - 1] and restarted[b] == steps[b - 1]):
                 active[b], broken[b] = False, taken
             else:  # restart from the level below, padded with v = 1
+                restarted[b] = steps[b - 1]
                 head[blocks[b]] = 1.0
                 head[shared[b]] = head[blocks[b - 1]]
         if chain:  # in ascending order, each from the lifted level below
@@ -670,8 +670,8 @@ def iterate_levels(model: LHBPModel, levels, s: float, tol: float = 1e-12,
     2010), so at every step each level's iterate, padded with zeros, is a
     valid start for the levels above it.  Each level is lifted onto the one
     below it after every step, stops only after it, and restarts from it
-    after a failed step; the returned q vectors are nondecreasing in the
-    level.  At any other s each level goes its own way.  Each level stops
+    after a failed step, unless the restart would repeat the last one; the
+    returned q vectors are nondecreasing in the level.  At any other s each level goes its own way.  Each level stops
     once a step moves none of its coordinates by more than ``tol``.
     ``max_iter`` defaults to k + 100 steps for level k: from a start far
     below the target a step carries the boundary's influence only a few
@@ -696,7 +696,7 @@ def iterate_levels(model: LHBPModel, levels, s: float, tol: float = 1e-12,
     caps = [k + 100 if max_iter is None else max_iter for k in levels]
     kernel = _compiled(model, levels[0] if layout.single else levels)
     resid, steps, converged = _newton(kernel, layout, v, tol, caps,
-                                      s == 0.0 and not layout.single)
+                                      s == 0.0)
     u = 1.0 - v
     results = []
     for k, lo, *rest in zip(levels, layout.starts.tolist(), steps,

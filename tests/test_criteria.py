@@ -170,12 +170,17 @@ def test_agresti_sandwich_tridiagonal():
 
 def test_agresti_levels_from_one_pass():
     # one bound per requested level, in the order asked; the pass is
-    # cumulative, so each is the bound of a call for its level alone (the
-    # levels up to 12 are packed with those up to 40 in the first call, so
-    # their solves round otherwise: q agrees within 1e-14, and the lower
-    # bounds, which take g'' from a difference quotient with rounding errors
-    # near 1e-11, within 1e-12)
+    # cumulative, so each equals the bound of a call for its level alone,
+    # bit for bit while the packed solves of the chain stay within the
+    # scalar loop (levels up to 9, whose g'' pair layout has 125 rows)
     m = tridiag(0.25, 0.25, 0.5)
+    both = agresti_bounds(m, 1, [9, 5])
+    assert [b.level for b in both] == [9, 5]
+    assert both == agresti_bounds(m, 1, [9]) + agresti_bounds(m, 1, [5])
+    # past it, levels up to 12 packed with those up to 40 go through
+    # cyclic reduction, which rounds otherwise: q agrees within 1e-14, and
+    # the lower bounds, which take g'' from a difference quotient with
+    # rounding errors near 1e-11, within 1e-12
     both = agresti_bounds(m, 1, [40, 12])
     assert [b.level for b in both] == [40, 12]
     for a, b in zip(both, agresti_bounds(m, 1, [40])

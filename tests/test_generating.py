@@ -541,18 +541,38 @@ def test_band_solve_several_right_hand_sides_zero_pivot_raises():
 
 
 def test_stacked_levels_stop_on_their_own():
-    # each level of a packed solve reaches the vector of its solve alone;
-    # apart from s = 0 it takes the steps it takes alone, give or take the
-    # one step by which the packed band solve, which rounds otherwise, may
-    # meet an exact fixed point; at s = 0 the chained levels take no more
-    # steps than alone; a step cap leaves the deeper levels unconverged
-    # while the shallow one has stopped, as alone
-    from lhbp.generating import iterate_levels
+    # apart from s = 0 each level of a packed solve goes its own way; on a
+    # layout of at most CYCLIC_CROSSOVER rows, which the scalar loop solves
+    # and where the edges leave each block's arithmetic as it is alone, it
+    # takes the steps of its solve alone and reaches its vector bit for
+    # bit; a step cap leaves the deeper levels unconverged while the
+    # shallow one has stopped, as alone
+    from lhbp.generating import CYCLIC_CROSSOVER, iterate_levels
+    small, large = [2, 9, 40], [2, 9, 200]
+    assert sum(small) + 2 * len(small) - 1 <= CYCLIC_CROSSOVER
+    for model, s in ((ex2(0.3), 0.5), (tridiag(0.15, 0.25, 0.7), 1.0),
+                     (e1_model(), 0.5)):
+        for max_iter in (None, 6):
+            stacked = iterate_levels(model, small, s, max_iter=max_iter)
+            for r in stacked:
+                alone = iterate_to_limit(model, r.level, s,
+                                         max_iter=max_iter)
+                assert r.iterations == alone.iterations
+                assert r.converged == alone.converged
+                assert r.residual == alone.residual
+                assert np.array_equal(_bits(r.vector), _bits(alone.vector))
+            flags = [r.converged for r in stacked]
+            assert all(flags) if max_iter is None else (
+                flags[0] and not flags[-1])
+    # past the crossover cyclic reduction rounds the packed band otherwise
+    # than alone: each level reaches its vector within 1e-14, apart from
+    # s = 0 in the steps it takes alone, give or take the one step by
+    # which it may meet an exact fixed point, and at s = 0, chained, in
+    # no more steps than alone
     for model, s in ((ex2(0.3), 0.0), (tridiag(0.15, 0.25, 0.7), 1.0),
                      (e1_model(), 0.5), (tridiag(0.15, 0.25, 0.7), 0.0)):
         for max_iter in (None, 6):
-            stacked = iterate_levels(model, [2, 9, 200], s,
-                                     max_iter=max_iter)
+            stacked = iterate_levels(model, large, s, max_iter=max_iter)
             for r in stacked:
                 alone = iterate_to_limit(model, r.level, s,
                                          max_iter=max_iter)
@@ -653,17 +673,19 @@ def test_chained_levels_stop_after_the_level_below():
 def test_chained_q_isolates_a_zero_pivot():
     # type 21 of stuck_model(21) makes row 21 of I - J vanish at every
     # level from 21 on: the shared solve fails, each level's step is
-    # redone alone, and levels 32 and 64 restart from the level below until
-    # their caps, while the lower levels converge to their solves alone
+    # redone alone, and levels 32 and 64 restart from the level below
+    # while it moves; once it has stopped, a level restarts from it once
+    # more, fails again and stops, one step after the level below; the
+    # lower levels converge to their solves alone
     from lhbp.generating import iterate_levels
     model = stuck_model(21)
     levels = default_schedule(64)
     chained = iterate_levels(model, levels, 0.0)
     assert [r.converged for r in chained] == [k < 21 for k in levels]
-    for r in chained:
+    for low, r in zip([None] + chained, chained):
         assert np.all(np.isfinite(r.vector))
         if r.level > 21:
-            assert r.iterations == r.level + 100
+            assert r.iterations == low.iterations + 1 <= 4
             continue
         alone = iterate_to_limit(model, r.level, 0.0)
         assert np.max(np.abs(r.vector - alone.vector)) <= 1e-15
@@ -790,24 +812,34 @@ def _g2_one_point_at_a_time(model, results):
 def test_g_second_derivatives_match_one_point_at_a_time(monkeypatch, model,
                                                         top, bounded):
     # all levels packed, and both quotient points packed in one call, give
-    # the g'' of one level and one point at a time within the quotient's
-    # rounding (eps / h, about 2e-11 at h = 1e-5: the packed band solve
-    # rounds otherwise, 5.6e-11 at most on these models), and so the same
-    # Agresti bounds within 1e-10 where the model is in their
-    # partial-extinction regime (the example2 laws and
+    # the g'' of one level and one point at a time bit for bit on levels
+    # 1..9, whose pair layout (the levels twice over, 125 rows) the scalar
+    # loop solves, and so the same Agresti bounds where the model is in
+    # their partial-extinction regime (the example2 laws and
     # tridiagonal(0.1, 0.3, 1.1) have lower bounds 0 whatever g'' is; the
-    # other three tridiagonal models and E1 have lower bounds set by it)
+    # other three tridiagonal models and E1 have lower bounds set by it);
+    # up to ``top``, where cyclic reduction rounds the packed bands
+    # otherwise, within the quotient's rounding (eps / h, about 2e-11 at
+    # h = 1e-5; 5.6e-11 at most on these models), and the lower bounds
+    # within 1e-10
     import lhbp.criteria
-    from lhbp.generating import iterate_levels
+    from lhbp.generating import CYCLIC_CROSSOVER, iterate_levels
+    assert 2 * sum(k + 2 for k in range(1, 10)) - 1 <= CYCLIC_CROSSOVER
     results = iterate_levels(model, range(1, top + 1), 0.0)
+    assert np.array_equal(_bits(g_second_derivatives(model, results[:9])),
+                          _bits(_g2_one_point_at_a_time(model, results[:9])))
     assert np.max(np.abs(g_second_derivatives(model, results)
                          - _g2_one_point_at_a_time(model, results))) <= 1e-9
     if bounded:
-        levels = range(2, top + 1)
-        bounds = lhbp.criteria.agresti_bounds(model, 1, levels)
-        monkeypatch.setattr(lhbp.criteria, "g_second_derivatives",
-                            _g2_one_point_at_a_time)
-        for a, b in zip(bounds, lhbp.criteria.agresti_bounds(model, 1,
-                                                             levels)):
-            assert (a.level, a.q, a.upper) == (b.level, b.q, b.upper)
-            assert abs(a.lower - b.lower) <= 1e-10
+        for levels in (range(2, 10), range(2, top + 1)):
+            bounds = lhbp.criteria.agresti_bounds(model, 1, levels)
+            with monkeypatch.context() as patch:
+                patch.setattr(lhbp.criteria, "g_second_derivatives",
+                              _g2_one_point_at_a_time)
+                want = lhbp.criteria.agresti_bounds(model, 1, levels)
+            if levels.stop == 10:
+                assert bounds == want
+                continue
+            for x, y in zip(bounds, want):
+                assert (x.level, x.q, x.upper) == (y.level, y.q, y.upper)
+                assert abs(x.lower - y.lower) <= 1e-10
