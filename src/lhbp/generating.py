@@ -128,6 +128,8 @@ class _Layout:
 
     def pin(self, v, val, jac):
         """Map each edge to itself with a zero Jacobian column."""
+        if self.single:  # indexing by no edges costs 2-3 us a kernel call
+            return
         val[self.edges] = v[self.edges]
         jac[:, self.edges] = 0.0
 
@@ -671,8 +673,9 @@ def iterate_levels(model: LHBPModel, levels, s: float, tol: float = 1e-12,
     valid start for the levels above it.  Each level is lifted onto the one
     below it after every step, stops only after it, and restarts from it
     after a failed step, unless the restart would repeat the last one; the
-    returned q vectors are nondecreasing in the level.  At any other s each level goes its own way.  Each level stops
-    once a step moves none of its coordinates by more than ``tol``.
+    returned q vectors are nondecreasing in the level.  At any other s each
+    level goes its own way.  Each level stops once a step moves none of its
+    coordinates by more than ``tol``.
     ``max_iter`` defaults to k + 100 steps for level k: from a start far
     below the target a step carries the boundary's influence only a few
     types inward (about 5 for qtilde of tridiagonal(0.15, 0.25, 0.7)
