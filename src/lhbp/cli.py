@@ -246,8 +246,12 @@ def cmd_fixedpoints(args) -> int:
     if args.J > args.k:
         raise argparse.ArgumentTypeError("curve window J must not exceed k")
     ladder = extinction_ladder(model, (args.k,), tol=args.tol)
-    qv = ladder.q_results[0].vector
-    qtv = ladder.qtilde_results[0].vector
+    rq, rt = ladder.q_results[0], ladder.qtilde_results[0]
+    for name, r in (("q", rq), ("qtilde", rt)):
+        if not r.converged:  # no bound for the curve, nor a start
+            raise ComputationError(f"level-{args.k} {name} solve did not "
+                                   f"converge ({r.iterations} steps)")
+    qv, qtv = rq.vector, rt.vector
     q0, qt0 = float(qv[0]), float(qtv[0])
     anchor = args.anchor if args.anchor is not None else 0.5 * (q0 + qt0)
     curve = curve_from_anchor(model, anchor, args.J, tol=args.tol,

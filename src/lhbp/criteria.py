@@ -77,7 +77,7 @@ class GlobalVerdict:
 
 def _hypothesis_flags(mom: EmbeddedMoments) -> HypothesisFlags:
     mu, a = mom.mu, mom.a
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         ratio = np.where(mu > 0, a / mu, np.inf)
     run_max = np.maximum.accumulate(ratio)
     half = len(ratio) // 2

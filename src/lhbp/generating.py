@@ -18,15 +18,16 @@ target (v = 1 - start for a start below the minimal u-solution and below its
 own image) decreases monotonically to it.  The fixed-point curves solve the
 same system with the boundary as one more unknown, fixed by coordinate 0.
 
-Levels solved together are one packed Newton system: their survival
-vectors one after the other, so that a Newton step of every level is one
-kernel call and one band solve of a block-diagonal system, which replaces
-many small solves, each a fixed cost of numpy calls, by one larger one; a
-single level is the one-block case.  Each level stops on its own.  At the
-boundary s = 0 the ascending levels of the q ladder form a chain: each is
-lifted onto the level below it after every step, which is sound because
-Newton from a sub-solution yields sub-solutions, so the deep levels start
-from the shallow ones part-way through their solves rather than after them.
+Several levels are solved together only as the q chain: the ascending
+levels of the q ladder at the boundary s = 0, packed into one Newton system
+of their survival vectors one after the other, so that a Newton step of
+every level is one kernel call and one band solve of a block-diagonal
+system, which replaces many small solves, each a fixed cost of numpy calls,
+by one larger one.  Each level is lifted onto the level below it after
+every step, which is sound because Newton from a sub-solution yields
+sub-solutions, so the deep levels start from the shallow ones part-way
+through their solves rather than after them.  A single level, at any
+boundary, is the one-block chain, which never lifts or restarts.
 """
 
 from __future__ import annotations
@@ -98,10 +99,9 @@ class _Layout:
     block-diagonal.  A single level is the one-block layout, with no edge.
     """
 
-    def __init__(self, levels):
-        self.levels = ((int(levels),) if np.ndim(levels) == 0
-                       else tuple(int(k) for k in levels))
-        self.sizes = sizes = [k + 2 for k in self.levels]
+    def __init__(self, levels: tuple[int, ...]):
+        self.levels = levels
+        self.sizes = sizes = [k + 2 for k in levels]
         self.rows = sum(sizes) - 1
         self.starts = np.cumsum([0] + sizes[:-1])
         self.lasts = self.starts + self.levels  # the rows of types k_b
@@ -381,9 +381,9 @@ class _TridiagonalSweep:
 
 
 @lru_cache(maxsize=64)
-def _compiled(model: LHBPModel, levels):
-    """The survival kernel of ``model`` on the layout of ``levels``, one
-    level k or a tuple of levels."""
+def _compiled(model: LHBPModel, levels: tuple[int, ...]):
+    """The survival kernel of ``model`` on the layout of the tuple
+    ``levels``."""
     if isinstance(model, Example2Model):
         return _Example2Sweep(model, levels)
     if isinstance(model, TridiagonalModel):
@@ -454,10 +454,8 @@ def _solve_band(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         # an overflow gives inf, as the loop's Python floats do, for the
         # caller to detect
         with np.errstate(over="ignore", invalid="ignore"):
-            if not several:
-                return _solve_tridiagonal(band[2], band[1], band[0], rhs)
-            return _solve_tridiagonal(band[2, :, None], band[1, :, None],
-                                      band[0, :, None], rhs, "F")
+            low, diag, up = band[::-1, :, None] if several else band[::-1]
+            return _solve_tridiagonal(low, diag, up, rhs)
     # back-substitution divides by every pivot, a zero one too
     return _back_substitute(*eliminate_band(
         band.tolist(), (rhs.T if several else rhs).tolist()))
@@ -483,11 +481,11 @@ CYCLIC_CROSSOVER = 128
 
 
 def _solve_tridiagonal(low: np.ndarray, diag: np.ndarray, up: np.ndarray,
-                       rhs: np.ndarray, order: str = "C") -> np.ndarray:
+                       rhs: np.ndarray) -> np.ndarray:
     """Solve low[i] x[i-1] + diag[i] x[i] + up[i] x[i+1] = rhs[i] for an
     ``rhs`` (n,), or for the m columns of an ``rhs`` (n, m) at once with
-    band arrays (n, 1).  The arrays made for rhs-shaped values take the
-    memory ``order``: "F" keeps the system's axis contiguous, which numpy
+    band arrays (n, 1).  The arrays made for rhs-shaped values are
+    Fortran-ordered: that keeps the system's axis contiguous, which numpy
     loops along faster than along a few columns.
 
     ``low[0]`` and ``up[-1]`` must be 0.  A band of at most
@@ -517,7 +515,7 @@ def _solve_tridiagonal(low: np.ndarray, diag: np.ndarray, up: np.ndarray,
     diag_e = diag[0::2].copy()
     diag_e[1:] -= alpha * uo[:ne - 1]
     diag_e[:no] -= gamma * lo
-    rhs_e = rhs[0::2].copy(order)
+    rhs_e = rhs[0::2].copy("F")
     rhs_e[1:] -= alpha * ro[:ne - 1]
     rhs_e[:no] -= gamma * ro
     low_e = np.zeros(diag_e.shape)
@@ -525,46 +523,42 @@ def _solve_tridiagonal(low: np.ndarray, diag: np.ndarray, up: np.ndarray,
     up_e = np.zeros(diag_e.shape)
     up_e[:no] = -gamma * uo
     del alpha, gamma  # not held through the recursion
-    x_e = _solve_tridiagonal(low_e, diag_e, up_e, rhs_e, order)
+    x_e = _solve_tridiagonal(low_e, diag_e, up_e, rhs_e)
     del low_e, diag_e, up_e, rhs_e
-    x = np.empty(rhs.shape, order=order)
+    x = np.empty(rhs.shape, order="F")
     x[0::2] = x_e
     # odd row 2m+1 couples x[2m] and x[2m+2]; for an even n the last odd
     # row couples no x[n] (uo[-1] is 0)
     if n % 2:
         right = x_e[1:]
     else:
-        right = np.zeros(ro.shape, order=order)
+        right = np.zeros(ro.shape, order="F")
         right[:ne - 1] = x_e[1:]
     x[1::2] = (ro - lo * x_e[:no] - uo * right) / do
     return x
 
 
-def _newton(kernel, layout: _Layout, v: np.ndarray, tol: float, caps: list,
-            chain: bool):
-    """Newton steps in place on the packed survival vector ``v`` of
-    ``layout``: one kernel call and one band solve step every level.
+def _newton(kernel, layout: _Layout, v: np.ndarray, tol: float, caps: list):
+    """Newton steps in place on the packed survival vector ``v`` of the q
+    chain ``layout`` (boundary 0, ascending levels; one level at any
+    boundary): one kernel call and one band solve step every level.
 
-    Each level stops on its own: after a step that moves none of its
-    coordinates by more than ``tol``, at an exact fixed point, or after its
-    entry of ``caps`` in steps; a stopped level keeps its vector while the
-    others go on, and the solves leave out the stopped levels below the
-    first moving one.  A step that is not finite, or a zero pivot, in the
-    shared solve is redone one block at a time, so that only the levels
-    whose own step fails fail.  With ``chain`` (boundary 0, ascending
-    levels) each level is lifted after every step onto the level below it
-    on their shared types (v = min in survival space), stops only after
-    that level has stopped, and after a failed step restarts from it; the
-    restarts count towards its cap.  A level that fails with no level to
-    restart from stops, as a single level does, and so does one whose
-    level below has stopped and not moved since its last restart, which
-    would only repeat the failed step: its vector is left as it was at a
-    zero pivot, and takes a step that is not finite, which also keeps the
-    level above from being lifted or restarted from it.  The
-    lifts go in ascending order, each from the lifted level below, so every
-    chained level ends at or below the level below it.  Returns the
-    residual V(v) - v (0 at the edges), and each level's step count and
-    convergence flag.
+    A level stops after a step that moves none of its coordinates by more
+    than ``tol``, or at an exact fixed point, once the level below it has
+    stopped; or after its entry of ``caps`` in steps, which must not
+    decrease with the level.  After every step each level is lifted onto
+    the level below it on their shared types (v = min in survival space),
+    in ascending order, so every level ends at or below the level below it.
+    A step that is not finite, or a zero pivot, in the shared solve is
+    redone one block at a time, so that only the levels whose own step
+    fails fail; such a level restarts from the level below, the restarts
+    counting towards its cap.  It stops instead, as a single level does,
+    with no level to restart from, or where the level below has stopped
+    and not moved since the last restart, which would only repeat the
+    failed step: its vector is left as it was at a zero pivot, and takes a
+    step that is not finite, which also keeps the level above from being
+    lifted or restarted from it.  Returns the residual V(v) - v (0 at the
+    edges), and each level's step count and convergence flag.
     """
     head = v[:-1]
     blocks = layout.blocks()
@@ -578,37 +572,32 @@ def _newton(kernel, layout: _Layout, v: np.ndarray, tol: float, caps: list,
     shared = [None] + [slice(a.start, a.start + b.stop - b.start)
                        for a, b in zip(blocks[1:], blocks)]
 
-    def settled(b):  # no level below it is still moving
-        return not chain or b == 0 or not active[b - 1]
-
     val, jac = kernel(v)
     while True:
         resid = val - head
         del val
         for b, moving in enumerate(layout.block_any(resid)):
-            if active[b] and not moving and settled(b):  # a fixed point
+            # a fixed point, once no level below it moves
+            if active[b] and not moving and (b == 0 or not active[b - 1]):
                 active[b], converged[b] = False, True
         if not any(active):
             break
         steps = [n + a for n, a in zip(steps, active)]
+        # the moving levels are a suffix (a level stops only after the one
+        # below, whose cap is no later), so the solve starts at the first
         first = active.index(True)
         lo = starts[first]
         rhs, band = resid[lo:], jac[:, lo:]
         del jac
-        if not all(active[first:]):  # stopped levels solve to a zero step
-            rows = np.repeat(active, layout.sizes)[lo:-1]
-            rhs, band = np.where(rows, rhs, 0.0), np.where(rows, band, 0.0)
         try:  # and each level's largest step entry
             step = _solve_band(band, rhs)
             moved = [0.0] * first + layout.block_max(np.abs(step), first)
         except ZeroDivisionError:
             moved = [math.nan] * m
         failed = {}  # level: whether its failed step was taken
-        if not all(math.isfinite(x) for x, a in zip(moved, active) if a):
+        if not all(map(math.isfinite, moved[first:])):
             step = np.zeros(len(rhs))
             for b in range(first, m):
-                if not active[b]:
-                    continue
                 at = slice(blocks[b].start - lo, blocks[b].stop - lo)
                 try:
                     x = _solve_band(band[:, at], rhs[at])
@@ -624,23 +613,24 @@ def _newton(kernel, layout: _Layout, v: np.ndarray, tol: float, caps: list,
         np.minimum(np.maximum(step, 0.0, out=step), 1.0, out=head[lo:])
         del step
         for b, taken in failed.items():
-            if (not chain or b == 0 or broken[b - 1] or steps[b] >= caps[b]
+            if (b == 0 or broken[b - 1] or steps[b] >= caps[b]
                     or not active[b - 1] and restarted[b] == steps[b - 1]):
                 active[b], broken[b] = False, taken
             else:  # restart from the level below, padded with v = 1
                 restarted[b] = steps[b - 1]
                 head[blocks[b]] = 1.0
                 head[shared[b]] = head[blocks[b - 1]]
-        if chain:  # in ascending order, each from the lifted level below
-            for b in range(max(first, 1), m):
-                if active[b] and not broken[b - 1]:
-                    own = head[shared[b]]
-                    np.minimum(own, head[blocks[b - 1]], out=own)
+        # in ascending order, each from the lifted level below
+        for b in range(max(first, 1), m):
+            if active[b] and not broken[b - 1]:
+                own = head[shared[b]]
+                np.minimum(own, head[blocks[b - 1]], out=own)
         val, jac = kernel(v)
         for b in range(first, m):
             if not active[b] or b in failed:
                 continue
-            if (moved[b] <= tol or moved[b] <= EPS_FLOOR) and settled(b):
+            if ((moved[b] <= tol or moved[b] <= EPS_FLOOR)
+                    and (b == 0 or not active[b - 1])):
                 active[b], converged[b] = False, True
             elif steps[b] >= caps[b]:
                 active[b] = False
@@ -651,9 +641,10 @@ def iterate_levels(model: LHBPModel, levels, s: float, tol: float = 1e-12,
                    max_iter: int | None = None,
                    start: np.ndarray | None = None) -> list[TruncationResult]:
     """Solve the level-k truncated generating system with boundary s for
-    one level k, or for each k of an ascending sequence ``levels`` as one
-    packed Newton system (see ``_Layout`` and ``_newton``); returns a
-    result per level.
+    one level k, or at s = 0 for each k of an ascending sequence ``levels``
+    as the q chain, one packed Newton system (see ``_Layout`` and
+    ``_newton``); returns a result per level.  Several levels at any other
+    s raise ``ValueError``.
 
     Newton steps on v = V(v) in survival space, from v = 1 - start (the
     start defaults to (0, ..., 0, s)).  A supplied start must lie below the
@@ -667,15 +658,14 @@ def iterate_levels(model: LHBPModel, levels, s: float, tol: float = 1e-12,
     returned u at or above the start on the start's other entries, which
     rounding in the last ulp would otherwise break.
 
-    At s = 0 the levels form a chain: Newton from a sub-solution of the
-    monotone system yields sub-solutions (Esparza, Kiefer & Luttenberger
-    2010), so at every step each level's iterate, padded with zeros, is a
-    valid start for the levels above it.  Each level is lifted onto the one
-    below it after every step, stops only after it, and restarts from it
-    after a failed step, unless the restart would repeat the last one; the
-    returned q vectors are nondecreasing in the level.  At any other s each
-    level goes its own way.  Each level stops once a step moves none of its
-    coordinates by more than ``tol``.
+    The levels form a chain: Newton from a sub-solution of the monotone
+    system yields sub-solutions (Esparza, Kiefer & Luttenberger 2010), so
+    at every step each level's iterate, padded with zeros, is a valid start
+    for the levels above it.  Each level is lifted onto the one below it
+    after every step, stops only after it, and restarts from it after a
+    failed step, unless the restart would repeat the last one; the
+    returned q vectors are nondecreasing in the level.  Each level stops
+    once a step moves none of its coordinates by more than ``tol``.
     ``max_iter`` defaults to k + 100 steps for level k: from a start far
     below the target a step carries the boundary's influence only a few
     types inward (about 5 for qtilde of tridiagonal(0.15, 0.25, 0.7)
@@ -685,11 +675,13 @@ def iterate_levels(model: LHBPModel, levels, s: float, tol: float = 1e-12,
     """
     if not (0.0 <= s <= 1.0):
         raise ValueError(f"boundary must lie in [0, 1], got {s}")
-    layout = _Layout(levels)
-    levels = layout.levels
+    levels = tuple(int(k) for k in np.atleast_1d(levels))
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be one level or a strictly increasing "
                          f"sequence, got {levels}")
+    if len(levels) > 1 and s != 0.0:
+        raise ValueError(f"several levels form the q chain, s = 0, not {s}")
+    layout = _Layout(levels)
     v = np.ones(layout.rows + 1)
     if start is not None:
         start = np.asarray(start, dtype=float)
@@ -697,9 +689,8 @@ def iterate_levels(model: LHBPModel, levels, s: float, tol: float = 1e-12,
             v[lo:lo + len(start) - 1] = 1.0 - start[:-1]
     v[layout.lasts + 1] = 1.0 - s
     caps = [k + 100 if max_iter is None else max_iter for k in levels]
-    kernel = _compiled(model, levels[0] if layout.single else levels)
-    resid, steps, converged = _newton(kernel, layout, v, tol, caps,
-                                      s == 0.0)
+    resid, steps, converged = _newton(_compiled(model, levels), layout, v,
+                                      tol, caps)
     u = 1.0 - v
     results = []
     for k, lo, *rest in zip(levels, layout.starts.tolist(), steps,
@@ -753,7 +744,7 @@ def _anchored_solve(model: LHBPModel, k: int, v0: float, tol: float,
     t = v0, and v0 = 0 from v = 0, the solution, since every type bears
     type-(i+1) children.
     """
-    kernel = _compiled(model, k)
+    kernel = _compiled(model, (k,))
     if (start is not None and 0.0 < v0 <= 1.0 - start[0]
             and 1.0 - start[k + 1] < 1.0):
         x = 1.0 - np.asarray(start[:k + 2], dtype=float)
@@ -809,7 +800,7 @@ def g_second_derivatives(model: LHBPModel, results) -> np.ndarray:
     levels = tuple(r.level for r in results)
     layout, pair = _Layout(levels), _Layout(levels * 2)
     x = 1.0 - np.concatenate([r.vector for r in results])
-    jac = _compiled(model, levels[0] if layout.single else levels)(x)[1]
+    jac = _compiled(model, levels)(x)[1]
     w = layout.tangent(jac)
     line = np.zeros(x.shape)
     line[:-1] = w

@@ -420,6 +420,32 @@ def test_fixedpoints_rejects_bad_anchor_and_window_before_solving(
         "", "error: curve window J must be >= 0, got -1\n")
 
 
+@pytest.mark.parametrize("abcu, k, J, message", [
+    # the cold level-4096 q solve stops unconverged at q_0 = 0 after 5 steps
+    (("0.05", "0.1", "1.2", "1.1"), 4096, 100,
+     "level-4096 q solve did not converge"),
+    # the top qtilde, started from q, ends unconverged at 1.0
+    (("0.23014501142019844", "0.09014781708821724", "1.027718071653748",
+      "1.974673414555875"), 256, 84,
+     "level-256 qtilde solve did not converge")])
+def test_fixedpoints_exits_3_when_its_level_did_not_converge(
+        capsys, monkeypatch, model_file, abcu, k, J, message):
+    # an unconverged q or qtilde bounds and starts no curve: the command
+    # stops before the curve solve, which once read such a vector as a bound
+    # and exited 4 with an anchor outside the reach
+    import lhbp.fixedpoints
+
+    def no_curve(*args, **kwargs):
+        raise AssertionError("the curve solve ran")
+
+    monkeypatch.setattr(lhbp.fixedpoints, "curve_from_anchor", no_curve)
+    code = main(["fixedpoints", "--model", model_file(TRI % abcu),
+                 "--k", str(k), "--J", str(J)])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}")
+
+
 def test_simulate_json(capsys, model_file):
     code, doc = run_json(capsys, ["simulate", "--model",
                                   model_file(EX2 % "0.0"), "--k", "1",

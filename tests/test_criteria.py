@@ -45,6 +45,13 @@ def test_global_tridiagonal_subcritical_rule1():
     gv = global_verdict(tridiag(0.25, 0.0, 0.25), K=1500)
     assert gv.verdict == "GlobalExtinction"
     assert gv.rule == "mean-collapse"
+    # a_k of tridiagonal(0.45, 0, 0.5, u = 1.5) nears the float maximum
+    # while mu_k < 1, so a_k / mu_k overflows to inf, an unbounded ratio,
+    # with no RuntimeWarning (an error under the tests' filter)
+    gv = global_verdict(tridiag(0.45, 0.0, 0.5, u=1.5))
+    assert gv.verdict == "GlobalExtinction"
+    assert gv.rule == "mean-collapse"
+    assert gv.flags.ratio_sup == math.inf and not gv.flags.ratio_bounded
 
 
 def test_global_partial_survival_inherited():
@@ -56,6 +63,25 @@ def test_global_partial_survival_inherited():
     gv = global_verdict(tridiag(0.5, 5e-7, 0.5), K=2000)
     assert gv.verdict == "GlobalSurvivalPossible"
     assert gv.rule == "closed-form-partial-survival"
+
+
+def test_global_tridiagonal_closed_form_subcritical():
+    # the closed form gives mu_inf = 0.997 < 1, while m_{0->k} = 0.997^k
+    # stays above rule 1's 1e-6 over the default horizon
+    cls = classify(tridiag(0.001, 0.0, 0.996))
+    assert cls.regime == "QeqQtildeEq1"
+    assert cls.certificates[1]["rule"] == "closed-form-subcritical"
+
+
+def test_global_raabe_verdict_downgraded_when_flags_fail():
+    # with no type-down children mu_k = c / (1 - b) = 1, so the Raabe
+    # statistic k (mu_k - 1) = 0 reads divergence, but no type bears two
+    # type-up children, so the flags fail and the verdict is Inconclusive
+    cls = classify(tridiag(0.0, 0.3, 0.7))
+    gv = cls.certificates[1]
+    assert gv["rule"] == "raabe-divergent+flags-failed"
+    assert gv["outcome"] == "Inconclusive"
+    assert cls.regime == "Unresolved"
 
 
 def test_proposition_one_split():

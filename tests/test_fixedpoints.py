@@ -95,11 +95,11 @@ def test_invert_halves_a_flat_bracket():
     m = tridiag(0.10562250967506781, 0.18243616688779896, 1.6279810464423206,
                 1.9383336529303758)
     s0 = 0.5181193695660549
-    kernel = lhbp.generating._compiled(m, 12)
+    kernel = lhbp.generating._compiled(m, (12,))
     start = np.ones(14)
     start[13] = 1.0 - s0
     jac = kernel(start)[1]
-    assert lhbp.generating._Layout(12).tangent(jac)[0] == 0.0
+    assert lhbp.generating._Layout((12,)).tangent(jac)[0] == 0.0
     curve = curve_from_anchor(m, s0, 13)
     assert curve.values[0] == pytest.approx(s0, abs=1e-12)
     assert curve.residual <= 1e-12
@@ -328,8 +328,8 @@ def _anchor_sensitivity(model, curve):
     level-(J-1) truncation in the boundary survival t, over w_0 (inf where
     w_0 is 0 and the anchor does not fix the boundary)."""
     J = len(curve.values) - 1
-    jac = lhbp.generating._compiled(model, J - 1)(1.0 - curve.values)[1]
-    w = np.append(lhbp.generating._Layout(J - 1).tangent(jac), 1.0)
+    jac = lhbp.generating._compiled(model, (J - 1,))(1.0 - curve.values)[1]
+    w = np.append(lhbp.generating._Layout((J - 1,)).tangent(jac), 1.0)
     return np.abs(w / w[0]) if w[0] > 0.0 else np.full(J + 1, np.inf)
 
 

@@ -264,7 +264,7 @@ def test_family_sweeps_match_generic_sweep():
                   tridiag(0.1, 0.2, 0.8, u=2.0), product_tail_model(),
                   up_only_model()):
         k = 11
-        fast, generic = _compiled(model, k), _GenericSweep(model, k)
+        fast, generic = _compiled(model, (k,)), _GenericSweep(model, (k,))
         levels = (0, 4, k)
         packed = rng.uniform(0.01, 0.99, sum(levels) + 2 * len(levels))
         assert_blocks_match_single_calls(
@@ -296,7 +296,7 @@ def assert_blocks_match_single_calls(kernel_of, levels, v):
     val, jac = kernel_of(tuple(levels))(v)
     lo = 0
     for k in levels:
-        a, jac_a = kernel_of(k)(v[lo:lo + k + 2].copy())
+        a, jac_a = kernel_of((k,))(v[lo:lo + k + 2].copy())
         block = jac[:, lo:lo + k + 1]
         assert np.array_equal(_bits(val[lo:lo + k + 1]), _bits(a)), k
         assert np.array_equal(_bits(block[:len(jac_a)]), _bits(jac_a)), k
@@ -319,7 +319,8 @@ def test_tridiagonal_sweep_matches_generic_sweep_past_saturation():
         scale = model._scales(k)
         saturated = np.flatnonzero(np.isinf(scale))
         assert 0 < len(saturated) < k + 1
-        fast, generic = _TridiagonalSweep(model, k), _GenericSweep(model, k)
+        fast = _TridiagonalSweep(model, (k,))
+        generic = _GenericSweep(model, (k,))
         for _ in range(3):
             v = 10.0 ** rng.uniform(-30.0, 0.0, k + 2)
             v[rng.integers(0, k + 2, 40)] = 0.0
@@ -400,7 +401,7 @@ def test_kernel_values_keep_relative_accuracy_near_zero(model):
     from lhbp.generating import _compiled
     rng = np.random.default_rng(23)
     k = 60
-    kernel = _compiled(model, k)
+    kernel = _compiled(model, (k,))
     for _ in range(4):
         v = 10.0 ** rng.uniform(-300.0, -1.0, k + 2)
         v[rng.integers(0, k + 2, 6)] = 0.0
@@ -475,7 +476,7 @@ def test_band_solve_matches_thomas_on_kernel_bands(monkeypatch):
     from lhbp import generating
     rng = np.random.default_rng(8)
     for model, k in ((ex2(0.3), 8000), (tridiag(0.15, 0.25, 0.7), 2048)):
-        kernel = generating._compiled(model, k)
+        kernel = generating._compiled(model, (k,))
         v = np.ones(k + 2)
         val, jac = kernel(v)
         cases = [(jac, val - v[:k + 1])]
@@ -541,45 +542,26 @@ def test_band_solve_several_right_hand_sides_zero_pivot_raises():
 
 
 def test_stacked_levels_stop_on_their_own():
-    # apart from s = 0 each level of a packed solve goes its own way; on a
-    # layout of at most CYCLIC_CROSSOVER rows, which the scalar loop solves
-    # and where the edges leave each block's arithmetic as it is alone, it
-    # takes the steps of its solve alone and reaches its vector bit for
-    # bit; a step cap leaves the deeper levels unconverged while the
-    # shallow one has stopped, as alone
-    from lhbp.generating import CYCLIC_CROSSOVER, iterate_levels
-    small, large = [2, 9, 40], [2, 9, 200]
-    assert sum(small) + 2 * len(small) - 1 <= CYCLIC_CROSSOVER
+    # several levels are solved together only as the q chain, at s = 0;
+    # several levels at any other boundary raise ValueError
+    from lhbp.generating import iterate_levels
     for model, s in ((ex2(0.3), 0.5), (tridiag(0.15, 0.25, 0.7), 1.0),
                      (e1_model(), 0.5)):
-        for max_iter in (None, 6):
-            stacked = iterate_levels(model, small, s, max_iter=max_iter)
-            for r in stacked:
-                alone = iterate_to_limit(model, r.level, s,
-                                         max_iter=max_iter)
-                assert r.iterations == alone.iterations
-                assert r.converged == alone.converged
-                assert r.residual == alone.residual
-                assert np.array_equal(_bits(r.vector), _bits(alone.vector))
-            flags = [r.converged for r in stacked]
-            assert all(flags) if max_iter is None else (
-                flags[0] and not flags[-1])
+        for levels in ([2, 9], [2, 9, 40]):
+            with pytest.raises(ValueError, match="q chain"):
+                iterate_levels(model, levels, s)
     # past the crossover cyclic reduction rounds the packed band otherwise
-    # than alone: each level reaches its vector within 1e-14, apart from
-    # s = 0 in the steps it takes alone, give or take the one step by
-    # which it may meet an exact fixed point, and at s = 0, chained, in
-    # no more steps than alone
-    for model, s in ((ex2(0.3), 0.0), (tridiag(0.15, 0.25, 0.7), 1.0),
-                     (e1_model(), 0.5), (tridiag(0.15, 0.25, 0.7), 0.0)):
+    # than alone: each chained level reaches its vector within 1e-14 in no
+    # more steps than alone; a step cap leaves the deeper levels
+    # unconverged while the shallow one has stopped, as alone
+    for model in (ex2(0.3), tridiag(0.15, 0.25, 0.7)):
         for max_iter in (None, 6):
-            stacked = iterate_levels(model, large, s, max_iter=max_iter)
+            stacked = iterate_levels(model, [2, 9, 200], 0.0,
+                                     max_iter=max_iter)
             for r in stacked:
-                alone = iterate_to_limit(model, r.level, s,
+                alone = iterate_to_limit(model, r.level, 0.0,
                                          max_iter=max_iter)
-                if s == 0.0:
-                    assert r.iterations <= alone.iterations
-                else:
-                    assert abs(r.iterations - alone.iterations) <= 1
+                assert r.iterations <= alone.iterations
                 assert r.converged == alone.converged
                 assert np.max(np.abs(r.vector - alone.vector)) <= 1e-14
             flags = [r.converged for r in stacked]
@@ -618,7 +600,7 @@ def test_singular_newton_step_not_converged():
     from lhbp.generating import _compiled
     for k, j in ((40, 21), (300, 201)):
         model = stuck_model(j)
-        assert _compiled(model, k).width == 1
+        assert _compiled(model, (k,)).width == 1
         r = iterate_to_limit(model, k, 0.0)
         assert not r.converged
         assert r.iterations == 1
@@ -626,6 +608,27 @@ def test_singular_newton_step_not_converged():
         # the anchored curve solve meets the same zero pivot
         with pytest.raises(ComputationError):
             curve_from_anchor(model, 0.5, k + 1)
+
+
+def test_anchored_solve_stops_on_a_step_that_is_not_finite(monkeypatch):
+    # from v = 1 the level-4096 solve of supercritical
+    # tridiagonal(0.05, 0.1, 1.2, u = 1.1) underflows the survival values
+    # behind its front to 0, where back-substitution grows by about 1.45 a
+    # type: the 5th band solve overflows, and the solve raises at once
+    # rather than after its k + 100 steps
+    from lhbp import generating
+    solve = generating._solve_band
+    finite = []
+
+    def recorded(jac, rhs):
+        x = solve(jac, rhs)
+        finite.append(bool(np.all(np.isfinite(x))))
+        return x
+
+    monkeypatch.setattr(generating, "_solve_band", recorded)
+    with pytest.raises(ComputationError, match="level-4096 anchored solve"):
+        curve_from_anchor(tridiag(0.05, 0.1, 1.2, u=1.1), 0.6, 4097)
+    assert finite == [True] * 4 + [False]
 
 
 # tridiagonal(0.23, 0.09, 1.03, u = 1.97): u-space warm starts, each level
@@ -791,7 +794,7 @@ def _g2_one_point_at_a_time(model, results):
     out = []
     for r in results:
         k = r.level
-        kernel, layout = _compiled(model, k), _Layout(k)
+        kernel, layout = _compiled(model, (k,)), _Layout((k,))
         x = 1.0 - r.vector
         jac = kernel(x)[1]
         w = layout.tangent(jac)
