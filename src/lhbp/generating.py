@@ -18,16 +18,25 @@ target (v = 1 - start for a start below the minimal u-solution and below its
 own image) decreases monotonically to it.  The fixed-point curves solve the
 same system with the boundary as one more unknown, fixed by coordinate 0.
 
-Several levels are solved together only as the q chain: the ascending
-levels of the q ladder at the boundary s = 0, packed into one Newton system
-of their survival vectors one after the other, so that a Newton step of
-every level is one kernel call and one band solve of a block-diagonal
+Several levels are solved together as a chain, packed into one Newton
+system of their survival vectors one after the other, so that a Newton step
+of every level is one kernel call and one band solve of a block-diagonal
 system, which replaces many small solves, each a fixed cost of numpy calls,
-by one larger one.  Each level is lifted onto the level below it after
-every step, which is sound because Newton from a sub-solution yields
-sub-solutions, so the deep levels start from the shallow ones part-way
-through their solves rather than after them.  A single level, at any
-boundary, is the one-block chain, which never lifts or restarts.
+by one larger one.  Two chains exist: the q chain, the ascending levels of
+the q ladder at the boundary s = 0, and the qtilde chain, the levels below
+the top of the qtilde ladder in descending order at s = 1.  Each level is
+lifted onto the level before it after every step: at s = 0 a shallower
+level's iterate padded with zeros, at s = 1 a deeper level's iterate cut
+to the shallower types, is a sub-solution, and Newton from a sub-solution
+yields sub-solutions, so each level starts from the one before it part-way
+through that one's solve rather than after it.  A level stops only after
+the one before it, and its cap on steps is no earlier (k + 100 for level k
+in the q chain, the deepest level's for every level of the qtilde chain),
+so the moving levels are a suffix of the chain, and a step solves and
+evaluates only that suffix: in the q chain the few shallow levels stop
+first, in the qtilde chain the deep levels, which hold most of its rows.
+A single level, at any boundary, is the one-block chain, which never lifts
+or restarts.
 """
 
 from __future__ import annotations
@@ -538,27 +547,36 @@ def _solve_tridiagonal(low: np.ndarray, diag: np.ndarray, up: np.ndarray,
     return x
 
 
-def _newton(kernel, layout: _Layout, v: np.ndarray, tol: float, caps: list):
-    """Newton steps in place on the packed survival vector ``v`` of the q
-    chain ``layout`` (boundary 0, ascending levels; one level at any
-    boundary): one kernel call and one band solve step every level.
+def _newton(model: LHBPModel, layout: _Layout, v: np.ndarray, tol: float,
+            caps: list):
+    """Newton steps in place on the packed survival vector ``v`` of a chain
+    ``layout``: the q chain (boundary 0, ascending levels), the qtilde
+    chain (boundary 1, descending levels) or a single level at any
+    boundary.  One kernel call and one band solve step every level.
 
     A level stops after a step that moves none of its coordinates by more
-    than ``tol``, or at an exact fixed point, once the level below it has
+    than ``tol``, or at an exact fixed point, once the level before it has
     stopped; or after its entry of ``caps`` in steps, which must not
-    decrease with the level.  After every step each level is lifted onto
-    the level below it on their shared types (v = min in survival space),
-    in ascending order, so every level ends at or below the level below it.
-    A step that is not finite, or a zero pivot, in the shared solve is
-    redone one block at a time, so that only the levels whose own step
-    fails fail; such a level restarts from the level below, the restarts
-    counting towards its cap.  It stops instead, as a single level does,
-    with no level to restart from, or where the level below has stopped
-    and not moved since the last restart, which would only repeat the
-    failed step: its vector is left as it was at a zero pivot, and takes a
-    step that is not finite, which also keeps the level above from being
-    lifted or restarted from it.  Returns the residual V(v) - v (0 at the
-    edges), and each level's step count and convergence flag.
+    decrease along the chain.  After every step each level is lifted onto
+    the level before it on their shared types, the shorter block's (v = min
+    in survival space), in chain order, so every level ends at or below the
+    level before it.  A step that is not finite, or a zero pivot, in the
+    shared solve is redone one block at a time, so that only the levels
+    whose own step fails fail; such a level restarts from the level before
+    it, the restarts counting towards its cap.  It stops instead, as a
+    single level does, with no level to restart from, or where the level
+    before has stopped and not moved since the last restart, which would
+    only repeat the failed step: its vector is left as it was at a zero
+    pivot, and takes a step that is not finite, which also keeps the level
+    after it from being lifted or restarted from it.  Returns the residual
+    V(v) - v (0 at the edges), and each level's step count and convergence
+    flag.
+
+    The moving levels are a suffix of the chain, since a level stops only
+    after the one before it, whose cap is no later: each step solves from
+    the first moving level on, and the kernel, whose rows are the same bits
+    on any suffix of the layout, is compiled again for the moving suffix
+    once that at least halves the rows it evaluates.
     """
     head = v[:-1]
     blocks = layout.blocks()
@@ -567,27 +585,32 @@ def _newton(kernel, layout: _Layout, v: np.ndarray, tol: float, caps: list):
     steps, converged = [0] * m, [False] * m
     active = [c > 0 for c in caps]
     broken = [False] * m  # stopped on a step that is not finite
-    restarted = [None] * m  # the level below's step count at the restart
-    # the rows of each level's types shared with the level below
-    shared = [None] + [slice(a.start, a.start + b.stop - b.start)
-                       for a, b in zip(blocks[1:], blocks)]
-
+    restarted = [None] * m  # the level before's step count at the restart
+    # the rows of the types each level shares with the level before it, in
+    # each of the two blocks: those of the shorter block's types
+    shared = [None]
+    for a, b in zip(blocks[1:], blocks):
+        n = min(a.stop - a.start, b.stop - b.start)
+        shared.append((slice(a.start, a.start + n),
+                       slice(b.start, b.start + n)))
+    resid = np.zeros(layout.rows)
+    lead = 0  # the kernel's layout is that of levels[lead:]
+    kernel = _compiled(model, layout.levels)
     val, jac = kernel(v)
     while True:
-        resid = val - head
+        lo = starts[lead]
+        np.subtract(val, head[lo:], out=resid[lo:])
         del val
-        for b, moving in enumerate(layout.block_any(resid)):
-            # a fixed point, once no level below it moves
+        for b, moving in enumerate(kernel.layout.block_any(resid[lo:]), lead):
+            # a fixed point, once no level before it moves
             if active[b] and not moving and (b == 0 or not active[b - 1]):
                 active[b], converged[b] = False, True
         if not any(active):
             break
         steps = [n + a for n, a in zip(steps, active)]
-        # the moving levels are a suffix (a level stops only after the one
-        # below, whose cap is no later), so the solve starts at the first
-        first = active.index(True)
+        first = active.index(True)  # the moving levels are a suffix
         lo = starts[first]
-        rhs, band = resid[lo:], jac[:, lo:]
+        rhs, band = resid[lo:], jac[:, lo - starts[lead]:]
         del jac
         try:  # and each level's largest step entry
             step = _solve_band(band, rhs)
@@ -616,16 +639,21 @@ def _newton(kernel, layout: _Layout, v: np.ndarray, tol: float, caps: list):
             if (b == 0 or broken[b - 1] or steps[b] >= caps[b]
                     or not active[b - 1] and restarted[b] == steps[b - 1]):
                 active[b], broken[b] = False, taken
-            else:  # restart from the level below, padded with v = 1
+            else:  # restart from the level before, padded with v = 1
+                # where it is the shorter
                 restarted[b] = steps[b - 1]
                 head[blocks[b]] = 1.0
-                head[shared[b]] = head[blocks[b - 1]]
-        # in ascending order, each from the lifted level below
+                head[shared[b][0]] = head[shared[b][1]]
+        # in chain order, each from the lifted level before it
         for b in range(max(first, 1), m):
             if active[b] and not broken[b - 1]:
-                own = head[shared[b]]
-                np.minimum(own, head[blocks[b - 1]], out=own)
-        val, jac = kernel(v)
+                own, before = shared[b]
+                np.minimum(head[own], head[before], out=head[own])
+        # only the levels from the first moving one on have changed
+        if 2 * (layout.rows - lo) <= layout.rows - starts[lead]:
+            lead = first
+            kernel = _compiled(model, layout.levels[first:])
+        val, jac = kernel(v[starts[lead]:])
         for b in range(first, m):
             if not active[b] or b in failed:
                 continue
@@ -639,66 +667,78 @@ def _newton(kernel, layout: _Layout, v: np.ndarray, tol: float, caps: list):
 
 def iterate_levels(model: LHBPModel, levels, s: float, tol: float = 1e-12,
                    max_iter: int | None = None,
-                   start: np.ndarray | None = None) -> list[TruncationResult]:
+                   start=None) -> list[TruncationResult]:
     """Solve the level-k truncated generating system with boundary s for
-    one level k, or at s = 0 for each k of an ascending sequence ``levels``
-    as the q chain, one packed Newton system (see ``_Layout`` and
-    ``_newton``); returns a result per level.  Several levels at any other
-    s raise ``ValueError``.
+    one level k, or for each k of a chain ``levels``, one packed Newton
+    system (see ``_Layout`` and ``_newton``): the q chain, ascending levels
+    at s = 0, or the qtilde chain, descending levels at s = 1.  Returns a
+    result per level.  Several levels in any other order, or at any other
+    s, raise ``ValueError``.
 
     Newton steps on v = V(v) in survival space, from v = 1 - start (the
-    start defaults to (0, ..., 0, s)).  A supplied start must lie below the
-    target fixed point of every level and below its own image, and be no
-    longer than k + 2 for the lowest level k.  Warm starts from other
-    levels do: the result of a lower level, padded with zeros; for s = 1
-    the converged s = 1 result of a deeper level, cut to its first k + 2
-    entries; and the elementwise maximum of two such starts.  The last
-    entry of a start, its boundary, is ignored.  Such a start is a
+    start defaults to (0, ..., 0, s)).  ``start`` is one array for every
+    level, or a list of one array per level.  A start must lie below the
+    target fixed point of its level and below its own image, and be no
+    longer than k + 2 for its level k.  Warm starts from other levels do:
+    the result of a lower level, padded with zeros; for s = 1 the converged
+    s = 1 result of a deeper level, or any level's s = 0 result, cut to the
+    first k + 2 entries; and the elementwise maximum of such starts.  The
+    last entry of a start, its boundary, is ignored.  Such a start is a
     sub-solution, so the target lies above it; this function holds the
     returned u at or above the start on the start's other entries, which
     rounding in the last ulp would otherwise break.
 
     The levels form a chain: Newton from a sub-solution of the monotone
     system yields sub-solutions (Esparza, Kiefer & Luttenberger 2010), so
-    at every step each level's iterate, padded with zeros, is a valid start
-    for the levels above it.  Each level is lifted onto the one below it
-    after every step, stops only after it, and restarts from it after a
-    failed step, unless the restart would repeat the last one; the
-    returned q vectors are nondecreasing in the level.  Each level stops
-    once a step moves none of its coordinates by more than ``tol``.
-    ``max_iter`` defaults to k + 100 steps for level k: from a start far
-    below the target a step carries the boundary's influence only a few
-    types inward (about 5 for qtilde of tridiagonal(0.15, 0.25, 0.7)
-    started from its q vector).  ``iterations`` counts Newton steps and
-    ``residual`` is max |V(v) - v| at the returned vector, which is given
-    in u = 1 - v.
+    at every step each level's iterate is a valid start for the levels
+    after it: padded with zeros for a higher level at s = 0, cut to its
+    types for a lower level at s = 1.  Each level is lifted onto the one
+    before it after every step, stops only after it, and restarts from it
+    after a failed step, unless the restart would repeat the last one; the
+    returned q vectors are nondecreasing in the level and the qtilde
+    vectors, for starts that are, nonincreasing.  Each level stops once a
+    step moves none of its coordinates by more than ``tol``.  ``max_iter``
+    defaults to k + 100 steps for the deepest level k up to and including
+    the level in the chain: from a start far below the target a step
+    carries the boundary's influence only a few types inward (about 5 for
+    qtilde of tridiagonal(0.15, 0.25, 0.7) started from its q vector).
+    ``iterations`` counts Newton steps and ``residual`` is max |V(v) - v|
+    at the returned vector, which is given in u = 1 - v.
     """
     if not (0.0 <= s <= 1.0):
         raise ValueError(f"boundary must lie in [0, 1], got {s}")
     levels = tuple(int(k) for k in np.atleast_1d(levels))
-    if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be one level or a strictly increasing "
-                         f"sequence, got {levels}")
-    if len(levels) > 1 and s != 0.0:
-        raise ValueError(f"several levels form the q chain, s = 0, not {s}")
+    if len(levels) > 1 and s not in (0.0, 1.0):
+        raise ValueError("several levels form the q chain at s = 0 or the "
+                         f"qtilde chain at s = 1, not s = {s}")
+    if not levels or levels != tuple(sorted(set(levels),
+                                           reverse=bool(s == 1.0))):
+        raise ValueError(
+            "levels must be one level or a strictly increasing sequence at "
+            "s = 0 (the q chain), a strictly decreasing one at s = 1 (the "
+            f"qtilde chain), got {levels} at s = {s}")
     layout = _Layout(levels)
     v = np.ones(layout.rows + 1)
     if start is not None:
-        start = np.asarray(start, dtype=float)
-        for lo in layout.starts.tolist():
-            v[lo:lo + len(start) - 1] = 1.0 - start[:-1]
+        if not isinstance(start, list):
+            start = [start] * len(levels)
+        start = [np.asarray(x, dtype=float) for x in start]
+        for lo, x in zip(layout.starts.tolist(), start, strict=True):
+            v[lo:lo + len(x) - 1] = 1.0 - x[:-1]
     v[layout.lasts + 1] = 1.0 - s
-    caps = [k + 100 if max_iter is None else max_iter for k in levels]
-    resid, steps, converged = _newton(_compiled(model, levels), layout, v,
-                                      tol, caps)
+    caps = np.maximum.accumulate(levels) + 100
+    if max_iter is not None:
+        caps[:] = max_iter
+    resid, steps, converged = _newton(model, layout, v, tol, caps.tolist())
     u = 1.0 - v
     results = []
-    for k, lo, *rest in zip(levels, layout.starts.tolist(), steps,
-                            layout.block_max(np.abs(resid)), converged):
+    for b, (k, lo, *rest) in enumerate(zip(
+            levels, layout.starts.tolist(), steps,
+            layout.block_max(np.abs(resid)), converged)):
         row = u[lo:lo + k + 2]
         if start is not None:
-            held = row[:len(start) - 1]
-            np.maximum(held, start[:-1], out=held)
+            held = row[:len(start[b]) - 1]
+            np.maximum(held, start[b][:-1], out=held)
         row[k + 1] = s
         results.append(TruncationResult(k, s, row, *rest))
     return results
@@ -850,17 +890,20 @@ def extinction_ladder(model: LHBPModel, schedule, window: int | None = None,
                       tol: float = 1e-12) -> ExtinctionLadder:
     """Run both boundaries over an increasing truncation schedule.
 
-    All q levels are one call of ``iterate_levels`` at s = 0, a chain in
-    which each level is lifted onto the one below it after every Newton
+    All q levels are one call of ``iterate_levels`` at s = 0, the q chain,
+    in which each level is lifted onto the one below it after every Newton
     step, so the q ladder is nondecreasing by construction.  qtilde runs
-    top-down, one level at a time, since qtilde^(k) decreases in k: the top
-    level starts from its own q, each lower level k from the elementwise
-    maximum of its q and the next deeper level's qtilde cut to types 0..k,
-    unless that level did not converge.  Both starts are sub-solutions of
-    the level-k system with boundary 1.  ``iterate_to_limit`` holds each
-    result at or above its start, which keeps q <= qtilde and the qtilde
-    ladder nonincreasing.  ``window`` (default: all k + 2 entries of the
-    smallest level k) sets how many leading coordinates are reported and
+    top-down, since qtilde^(k) decreases in k: the top level alone from its
+    own q, then all lower levels as one call at s = 1, the qtilde chain in
+    descending order, in which each level is lifted onto the deeper one
+    before it after every step.  Each lower level k starts from the
+    elementwise maximum of its q and the top level's qtilde cut to types
+    0..k if the top level converged, and from its q otherwise.  Both starts
+    are sub-solutions of the level-k system with boundary 1, and
+    ``iterate_levels`` holds each result at or above its start, which keeps
+    q <= qtilde and, below a converged top level, the qtilde ladder
+    nonincreasing.  ``window`` (default: all k + 2 entries of the smallest
+    level k) sets how many leading coordinates are reported and
     extrapolated.
     """
     schedule = tuple(schedule)
@@ -877,16 +920,15 @@ def extinction_ladder(model: LHBPModel, schedule, window: int | None = None,
         raise ValueError("window exceeds the smallest truncation size: "
                          f"{window} > {schedule[0] + 2}")
     q_results = iterate_levels(model, schedule, 0.0, tol=tol)
-    qt_results = []
-    deeper = None
-    for rq in reversed(q_results):
-        start = rq.vector
-        if deeper is not None:
-            start = np.maximum(start, deeper.vector[:rq.level + 2])
-        rt = iterate_to_limit(model, rq.level, 1.0, tol=tol, start=start)
-        deeper = rt if rt.converged else None
-        qt_results.append(rt)
-    qt_results.reverse()
+    top = iterate_to_limit(model, schedule[-1], 1.0, tol=tol,
+                           start=q_results[-1].vector)
+    qt_results = [top]
+    if len(schedule) > 1:
+        starts = [r.vector for r in reversed(q_results[:-1])]
+        if top.converged:
+            starts = [np.maximum(x, top.vector[:len(x)]) for x in starts]
+        qt_results = iterate_levels(model, schedule[-2::-1], 1.0, tol=tol,
+                                    start=starts)[::-1] + qt_results
     q_est, q_stall = _extrapolate([r.vector[:window] for r in q_results], tol)
     qt_est, qt_stall = _extrapolate([r.vector[:window] for r in qt_results], tol)
     q_est = np.minimum(q_est, qt_est)

@@ -108,11 +108,15 @@ def test_ladder_monotone_and_sandwich(ladder_ex2_03):
     assert np.all(ladder_ex2_03.q_estimate <= ladder_ex2_03.qtilde_estimate)
 
 
-# the qtilde trap, the deep example2 anchor and the thinned model whose
+# the qtilde trap, the deep example2 anchor, the thinned model whose
 # computed qtilde falls from 1 to q between levels 256 and 512, where the
-# boundary's weight 1/ceil(1.1^k) drops below rounding
+# boundary's weight 1/ceil(1.1^k) drops below rounding, the explicit models
+# E3 and E4 (the generic kernel) and tridiagonal(0.3, 0.3, 0.5), whose
+# lower qtilde levels each took 7 steps when solved one at a time
 TOP_DOWN_CASES = ((tridiag(0.15, 0.25, 0.7), 2048), (ex2(0.3), 8000),
-                  (tridiag(0.05, 0.1, 1.2, u=1.1), 4096))
+                  (tridiag(0.05, 0.1, 1.2, u=1.1), 4096),
+                  (product_tail_model(), 4096), (e4_model(), 4096),
+                  (tridiag(0.3, 0.3, 0.5), 2048))
 
 
 @pytest.fixture(scope="module")
@@ -122,9 +126,10 @@ def top_down_ladders():
 
 
 def test_top_down_qtilde_matches_solves_from_q(top_down_ladders):
-    # each level's qtilde, warm-started from the deeper one, is the solve
-    # started from its own q (held above q, as the ladder holds it); the
-    # top level, which has no deeper one, is that solve bit for bit
+    # each lower level's qtilde, solved in the qtilde chain from the top
+    # level's, is the solve started from its own q (held above q, as the
+    # ladder holds it); the top level, solved alone, is that solve bit for
+    # bit
     for (model, _), ladder in zip(TOP_DOWN_CASES, top_down_ladders):
         assert ladder.converged
         for rq, rt in zip(ladder.q_results, ladder.qtilde_results):
@@ -153,6 +158,83 @@ def test_warm_solve_stays_above_its_start(model, low, high):
     r = iterate_to_limit(model, high, 0.0, start=start)
     assert r.converged
     assert np.all(r.vector[:low + 1] >= start[:-1])
+
+
+@st.composite
+def chain_models(draw):
+    """example2 at gamma in [0, 1], or a tridiagonal model with u = 1."""
+    if draw(st.booleans()):
+        return ex2(draw(st.floats(0.0, 1.0)))
+    return tridiag(draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 1.5)),
+                   draw(st.floats(0.01, 2.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=chain_models(), k=st.integers(2, 512))
+def test_qtilde_chain_matches_one_level_solves(model, k):
+    # each chained lower level reaches the solve of its level alone from
+    # the same start: its q, raised to the converged top level's qtilde;
+    # q <= qtilde holds exactly, and the qtilde window does not increase
+    ladder = extinction_ladder(model, default_schedule(k))
+    top = ladder.qtilde_results[-1]
+    for rq, rt in zip(ladder.q_results[:-1], ladder.qtilde_results[:-1]):
+        start = rq.vector
+        if top.converged:
+            start = np.maximum(start, top.vector[:rq.level + 2])
+        alone = iterate_to_limit(model, rq.level, 1.0, start=start)
+        assert rt.converged and alone.converged
+        assert np.max(np.abs(rt.vector - alone.vector)) <= 1e-14
+    for rq, rt in zip(ladder.q_results, ladder.qtilde_results):
+        assert np.all(rq.vector <= rt.vector)
+    if top.converged:
+        assert np.all(np.diff(windows(ladder)[1], axis=0) <= 0.0)
+
+
+def test_qtilde_chain_contract():
+    # several levels are the q chain, ascending at s = 0, or the qtilde
+    # chain, descending at s = 1, with one start for every level or a list
+    # of one start per level
+    from lhbp.generating import iterate_levels
+    model = ex2(0.3)
+    for levels, s in (([9, 2], 0.0), ([2, 9], 1.0), ([9, 9], 1.0),
+                      ([9, 2], 0.5), ([2, 9], 0.5), ([], 1.0)):
+        with pytest.raises(ValueError):
+            iterate_levels(model, levels, s)
+    q = iterate_levels(model, [2, 9, 40], 0.0)
+    with pytest.raises(ValueError):  # a start for two of three levels
+        iterate_levels(model, [40, 9, 2], 1.0,
+                       start=[r.vector for r in q[:0:-1]])
+    chain = iterate_levels(model, [40, 9, 2], 1.0,
+                           start=[r.vector for r in q[::-1]])
+    assert [r.level for r in chain] == [40, 9, 2]
+    for rq, rt in zip(q[::-1], chain):
+        assert rt.converged and np.all(rq.vector <= rt.vector)
+        alone = iterate_to_limit(model, rt.level, 1.0, start=rq.vector)
+        assert np.max(np.abs(rt.vector - alone.vector)) <= 1e-14
+    # the levels after the deepest take its cap of steps, k + 100
+    capped = iterate_levels(model, [40, 9, 2], 1.0,
+                            start=[r.vector for r in q[::-1]], max_iter=1)
+    assert [r.iterations for r in capped] == [1, 1, 1]
+
+
+def test_ladder_compiles_each_chain_once(monkeypatch):
+    # a ladder compiles the q chain, the top level alone and the lower
+    # qtilde levels as one chain, not one kernel per level; the qtilde
+    # levels 1024..8 stop after 7 steps and levels 4, 2 and 1 after 8, so
+    # the last step evaluates their suffix alone
+    from lhbp import generating
+    compiled = []
+    plain = generating._compiled
+
+    def recorded(model, levels):
+        compiled.append(levels)
+        return plain(model, levels)
+
+    monkeypatch.setattr(generating, "_compiled", recorded)
+    plain.cache_clear()
+    schedule = default_schedule(2048)
+    generating.extinction_ladder(tridiag(0.3, 0.3, 0.5), schedule)
+    assert compiled == [schedule, (2048,), schedule[-2::-1], (4, 2, 1)]
 
 
 def test_top_down_trap_solves_lower_levels_without_steps(top_down_ladders):
@@ -722,6 +804,41 @@ def test_packed_kernel_blocks_match_one_level_calls(model, levels, seed):
     v[rng.integers(0, n, 4)] = 1.0
     assert_blocks_match_single_calls(lambda lv: _compiled(model, lv),
                                      levels, v)
+
+
+SUFFIX_MODELS = (ex2(0.3), tridiag(0.15, 0.25, 0.7),
+                 tridiag(0.1, 0.2, 0.8, u=2.0),
+                 tridiag(0.1, 0.2, 0.8, u=10.0), product_tail_model(),
+                 e4_model(), wide_band_model())
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(SUFFIX_MODELS),
+       levels=st.lists(st.integers(0, 400), min_size=2, max_size=5,
+                       unique=True).map(sorted),
+       descending=st.booleans(), first=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_suffix_kernel_rows_match_the_full_layout(model, levels, descending,
+                                                  first, seed):
+    # the kernel of the levels from ``first`` on, called on the packed
+    # vector from that level's block on, gives the full layout's rows from
+    # there bit for bit, in either order of the levels, which lets Newton
+    # evaluate only its moving levels; a suffix of low levels may have a
+    # narrower band, 0 on the further subdiagonals in the full layout
+    from lhbp.generating import _compiled, _Layout
+    levels = tuple(levels[::-1] if descending else levels)
+    first = min(first, len(levels) - 1)
+    rng = np.random.default_rng(seed)
+    layout = _Layout(levels)
+    v = 10.0 ** rng.uniform(-30.0, 0.0, layout.rows + 1)
+    v[rng.integers(0, len(v), 4)] = 0.0
+    v[rng.integers(0, len(v), 4)] = 1.0
+    val, jac = _compiled(model, levels)(v)
+    lo = int(layout.starts[first])
+    part, jac_part = _compiled(model, levels[first:])(v[lo:])
+    assert np.array_equal(_bits(val[lo:]), _bits(part))
+    assert np.array_equal(_bits(jac[:len(jac_part), lo:]), _bits(jac_part))
+    assert not jac[len(jac_part):, lo:].any()
 
 
 def test_qtilde_trap_reaches_one():
