@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -586,22 +587,22 @@ def _newton(model: LHBPModel, layout: _Layout, v: np.ndarray, tol: float,
     active = [c > 0 for c in caps]
     broken = [False] * m  # stopped on a step that is not finite
     restarted = [None] * m  # the level before's step count at the restart
-    # the rows of the types each level shares with the level before it, in
+    # views of the types each level shares with the level before it, in
     # each of the two blocks: those of the shorter block's types
     shared = [None]
     for a, b in zip(blocks[1:], blocks):
         n = min(a.stop - a.start, b.stop - b.start)
-        shared.append((slice(a.start, a.start + n),
-                       slice(b.start, b.start + n)))
+        shared.append((head[a.start:a.start + n], head[b.start:b.start + n]))
     resid = np.zeros(layout.rows)
-    lead = 0  # the kernel's layout is that of levels[lead:]
+    # the kernel is that of the levels from ``lead`` on; it reads v and
+    # gives the residual's rows from that level's block on
+    lead, suffix_v, suffix_r = 0, v, resid
     kernel = _compiled(model, layout.levels)
     val, jac = kernel(v)
     while True:
-        lo = starts[lead]
-        np.subtract(val, head[lo:], out=resid[lo:])
+        np.subtract(val, suffix_v[:-1], out=suffix_r)
         del val
-        for b, moving in enumerate(kernel.layout.block_any(resid[lo:]), lead):
+        for b, moving in enumerate(kernel.layout.block_any(suffix_r), lead):
             # a fixed point, once no level before it moves
             if active[b] and not moving and (b == 0 or not active[b - 1]):
                 active[b], converged[b] = False, True
@@ -643,17 +644,18 @@ def _newton(model: LHBPModel, layout: _Layout, v: np.ndarray, tol: float,
                 # where it is the shorter
                 restarted[b] = steps[b - 1]
                 head[blocks[b]] = 1.0
-                head[shared[b][0]] = head[shared[b][1]]
+                own, before = shared[b]
+                own[:] = before
         # in chain order, each from the lifted level before it
         for b in range(max(first, 1), m):
             if active[b] and not broken[b - 1]:
                 own, before = shared[b]
-                np.minimum(head[own], head[before], out=head[own])
+                np.minimum(own, before, out=own)
         # only the levels from the first moving one on have changed
-        if 2 * (layout.rows - lo) <= layout.rows - starts[lead]:
-            lead = first
+        if 2 * (layout.rows - lo) <= len(suffix_r):
+            lead, suffix_v, suffix_r = first, v[lo:], resid[lo:]
             kernel = _compiled(model, layout.levels[first:])
-        val, jac = kernel(v[starts[lead]:])
+        val, jac = kernel(suffix_v)
         for b in range(first, m):
             if not active[b] or b in failed:
                 continue
@@ -695,27 +697,25 @@ def iterate_levels(model: LHBPModel, levels, s: float, tol: float = 1e-12,
     types for a lower level at s = 1.  Each level is lifted onto the one
     before it after every step, stops only after it, and restarts from it
     after a failed step, unless the restart would repeat the last one; the
-    returned q vectors are nondecreasing in the level and the qtilde
-    vectors, for starts that are, nonincreasing.  Each level stops once a
-    step moves none of its coordinates by more than ``tol``.  ``max_iter``
-    defaults to k + 100 steps for the deepest level k up to and including
-    the level in the chain: from a start far below the target a step
-    carries the boundary's influence only a few types inward (about 5 for
-    qtilde of tridiagonal(0.15, 0.25, 0.7) started from its q vector).
-    ``iterations`` counts Newton steps and ``residual`` is max |V(v) - v|
-    at the returned vector, which is given in u = 1 - v.
+    returned q vectors are nondecreasing in the level, and the qtilde
+    vectors nonincreasing where their starts are (one start for every level
+    is).  Each level stops once a step moves none of its coordinates by
+    more than ``tol``.  ``max_iter`` defaults to k + 100 steps, for k the
+    deepest level of the chain up to this one: from a start far below the
+    target a step carries the boundary's influence only a few types inward
+    (about 5 for qtilde of tridiagonal(0.15, 0.25, 0.7) started from its q
+    vector).  ``iterations`` counts Newton steps and ``residual`` is
+    max |V(v) - v| at the returned vector, which is given in u = 1 - v.
     """
     if not (0.0 <= s <= 1.0):
         raise ValueError(f"boundary must lie in [0, 1], got {s}")
     levels = tuple(int(k) for k in np.atleast_1d(levels))
-    if len(levels) > 1 and s not in (0.0, 1.0):
-        raise ValueError("several levels form the q chain at s = 0 or the "
-                         f"qtilde chain at s = 1, not s = {s}")
-    if not levels or levels != tuple(sorted(set(levels),
-                                           reverse=bool(s == 1.0))):
+    chain = tuple(sorted(set(levels), reverse=bool(s == 1.0)))
+    if (not levels or levels != chain
+            or len(levels) > 1 and s not in (0.0, 1.0)):
         raise ValueError(
-            "levels must be one level or a strictly increasing sequence at "
-            "s = 0 (the q chain), a strictly decreasing one at s = 1 (the "
+            "levels must be one level, a strictly increasing sequence at "
+            "s = 0 (the q chain) or a strictly decreasing one at s = 1 (the "
             f"qtilde chain), got {levels} at s = {s}")
     layout = _Layout(levels)
     v = np.ones(layout.rows + 1)
@@ -726,10 +726,9 @@ def iterate_levels(model: LHBPModel, levels, s: float, tol: float = 1e-12,
         for lo, x in zip(layout.starts.tolist(), start, strict=True):
             v[lo:lo + len(x) - 1] = 1.0 - x[:-1]
     v[layout.lasts + 1] = 1.0 - s
-    caps = np.maximum.accumulate(levels) + 100
-    if max_iter is not None:
-        caps[:] = max_iter
-    resid, steps, converged = _newton(model, layout, v, tol, caps.tolist())
+    caps = ([k + 100 for k in accumulate(levels, max)] if max_iter is None
+            else [max_iter] * len(levels))
+    resid, steps, converged = _newton(model, layout, v, tol, caps)
     u = 1.0 - v
     results = []
     for b, (k, lo, *rest) in enumerate(zip(
