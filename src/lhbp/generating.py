@@ -640,8 +640,7 @@ def _newton(model: LHBPModel, layout: _Layout, v: np.ndarray, tol: float,
             if (b == 0 or broken[b - 1] or steps[b] >= caps[b]
                     or not active[b - 1] and restarted[b] == steps[b - 1]):
                 active[b], broken[b] = False, taken
-            else:  # restart from the level before, padded with v = 1
-                # where it is the shorter
+            else:  # restart from the level before (v = 1 past its types)
                 restarted[b] = steps[b - 1]
                 head[blocks[b]] = 1.0
                 own, before = shared[b]
@@ -669,7 +668,8 @@ def _newton(model: LHBPModel, layout: _Layout, v: np.ndarray, tol: float,
 
 def iterate_levels(model: LHBPModel, levels, s: float, tol: float = 1e-12,
                    max_iter: int | None = None,
-                   start=None) -> list[TruncationResult]:
+                   start: np.ndarray | list[np.ndarray] | None = None
+                   ) -> list[TruncationResult]:
     """Solve the level-k truncated generating system with boundary s for
     one level k, or for each k of a chain ``levels``, one packed Newton
     system (see ``_Layout`` and ``_newton``): the q chain, ascending levels
@@ -679,7 +679,7 @@ def iterate_levels(model: LHBPModel, levels, s: float, tol: float = 1e-12,
 
     Newton steps on v = V(v) in survival space, from v = 1 - start (the
     start defaults to (0, ..., 0, s)).  ``start`` is one array for every
-    level, or a list of one array per level.  A start must lie below the
+    level, or a sequence of one array per level.  A start must lie below the
     target fixed point of its level and below its own image, and be no
     longer than k + 2 for its level k.  Warm starts from other levels do:
     the result of a lower level, padded with zeros; for s = 1 the converged
@@ -720,7 +720,7 @@ def iterate_levels(model: LHBPModel, levels, s: float, tol: float = 1e-12,
     layout = _Layout(levels)
     v = np.ones(layout.rows + 1)
     if start is not None:
-        if not isinstance(start, list):
+        if not np.ndim(start[0]):  # one start for every level
             start = [start] * len(levels)
         start = [np.asarray(x, dtype=float) for x in start]
         for lo, x in zip(layout.starts.tolist(), start, strict=True):

@@ -192,8 +192,8 @@ def test_qtilde_chain_matches_one_level_solves(model, k):
 
 def test_qtilde_chain_contract():
     # several levels are the q chain, ascending at s = 0, or the qtilde
-    # chain, descending at s = 1, with one start for every level or a list
-    # of one start per level
+    # chain, descending at s = 1, with one start for every level or a
+    # sequence of one start per level
     from lhbp.generating import iterate_levels
     model = ex2(0.3)
     for levels, s in (([9, 2], 0.0), ([2, 9], 1.0), ([9, 9], 1.0),
@@ -211,10 +211,15 @@ def test_qtilde_chain_contract():
         assert rt.converged and np.all(rq.vector <= rt.vector)
         alone = iterate_to_limit(model, rt.level, 1.0, start=rq.vector)
         assert np.max(np.abs(rt.vector - alone.vector)) <= 1e-14
-    # the levels after the deepest take its cap of steps, k + 100
+    # a list of floats is one start, as an array is
+    listed = iterate_to_limit(model, 9, 1.0, start=q[1].vector.tolist())
+    alone = iterate_to_limit(model, 9, 1.0, start=q[1].vector)
+    assert np.array_equal(listed.vector, alone.vector)
+    # max_iter caps every level of the chain
     capped = iterate_levels(model, [40, 9, 2], 1.0,
                             start=[r.vector for r in q[::-1]], max_iter=1)
     assert [r.iterations for r in capped] == [1, 1, 1]
+    assert not capped[0].converged
 
 
 def test_ladder_compiles_each_chain_once(monkeypatch):
@@ -624,8 +629,9 @@ def test_band_solve_several_right_hand_sides_zero_pivot_raises():
 
 
 def test_stacked_levels_stop_on_their_own():
-    # several levels are solved together only as the q chain, at s = 0;
-    # several levels at any other boundary raise ValueError
+    # several ascending levels are solved together only as the q chain, at
+    # s = 0; at any other boundary they raise ValueError (the qtilde chain
+    # at s = 1 descends)
     from lhbp.generating import iterate_levels
     for model, s in ((ex2(0.3), 0.5), (tridiag(0.15, 0.25, 0.7), 1.0),
                      (e1_model(), 0.5)):
